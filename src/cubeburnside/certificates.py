@@ -124,14 +124,17 @@ def certificate_to_json(cert: EquivalenceCertificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> EquivalenceCertificate:
-    chain = tuple(functor_from_json(o) for o in obj["chain"])
-    steps: list[Step] = []
-    for so in obj["steps"]:
-        if so["kind"] == "nat":
-            amb = functor_from_json(so["ambient"]).functor
-            steps.append(NatTransStep(NaturalTransformation(amb), so["direction"]))
-        elif so["kind"] == "face":
-            steps.append(FaceStep(FaceInclusion.from_json(so["iota"]), so["direction"]))
-        else:
-            raise InputError(f"unknown step kind {so.get('kind')!r}")
+    try:
+        chain = tuple(functor_from_json(o) for o in obj["chain"])
+        steps: list[Step] = []
+        for so in obj["steps"]:
+            if so["kind"] == "nat":
+                amb = functor_from_json(so["ambient"]).functor
+                steps.append(NatTransStep(NaturalTransformation(amb), so["direction"]))
+            elif so["kind"] == "face":
+                steps.append(FaceStep(FaceInclusion.from_json(so["iota"]), so["direction"]))
+            else:
+                raise InputError(f"unknown step kind {so.get('kind')!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed certificate: {exc}") from exc
     return EquivalenceCertificate(chain, tuple(steps))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -20,24 +19,13 @@ from .corpus import (load_certificate, load_delta, load_functor, load_golden,
 from .errors import InputError, InternalInvariantError, SearchCapExceeded
 from .functor import (enumerate_matchings, find_natural_isomorphism, product,
                       validate_c0, validate_coherence)
-from .khovanov import (build_khovanov_functor, generator_gradings, kh_table,
-                       reduced_functor, split_by_quantum)
+from .khovanov import build_khovanov_functor, generator_gradings, kh_table
 from .simplicial import delta_functor, simplicial_homology
-from .totalization import dualize, homology_nontrivial, tot
+from .totalization import HomologyGroup, homology_nontrivial, tot
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
-
-
-def _group_str(rank: int, torsion: list[int]) -> str:
-    parts = []
-    if rank == 1:
-        parts.append("Z")
-    elif rank > 1:
-        parts.append(f"Z^{rank}")
-    parts.extend(f"Z/{t}" for t in torsion)
-    return " + ".join(parts) if parts else "0"
 
 
 class ExitCode(Exception):
@@ -87,36 +75,13 @@ def examples():
 def _basepoint_value(basepoint: str | None):
     if basepoint is None:
         return None
-    if basepoint.startswith("loop:"):
-        return ("loop", int(basepoint.split(":", 1)[1]))
-    return int(basepoint)
-
-
-def _parallel_table(pd, reduced, basepoint, jobs: int) -> list[dict]:
-    if reduced:
-        sf = reduced_functor(pd, _basepoint_value(basepoint))
-    else:
-        sf = build_khovanov_functor(pd)
-    parts = split_by_quantum(pd, sf, reduced=reduced)
-    rows = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_rows_for_part, sorted(parts.items())))
-        for rs in results:
-            rows.extend(rs)
-    else:
-        for item in sorted(parts.items()):
-            rows.extend(_rows_for_part(item))
-    rows.sort(key=lambda r: (r["j"], r["i"]))
-    return rows
-
-
-def _rows_for_part(item):
-    j, part = item
-    out = []
-    for d, h in homology_nontrivial(dualize(tot(part))).items():
-        out.append({"i": -d, "j": j, "rank": h.free_rank, "torsion": list(h.torsion)})
-    return out
+    try:
+        if basepoint.startswith("loop:"):
+            return ("loop", int(basepoint.split(":", 1)[1]))
+        return int(basepoint)
+    except ValueError as exc:
+        raise InputError(f"bad basepoint {basepoint!r}: expected an arc label "
+                         "or loop:<k>") from exc
 
 
 @kh.command("homology")
@@ -129,16 +94,16 @@ def kh_homology(diagram, reduced, basepoint, as_json, jobs):
     """Bigraded homology table of a diagram (fixture name or file)."""
     def go():
         pd = load_pd(diagram)
-        if reduced and basepoint is None:
-            raise InputError("--reduced needs --basepoint")
-        rows = _parallel_table(pd, reduced, basepoint, jobs)
+        rows = kh_table(pd, reduced, _basepoint_value(basepoint) if reduced else None,
+                        jobs=jobs)
         if as_json:
             click.echo(_dump({"schema_version": 1, "diagram": diagram,
                               "reduced": bool(reduced), "rows": rows}))
         else:
             click.echo(f"{'i':>4} {'j':>4}  group")
             for r in rows:
-                click.echo(f"{r['i']:>4} {r['j']:>4}  {_group_str(r['rank'], r['torsion'])}")
+                h = HomologyGroup(r["i"], r["rank"], tuple(r["torsion"]))
+                click.echo(f"{r['i']:>4} {r['j']:>4}  {h}")
     _run(go)
 
 
@@ -151,14 +116,7 @@ def kh_verify(diagram, as_json):
     def go():
         pd = load_pd(diagram)
         sf = build_khovanov_functor(pd, validate=False)
-        checks = {}
-        failures = []
-        rep0 = validate_c0(sf.functor)
-        checks["square_condition"] = rep0.ok
-        failures.extend(rep0.failures)
-        rep1 = validate_coherence(sf.functor)
-        checks["coherence"] = rep1.ok
-        failures.extend(rep1.failures)
+        checks, failures = _structure_checks(sf.functor)
         try:
             tot(sf)
             checks["d_squared_zero"] = True
@@ -174,17 +132,7 @@ def kh_verify(diagram, as_json):
                     failures.append(f"edge {cube.bits(u)}>{cube.bits(v)} element "
                                     f"{e.id} changes the quantum grading")
         checks["quantum_grading_preserved"] = ok
-        failures = sorted(set(failures))
-        if as_json:
-            click.echo(_dump({"schema_version": 1, "diagram": diagram,
-                              "checks": checks, "failures": failures}))
-        else:
-            for k, v in sorted(checks.items()):
-                click.echo(f"{k}: {'pass' if v else 'FAIL'}")
-            for f in failures:
-                click.echo(f"  {f}")
-        if not all(checks.values()):
-            raise ExitCode(1)
+        _report_checks(checks, failures, as_json, diagram=diagram)
     _run(go)
 
 
@@ -196,30 +144,41 @@ def functor_check(input, as_json):
     matchings are present), d²=0."""
     def go():
         sf = load_functor(input)
-        checks = {}
-        failures: list[str] = []
-        rep0 = validate_c0(sf.functor)
-        checks["square_condition"] = rep0.ok
-        failures.extend(rep0.failures)
-        if sf.functor.has_matchings:
-            rep = validate_coherence(sf.functor)
-            checks["coherence"] = rep.ok
-            failures.extend(rep.failures)
-        if rep0.ok:
+        checks, failures = _structure_checks(sf.functor)
+        if checks["square_condition"]:
             tot(sf)
             checks["d_squared_zero"] = True
-        failures = sorted(set(failures))
-        if as_json:
-            click.echo(_dump({"schema_version": 1, "checks": checks,
-                              "failures": failures}))
-        else:
-            for k, v in sorted(checks.items()):
-                click.echo(f"{k}: {'pass' if v else 'FAIL'}")
-            for f in failures:
-                click.echo(f"  {f}")
-        if not all(checks.values()):
-            raise ExitCode(1)
+        _report_checks(checks, failures, as_json)
     _run(go)
+
+
+def _structure_checks(f) -> tuple[dict[str, bool], list[str]]:
+    """The square condition, and coherence when the functor has matchings."""
+    rep0 = validate_c0(f)
+    checks = {"square_condition": rep0.ok}
+    failures = list(rep0.failures)
+    if f.has_matchings:
+        rep = validate_coherence(f)
+        checks["coherence"] = rep.ok
+        failures.extend(rep.failures)
+    return checks, failures
+
+
+def _report_checks(checks: dict[str, bool], failures: list[str], as_json: bool,
+                   **header) -> None:
+    """Print each check's verdict and the distinct failures; exit 1 when a
+    check failed.  ``header`` adds fields to the JSON form."""
+    failures = sorted(set(failures))
+    if as_json:
+        click.echo(_dump({"schema_version": 1, **header, "checks": checks,
+                          "failures": failures}))
+    else:
+        for k, v in sorted(checks.items()):
+            click.echo(f"{k}: {'pass' if v else 'FAIL'}")
+        for f in failures:
+            click.echo(f"  {f}")
+    if not all(checks.values()):
+        raise ExitCode(1)
 
 
 @functor.command("search-matchings")
@@ -256,10 +215,8 @@ def functor_search(input, max_search, as_json):
 def _first_pin(f):
     """First element of the first ambiguous fiber of the first face, pinned
     to its first possible image (for reporting counts modulo relabeling)."""
-    from .functor import composite_along_chain
     for face in cube.faces2(f.n):
-        ca = composite_along_chain(f, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(f, (face.top, face.mid_b, face.bottom))
+        ca, cb = f.square(face)
         fa, fb = ca.fibers(), cb.fibers()
         for key in sorted(fa):
             if len(fa[key]) > 1:

@@ -119,6 +119,12 @@ class CubeFunctorData:
             return m.inverse()
         raise ValueError(f"{first_mid} is not a middle vertex of {f}")
 
+    def square(self, face: Face2) -> tuple[Correspondence, Correspondence]:
+        """The face's two 2-step composites, through ``mid_a`` and ``mid_b``."""
+        top, bottom = face.top, face.bottom
+        return (composite_along_chain(self, (top, face.mid_a, bottom)),
+                composite_along_chain(self, (top, face.mid_b, bottom)))
+
     def support(self) -> list[tuple[Vertex, str]]:
         return [(v, x) for v in cube.vertices(self.n) for x in self.vset(v)]
 
@@ -210,8 +216,7 @@ def validate_c0(f: CubeFunctorData) -> ValidationReport:
     """Fiberwise equality of the two composite cardinalities on every square."""
     failures = []
     for face in cube.faces2(f.n):
-        ca = composite_along_chain(f, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(f, (face.top, face.mid_b, face.bottom))
+        ca, cb = f.square(face)
         fa = {k: len(v) for k, v in ca.fibers().items()}
         fb = {k: len(v) for k, v in cb.fibers().items()}
         if fa != fb:
@@ -261,8 +266,7 @@ def validate_coherence(f: CubeFunctorData) -> ValidationReport:
     failures = []
     for face in cube.faces2(f.n):
         m = f.matching(face)
-        ca = composite_along_chain(f, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(f, (face.top, face.mid_b, face.bottom))
+        ca, cb = f.square(face)
         if m.src != ca or m.dst != cb:
             failures.append(f"face {_face_key(face)}: matching endpoints are not the stored composites")
         elif not is_two_morphism(m.as_dict(), ca, cb):
@@ -290,8 +294,7 @@ def boundary_faces2(face: Face3) -> list[Face2]:
 def _face_candidates(f: CubeFunctorData, face: Face2,
                      pinned: Mapping[str, str] | None,
                      max_per_face: int) -> list[BijectionOver]:
-    ca = composite_along_chain(f, (face.top, face.mid_a, face.bottom))
-    cb = composite_along_chain(f, (face.top, face.mid_b, face.bottom))
+    ca, cb = f.square(face)
     fa = ca.fibers()
     fb = cb.fibers()
     if {k: len(v) for k, v in fa.items()} != {k: len(v) for k, v in fb.items()}:
@@ -376,8 +379,7 @@ def with_matchings(f: CubeFunctorData,
                    assignment: Mapping[Face2, Mapping[str, str]]) -> CubeFunctorData:
     fm = {}
     for face in cube.faces2(f.n):
-        ca = composite_along_chain(f, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(f, (face.top, face.mid_b, face.bottom))
+        ca, cb = f.square(face)
         fm[face] = BijectionOver.of(ca, cb, dict(assignment[face]))
     return CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, fm)
 
@@ -386,20 +388,28 @@ def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
     """Attach the unique fiberwise matchings; error on any ambiguous fiber."""
     fm = {}
     for face in cube.faces2(f.n):
-        ca = composite_along_chain(f, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(f, (face.top, face.mid_b, face.bottom))
-        fa, fb = ca.fibers(), cb.fibers()
-        mapping = {}
-        for key, elems in fa.items():
-            others = fb.get(key, [])
-            if len(elems) != len(others):
-                raise InputError(f"face {_face_key(face)}: fiber sizes differ at {key}")
-            if len(elems) > 1:
-                raise InputError(f"face {_face_key(face)}: ambiguous fiber {key}")
-            if elems:
-                mapping[elems[0].id] = others[0].id
-        fm[face] = BijectionOver.of(ca, cb, mapping)
+        ca, cb = f.square(face)
+        try:
+            fm[face] = BijectionOver.of(ca, cb, _forced_mapping(ca, cb))
+        except InputError as exc:
+            raise InputError(f"face {_face_key(face)}: {exc}") from exc
     return CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, fm)
+
+
+def _forced_mapping(ca: Correspondence, cb: Correspondence) -> dict[str, str]:
+    """The unique fiberwise bijection of a square's two composites;
+    InputError when a fiber's sizes differ or a fiber has several elements."""
+    fa, fb = ca.fibers(), cb.fibers()
+    mapping = {}
+    for key, elems in fa.items():
+        others = fb.get(key, [])
+        if len(elems) != len(others):
+            raise InputError(f"fiber sizes differ at {key}")
+        if len(elems) > 1:
+            raise InputError(f"ambiguous fiber {key}")
+        if elems:
+            mapping[elems[0].id] = others[0].id
+    return mapping
 
 
 # -- relabeling --------------------------------------------------------------
@@ -434,8 +444,7 @@ def relabel(f: CubeFunctorData,
                 yd, xd = split_composite_id(dst)
                 mapping[join_composite_id([em(eb, ys), em(ea, xs)])] = \
                     join_composite_id([em(eb2, yd), em(ea2, xd)])
-            ca = composite_along_chain(probe, (face.top, face.mid_a, face.bottom))
-            cb = composite_along_chain(probe, (face.top, face.mid_b, face.bottom))
+            ca, cb = probe.square(face)
             fm[face] = BijectionOver.of(ca, cb, mapping)
     return CubeFunctorData(f.n, vs, ec, fm)
 
@@ -466,8 +475,7 @@ def coproduct(f: CubeFunctorData, g: CubeFunctorData,
         for face in cube.faces2(f.n):
             mapping = dict(ft.matching(face).mapping) | dict(gt.matching(face).mapping)
             probe = CubeFunctorData(f.n, vs, ec, None)
-            ca = composite_along_chain(probe, (face.top, face.mid_a, face.bottom))
-            cb = composite_along_chain(probe, (face.top, face.mid_b, face.bottom))
+            ca, cb = probe.square(face)
             fm[face] = BijectionOver.of(ca, cb, mapping)
     return CubeFunctorData(f.n, vs, ec, fm)
 
@@ -510,8 +518,7 @@ def product(f1: CubeFunctorData, f2: CubeFunctorData) -> CubeFunctorData:
         for face in cube.faces2(n):
             i = cube.edge_coordinate(face.top, face.mid_a)
             j = cube.edge_coordinate(face.top, face.mid_b)
-            ca = composite_along_chain(probe, (face.top, face.mid_a, face.bottom))
-            cb = composite_along_chain(probe, (face.top, face.mid_b, face.bottom))
+            ca, cb = probe.square(face)
             mapping: dict[str, str] = {}
             if j < n1:
                 inner = Face2.from_top(face.top[:n1], i, j)
@@ -602,8 +609,7 @@ def extend_along_face_inclusion(f: CubeFunctorData, iota: FaceInclusion) -> Cube
                                        image[face.mid_b], image[face.bottom])
                 fm[face] = f.matching_via(small, image[face.mid_a])
             else:
-                ca = composite_along_chain(probe, (face.top, face.mid_a, face.bottom))
-                cb = composite_along_chain(probe, (face.top, face.mid_b, face.bottom))
+                ca, cb = probe.square(face)
                 fm[face] = BijectionOver.of(ca, cb, {})
     return CubeFunctorData(n2, vs, ec, fm)
 
@@ -647,10 +653,9 @@ def _restrict_data(f: CubeFunctorData, s: SupportSet) -> CubeFunctorData:
         fm = {}
         probe = CubeFunctorData(f.n, vs, ec, None)
         for face in cube.faces2(f.n):
-            ca = composite_along_chain(probe, (face.top, face.mid_a, face.bottom))
+            ca, cb = probe.square(face)
             keep = set(ca.ids())
             mapping = {k: v2 for k, v2 in f.matching(face).mapping if k in keep}
-            cb = composite_along_chain(probe, (face.top, face.mid_b, face.bottom))
             fm[face] = BijectionOver.of(ca, cb, mapping)
     return CubeFunctorData(f.n, vs, ec, fm)
 
@@ -753,27 +758,10 @@ def build_nat_trans(f: CubeFunctorData, g: CubeFunctorData,
         else:
             # mixed square: mid_a = (0, u), mid_b = (1, v)
             u, v = face.top[1:], face.bottom[1:]
-            ca = composite_along_chain(probe, (face.top, face.mid_a, face.bottom))
-            cb = composite_along_chain(probe, (face.top, face.mid_b, face.bottom))
+            ca, cb = probe.square(face)
             given = (mixed_matchings or {}).get((u, v))
-            if given is not None:
-                mapping = dict(given)
-            else:
-                fa, fb_ = ca.fibers(), cb.fibers()
-                mapping = {}
-                for key, elems in fa.items():
-                    others = fb_.get(key, [])
-                    if len(elems) != len(others):
-                        raise InputError(
-                            f"mixed square over edge {cube.bits(u)}>{cube.bits(v)}: "
-                            "composite fibers differ")
-                    if len(elems) > 1:
-                        raise InputError(
-                            f"mixed square over edge {cube.bits(u)}>{cube.bits(v)}: "
-                            "ambiguous fiber needs an explicit matching")
-                    if elems:
-                        mapping[elems[0].id] = others[0].id
             try:
+                mapping = dict(given) if given is not None else _forced_mapping(ca, cb)
                 fm[face] = BijectionOver.of(ca, cb, mapping)
             except ValueError as exc:
                 raise InputError(f"mixed square over edge {cube.bits(u)}>"
@@ -785,42 +773,34 @@ def build_nat_trans(f: CubeFunctorData, g: CubeFunctorData,
     return NaturalTransformation(ambient)
 
 
+def _graph_of_identity(f: CubeFunctorData, g: CubeFunctorData,
+                       small: CubeFunctorData) -> NaturalTransformation:
+    """The transformation f -> g that is the identity on ``small`` (f or g,
+    whichever sits inside the other): components x ↦ x on its generators,
+    mixed squares e.id∘e.s ↦ e.t∘e.id on its edge elements."""
+    comps = {v: Correspondence(f.vset(v), g.vset(v),
+                               tuple(CorrElem(x, x, x) for x in small.vset(v)))
+             for v in cube.vertices(f.n)}
+    mixed = {(u, v): {join_composite_id([e.id, e.s]): join_composite_id([e.t, e.id])
+                      for e in small.edge(u, v).elements}
+             for (u, v) in cube.edges(f.n)}
+    return build_nat_trans(f, g, comps, mixed)
+
+
 def identity_transformation(f: CubeFunctorData) -> NaturalTransformation:
-    comps = {v: identity_correspondence(f.vset(v)) for v in cube.vertices(f.n)}
-    mixed = {}
-    for (u, v) in cube.edges(f.n):
-        mixed[(u, v)] = {join_composite_id([e.id, e.s]): join_composite_id([e.t, e.id])
-                         for e in f.edge(u, v).elements}
-    return build_nat_trans(f, f, comps, mixed)
+    return _graph_of_identity(f, f, f)
 
 
 def sub_inclusion_transformation(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
                                  ) -> tuple[CubeFunctorData, NaturalTransformation]:
     """The sub-functor on ``s`` and the inclusion transformation into f."""
-    ss = set(s)
-    fsub = sub_functor(f, ss)
-    comps = {}
-    mixed = {}
-    for v in cube.vertices(f.n):
-        comps[v] = Correspondence(fsub.vset(v), f.vset(v),
-                                  tuple(CorrElem(x, x, x) for x in fsub.vset(v)))
-    for (u, v) in cube.edges(f.n):
-        mixed[(u, v)] = {join_composite_id([e.id, e.s]): join_composite_id([e.t, e.id])
-                         for e in fsub.edge(u, v).elements}
-    return fsub, build_nat_trans(fsub, f, comps, mixed)
+    fsub = sub_functor(f, set(s))
+    return fsub, _graph_of_identity(fsub, f, fsub)
 
 
 def projection_transformation(f: CubeFunctorData, fs: CubeFunctorData,
                               s: SupportSet) -> NaturalTransformation:
-    comps = {}
-    mixed = {}
-    for v in cube.vertices(f.n):
-        comps[v] = Correspondence(f.vset(v), fs.vset(v),
-                                  tuple(CorrElem(x, x, x) for x in fs.vset(v)))
-    for (u, v) in cube.edges(f.n):
-        mixed[(u, v)] = {join_composite_id([e.id, e.s]): join_composite_id([e.t, e.id])
-                         for e in fs.edge(u, v).elements}
-    return build_nat_trans(f, fs, comps, mixed)
+    return _graph_of_identity(f, fs, fs)
 
 
 def iso_transformation(f: CubeFunctorData, g: CubeFunctorData,
@@ -874,8 +854,7 @@ def glue_along_top(eta: NaturalTransformation, eta2: NaturalTransformation,
     fm: dict[Face2, BijectionOver] = {}
     probe = CubeFunctorData(n + 1, vs, ec, None)
     for face in cube.faces2(n + 1):
-        ca = composite_along_chain(probe, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(probe, (face.top, face.mid_b, face.bottom))
+        ca, cb = probe.square(face)
         if face.top[0] == face.bottom[0]:
             if face.top[0] == 1:
                 inner = Face2.spanning(face.top[1:], face.mid_a[1:], face.mid_b[1:],
@@ -937,19 +916,25 @@ def is_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
     if f.has_matchings != g.has_matchings:
         return False
     if f.has_matchings:
-        for face in cube.faces2(f.n):
-            mf = f.matching(face).as_dict()
-            mg = g.matching(face).as_dict()
-            ta = tau[(face.top, face.mid_a)]
-            tb = tau[(face.mid_a, face.bottom)]
-            ta2 = tau[(face.top, face.mid_b)]
-            tb2 = tau[(face.mid_b, face.bottom)]
-            for src, dst in mf.items():
-                ys, xs = split_composite_id(src)
-                yd, xd = split_composite_id(dst)
-                if mg[join_composite_id([tb[ys], ta[xs]])] != \
-                        join_composite_id([tb2[yd], ta2[xd]]):
-                    return False
+        return all(_face_commutes(f, g, tau, face) for face in cube.faces2(f.n))
+    return True
+
+
+def _face_commutes(f: CubeFunctorData, g: CubeFunctorData,
+                   tau: Mapping[Edge, Mapping[str, str]], face: Face2) -> bool:
+    """tau, applied stepwise to composites, carries f's matching on ``face``
+    to g's."""
+    mg = g.matching(face).as_dict()
+    ta = tau[(face.top, face.mid_a)]
+    tb = tau[(face.mid_a, face.bottom)]
+    ta2 = tau[(face.top, face.mid_b)]
+    tb2 = tau[(face.mid_b, face.bottom)]
+    for src, dst in f.matching(face).as_dict().items():
+        ys, xs = split_composite_id(src)
+        yd, xd = split_composite_id(dst)
+        if mg[join_composite_id([tb[ys], ta[xs]])] != \
+                join_composite_id([tb2[yd], ta2[xd]]):
+            return False
     return True
 
 
@@ -1045,21 +1030,6 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
 
     tau: dict[Edge, dict[str, str]] = {}
 
-    def face_ok(face: Face2) -> bool:
-        mf = f.matching(face).as_dict()
-        mg = g.matching(face).as_dict()
-        ta = tau[(face.top, face.mid_a)]
-        tb = tau[(face.mid_a, face.bottom)]
-        ta2 = tau[(face.top, face.mid_b)]
-        tb2 = tau[(face.mid_b, face.bottom)]
-        for src, dst in mf.items():
-            ys, xs = split_composite_id(src)
-            yd, xd = split_composite_id(dst)
-            if mg[join_composite_id([tb[ys], ta[xs]])] != \
-                    join_composite_id([tb2[yd], ta2[xd]]):
-                return False
-        return True
-
     def assign_tau(ei: int):
         if ei == len(edges):
             yield None
@@ -1082,7 +1052,8 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
             for k, perm in zip(keys, combo):
                 m.update(dict(zip(ffib[k], perm)))
             tau[e] = m
-            if (not f.has_matchings) or all(face_ok(fc) for fc in face_by_last_edge.get(e, [])):
+            if (not f.has_matchings) or all(_face_commutes(f, g, tau, fc)
+                                            for fc in face_by_last_edge.get(e, [])):
                 yield from assign_tau(ei + 1)
             del tau[e]
 
@@ -1144,8 +1115,7 @@ def functor_from_json(obj: dict) -> StableFunctor:
         for key, mapping in obj["faces"].items():
             try:
                 face, flipped = _face_from_key(key)
-                ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
-                cb = composite_along_chain(data, (face.top, face.mid_b, face.bottom))
+                ca, cb = data.square(face)
                 bij = (BijectionOver.of(cb, ca, dict(mapping)).inverse() if flipped
                        else BijectionOver.of(ca, cb, dict(mapping)))
             except (KeyError, ValueError) as exc:

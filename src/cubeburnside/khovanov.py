@@ -25,12 +25,13 @@ from .burnside import (BijectionOver, CorrElem, Correspondence, FiniteSet,
                        split_composite_id)
 from .cube import Face2, Vertex
 from .errors import InputError, InternalInvariantError
-from .functor import (CubeFunctorData, StableFunctor, composite_along_chain,
-                      quotient_functor_data, sub_functor, validate_coherence)
+from .functor import (CubeFunctorData, StableFunctor, quotient_functor_data,
+                      sub_functor, validate_coherence)
 from .linalg import Matrix
 from .totalization import ChainComplex, dualize, homology_nontrivial, tot
 
 Crossing = tuple[int, int, int, int]
+Occurrence = tuple[int, int]  # (crossing index, slot)
 
 # slot pairings per resolution and the counterclockwise-later slot per strand
 _PARTNER = {0: {0: 3, 3: 0, 1: 2, 2: 1}, 1: {0: 1, 1: 0, 2: 3, 3: 2}}
@@ -65,8 +66,13 @@ def parse_pd(text_or_obj, free_loops: int = 0) -> PDCode:
     """Accepts "PD[X(a,b,c,d),...]" or the JSON dict form."""
     if isinstance(text_or_obj, dict):
         obj = text_or_obj
-        pd = PDCode(tuple(tuple(int(a) for a in x) for x in obj.get("crossings", [])),
-                    int(obj.get("free_loops", 0)))
+        try:
+            pd = PDCode(tuple(tuple(int(a) for a in x) for x in obj.get("crossings", [])),
+                        int(obj.get("free_loops", 0)))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed PD data: {exc}") from exc
+        if any(len(x) != 4 for x in pd.crossings):
+            raise InputError("every crossing needs exactly four arcs")
     else:
         text = str(text_or_obj)
         m = _PD_RE.match(text)
@@ -357,8 +363,7 @@ class DiagramCube:
     # -- square matchings -------------------------------------------------
 
     def face_matching(self, data: CubeFunctorData, face: Face2) -> BijectionOver:
-        ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(data, (face.top, face.mid_b, face.bottom))
+        ca, cb = data.square(face)
         fa, fb = ca.fibers(), cb.fibers()
         mapping: dict[str, str] = {}
         lady = None
@@ -557,28 +562,6 @@ def edge_correspondence(pd: PDCode, u: Vertex, v: Vertex) -> Correspondence:
     return DiagramCube(pd).edge_correspondence(u, v)
 
 
-def detect_ladybug(pd: PDCode, face: Face2, x: str, z: str):
-    return DiagramCube(pd).detect_ladybug(face, x, z)
-
-
-def ladybug_matching(pd: PDCode, face: Face2, x: str, z: str) -> dict[str, str]:
-    """The bijection of the two-element square fiber at (x, z), keyed by
-    composite element ids through the two middles."""
-    dc = DiagramCube(pd)
-    lady = dc.detect_ladybug(face, x, z)
-    if lady is None:
-        raise InputError("no ladybug configuration at this fiber")
-    data = dc.functor_data(with_faces=False)
-    ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
-    cb = composite_along_chain(data, (face.top, face.mid_b, face.bottom))
-    return dc.ladybug_fiber_map(lady, ca.fibers()[(x, z)], cb.fibers()[(x, z)])
-
-
-def face_matching(pd: PDCode, face: Face2) -> BijectionOver:
-    dc = DiagramCube(pd)
-    return dc.face_matching(dc.functor_data(with_faces=False), face)
-
-
 def build_khovanov_functor(pd: PDCode, validate: bool = True) -> StableFunctor:
     """Generators per vertex, Frobenius edge correspondences, square
     matchings (forced or ladybug), shifted by minus the negative crossing
@@ -624,7 +607,10 @@ def split_by_quantum(pd: PDCode, sf: StableFunctor,
 
 def basepoint_circle(pd: PDCode, rd: ResolvedDiagram, basepoint) -> int:
     if isinstance(basepoint, tuple) and basepoint and basepoint[0] == "loop":
-        return rd.circle_of_loop(int(basepoint[1]))
+        k = int(basepoint[1])
+        if not 0 <= k < pd.free_loops:
+            raise InputError(f"unknown basepoint loop {k}")
+        return rd.circle_of_loop(k)
     arc = int(basepoint)
     if arc not in _occurrences(pd):
         raise InputError(f"unknown basepoint arc {arc}")
@@ -702,46 +688,10 @@ def connect_sum_pd(pd1: PDCode, p1: int, pd2: PDCode, p2: int,
     spliced_b = ((t2[p2s][0] + off, t2[p2s][1]), h1[p1])
     arcs.append(spliced_a)
     arcs.append(spliced_b)
-    by_tail = {t: (t, h) for (t, h) in arcs}
-    crossings_old = pd1.crossings + pd2s.crossings
-
-    def exit_occurrence(head_occ: tuple[int, int]) -> tuple[int, int]:
-        ci, slot = head_occ
-        if slot == 0:
-            return (ci, 2)
-        if slot == 1:
-            return (ci, 3)
-        if slot == 3:
-            return (ci, 1)
-        raise InternalInvariantError("head at an exit slot")
-
-    # traverse and renumber
-    numbering: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    nxt = 1
-    new_basepoint = None
-    remaining = set(arcs)
-    while remaining:
-        start = min(remaining, key=lambda th: (th[0][0], th[0][1]))
-        cur = start
-        while True:
-            numbering[cur] = nxt
-            if cur == spliced_a:
-                new_basepoint = nxt
-            nxt += 1
-            remaining.discard(cur)
-            cur = by_tail[exit_occurrence(cur[1])]
-            if cur == start:
-                break
-    slot_arc: dict[tuple[int, int], int] = {}
-    for (t, h), num in numbering.items():
-        slot_arc[t] = num
-        slot_arc[h] = num
-    new_crossings = tuple(
-        tuple(slot_arc[(ci, slot)] for slot in range(4)) for ci in range(len(crossings_old)))
-    out = PDCode(new_crossings, pd1.free_loops + pd2.free_loops)
+    numbering, crossings = _number_arcs(arcs, pd1.n + pd2.n)
+    out = PDCode(crossings, pd1.free_loops + pd2.free_loops)
     validate_pd(out)
-    assert new_basepoint is not None
-    return out, new_basepoint
+    return out, numbering[spliced_a]
 
 
 def braid_closure_pd(word: Sequence[int], strands: int) -> PDCode:
@@ -775,14 +725,25 @@ def braid_closure_pd(word: Sequence[int], strands: int) -> PDCode:
         bs, ts = bottoms[p], tops[p]
         for k, tslot in enumerate(ts):
             arcs.append((tslot, bs[(k + 1) % len(bs)]))
+    _, crossings = _number_arcs(arcs, m)
+    out = PDCode(crossings, strands - len(used))
+    validate_pd(out)
+    return out
+
+
+# the slot where a strand entering a crossing at the given slot leaves it: the
+# under-strand runs a -> c, the over-strand leaves at whichever of b, d it did
+# not enter by
+_EXIT_SLOT = {0: 2, 1: 3, 3: 1}
+
+
+def _number_arcs(arcs: list[tuple[Occurrence, Occurrence]], n_crossings: int,
+                 ) -> tuple[dict[tuple[Occurrence, Occurrence], int], tuple[Crossing, ...]]:
+    """Number arcs, given as (tail, head) occurrences, 1, 2, ... along each
+    component, starting each component at its smallest unnumbered tail;
+    returns the numbering and the crossing tuples it induces."""
     by_tail = {t: (t, h) for (t, h) in arcs}
-
-    def exit_slot(ci: int, slot: int) -> int:
-        if slot == 0:
-            return 2
-        return {True: {3: 1}, False: {1: 3}}[word[ci] > 0][slot]
-
-    numbering: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+    numbering: dict[tuple[Occurrence, Occurrence], int] = {}
     nxt = 1
     remaining = set(arcs)
     while remaining:
@@ -793,40 +754,53 @@ def braid_closure_pd(word: Sequence[int], strands: int) -> PDCode:
             nxt += 1
             remaining.discard(cur)
             hci, hslot = cur[1]
-            cur = by_tail[(hci, exit_slot(hci, hslot))]
+            if hslot not in _EXIT_SLOT:
+                raise InternalInvariantError("head at an exit slot")
+            cur = by_tail[(hci, _EXIT_SLOT[hslot])]
             if cur == start:
                 break
-    slot_arc: dict[tuple[int, int], int] = {}
+    slot_arc: dict[Occurrence, int] = {}
     for (t, h), num in numbering.items():
         slot_arc[t] = num
         slot_arc[h] = num
-    crossings = tuple(tuple(slot_arc[(ci, s)] for s in range(4)) for ci in range(m))
-    loops = strands - len(used)
-    out = PDCode(crossings, loops)
-    validate_pd(out)
-    return out
+    crossings = tuple(tuple(slot_arc[(ci, s)] for s in range(4)) for ci in range(n_crossings))
+    return numbering, crossings
 
 
 # -- homology tables -------------------------------------------------------------
 
 def kh_table(pd: PDCode, reduced: bool = False, basepoint=None,
-             validate: bool = True) -> list[dict]:
+             validate: bool = True, jobs: int = 1) -> list[dict]:
     """Bigraded homology rows [{"i","j","rank","torsion"}] sorted by (j,i),
-    computed through the span functor, totalization and dualization."""
+    computed through the span functor, totalization and dualization.
+
+    With ``jobs`` > 1 the quantum gradings are totalized and their homology
+    computed in that many worker processes; building and splitting the
+    functor stay in this process."""
     if reduced:
         if basepoint is None:
             raise InputError("reduced homology needs a basepoint")
         sf = reduced_functor(pd, basepoint, validate=validate)
     else:
         sf = build_khovanov_functor(pd, validate=validate)
-    rows = []
-    for j, part in split_by_quantum(pd, sf, reduced=reduced).items():
-        dual = dualize(tot(part))
-        for d, h in homology_nontrivial(dual).items():
-            rows.append({"i": -d, "j": j, "rank": h.free_rank,
-                         "torsion": list(h.torsion)})
+    parts = sorted(split_by_quantum(pd, sf, reduced=reduced).items())
+    if jobs > 1:
+        # imported here: the import costs every caller, most of which run serially
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            per_grading = list(ex.map(_grading_rows, parts))
+    else:
+        per_grading = map(_grading_rows, parts)
+    rows = [r for rs in per_grading for r in rs]
     rows.sort(key=lambda r: (r["j"], r["i"]))
     return rows
+
+
+def _grading_rows(part: tuple[int, StableFunctor]) -> list[dict]:
+    """The rows of one quantum grading (module level, so workers can run it)."""
+    j, sf = part
+    return [{"i": -d, "j": j, "rank": h.free_rank, "torsion": list(h.torsion)}
+            for d, h in homology_nontrivial(dualize(tot(sf))).items()]
 
 
 def kh_table_direct(pd: PDCode, reduced: bool = False, basepoint=None) -> list[dict]:

@@ -66,9 +66,13 @@ class DeltaComplex:
 
     @staticmethod
     def from_json(obj: dict) -> "DeltaComplex":
-        return DeltaComplex(int(obj["n_vertices"]),
-                            tuple(Simplex(str(s["id"]), tuple(int(v) for v in s["verts"]))
-                                  for s in obj["simplices"]))
+        try:
+            n = int(obj["n_vertices"])
+            simplices = tuple(Simplex(str(s["id"]), tuple(int(v) for v in s["verts"]))
+                              for s in obj["simplices"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed delta complex: {exc}") from exc
+        return DeltaComplex(n, simplices)
 
 
 def complex_from_maximal(n_vertices: int, maximal: list[tuple[int, ...]]) -> DeltaComplex:

@@ -38,10 +38,15 @@ def test_kh_homology_reduced(runner):
     assert missing.exit_code == 2
 
 
-def test_kh_homology_jobs_flag(runner):
-    seq = invoke(runner, ["kh", "homology", "trefoil_pos", "--json"])
-    par = invoke(runner, ["kh", "homology", "trefoil_pos", "--json", "--jobs", "2"])
-    assert par.exit_code == 0
+@pytest.mark.parametrize("args", [
+    ["trefoil_pos"],
+    ["fig8"],
+    ["trefoil_pos", "--reduced", "--basepoint", "1"],
+], ids=["trefoil_pos", "fig8", "trefoil_pos-reduced"])
+def test_kh_homology_jobs_flag(runner, args):
+    seq = invoke(runner, ["kh", "homology", *args, "--json"])
+    par = invoke(runner, ["kh", "homology", *args, "--json", "--jobs", "2"])
+    assert seq.exit_code == 0 and par.exit_code == 0
     assert par.output == seq.output
 
 
@@ -64,6 +69,27 @@ def test_input_errors_exit_2(runner, tmp_path):
     bad.write_text("{not json")
     res2 = invoke(runner, ["kh", "homology", str(bad)])
     assert res2.exit_code == 2
+
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        return str(path)
+
+    cert = json.loads((corpus_dir() / "certificates" / "wedge_split.json")
+                      .read_text(encoding="utf-8"))
+    nat = next(s for s in cert["steps"] if s["kind"] == "nat")
+    del nat["ambient"]
+    malformed = [
+        ["kh", "homology", write("pd_letter.json", {"crossings": [["x", 1, 2, 3]]})],
+        ["kh", "homology", write("pd_short.json", {"crossings": [[1, 1]]})],
+        ["delta", "homology", write("delta.json",
+                                    {"n_vertices": 1, "simplices": [{"id": "a"}]})],
+        ["functor", "certificate", write("cert.json", cert)],
+        ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "x"],
+        ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "loop:7"],
+    ]
+    for args in malformed:
+        assert invoke(runner, args).exit_code == 2, args
 
 
 def test_functor_check(runner):
