@@ -130,6 +130,9 @@ def certificate_from_json(obj: dict) -> EquivalenceCertificate:
         for so in obj["steps"]:
             if so["kind"] == "nat":
                 amb = functor_from_json(so["ambient"]).functor
+                if amb.n < 1:
+                    raise InputError("a nat step's ambient functor needs dimension "
+                                     "at least 1")
                 steps.append(NatTransStep(NaturalTransformation(amb), so["direction"]))
             elif so["kind"] == "face":
                 steps.append(FaceStep(FaceInclusion.from_json(so["iota"]), so["direction"]))

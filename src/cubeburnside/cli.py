@@ -94,8 +94,8 @@ def kh_homology(diagram, reduced, basepoint, as_json, jobs):
     """Bigraded homology table of a diagram (fixture name or file)."""
     def go():
         pd = load_pd(diagram)
-        rows = kh_table(pd, reduced, _basepoint_value(basepoint) if reduced else None,
-                        jobs=jobs)
+        bp = _basepoint_value(basepoint)
+        rows = kh_table(pd, reduced, bp if reduced else None, jobs=jobs)
         if as_json:
             click.echo(_dump({"schema_version": 1, "diagram": diagram,
                               "reduced": bool(reduced), "rows": rows}))

@@ -1093,13 +1093,15 @@ def functor_to_json(sf: StableFunctor | CubeFunctorData) -> dict:
 def functor_from_json(obj: dict) -> StableFunctor:
     try:
         n = int(obj["n"])
+        if n < 0:
+            raise ValueError(f"negative cube dimension {n}")
         shift = int(obj.get("shift", 0))
         vs = {cube.vertex_from_bits(k): FiniteSet(tuple(v))
-              for k, v in obj.get("vertices", {}).items()}
+              for k, v in _json_object(obj, "vertices").items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed functor data: {exc}") from exc
     ec = {}
-    for key, elems in obj.get("edges", {}).items():
+    for key, elems in _json_object(obj, "edges").items():
         try:
             us, vsx = key.split(">")
             u, v = cube.vertex_from_bits(us), cube.vertex_from_bits(vsx)
@@ -1112,18 +1114,26 @@ def functor_from_json(obj: dict) -> StableFunctor:
     if "faces" in obj:
         data = CubeFunctorData.build(n, vs, ec, None)
         fm = {}
-        for key, mapping in obj["faces"].items():
+        for key, mapping in _json_object(obj, "faces").items():
             try:
                 face, flipped = _face_from_key(key)
                 ca, cb = data.square(face)
                 bij = (BijectionOver.of(cb, ca, dict(mapping)).inverse() if flipped
                        else BijectionOver.of(ca, cb, dict(mapping)))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"face {key}: {exc}") from exc
             if face in fm and fm[face].as_dict() != bij.as_dict():
                 raise InputError(f"face {key}: inconsistent with reverse orientation")
             fm[face] = bij
     return StableFunctor(CubeFunctorData.build(n, vs, ec, fm), shift)
+
+
+def _json_object(obj: dict, key: str) -> dict:
+    """``obj[key]``, absent meaning empty, which must be a JSON object."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise InputError(f"malformed functor data: {key!r} must be an object")
+    return value
 
 
 def _face_from_key(key: str) -> tuple[Face2, bool]:

@@ -36,6 +36,10 @@ def test_kh_homology_reduced(runner):
         [{"i": 0, "j": 0, "rank": 1, "torsion": []}]
     missing = invoke(runner, ["kh", "homology", "unknot0", "--reduced"])
     assert missing.exit_code == 2
+    # a well-formed basepoint without --reduced leaves the unreduced table
+    plain = invoke(runner, ["kh", "homology", "trefoil_pos", "--json"])
+    ignored = invoke(runner, ["kh", "homology", "trefoil_pos", "--basepoint", "1", "--json"])
+    assert ignored.exit_code == 0 and ignored.output == plain.output
 
 
 @pytest.mark.parametrize("args", [
@@ -79,13 +83,25 @@ def test_input_errors_exit_2(runner, tmp_path):
                       .read_text(encoding="utf-8"))
     nat = next(s for s in cert["steps"] if s["kind"] == "nat")
     del nat["ambient"]
+    cert_point = json.loads(json.dumps(cert))
+    next(s for s in cert_point["steps"] if s["kind"] == "nat")["ambient"] = {"n": 0}
+    wedge = json.loads((corpus_dir() / "functors" / "wedge_cube.json")
+                       .read_text(encoding="utf-8"))
+    wedge["faces"][next(iter(wedge["faces"]))] = 5
     malformed = [
         ["kh", "homology", write("pd_letter.json", {"crossings": [["x", 1, 2, 3]]})],
         ["kh", "homology", write("pd_short.json", {"crossings": [[1, 1]]})],
         ["delta", "homology", write("delta.json",
                                     {"n_vertices": 1, "simplices": [{"id": "a"}]})],
         ["functor", "certificate", write("cert.json", cert)],
+        ["functor", "certificate", write("cert_point.json", cert_point)],
+        ["functor", "check", write("vertices.json", {"n": 1, "vertices": 5})],
+        ["functor", "check", write("edges.json", {"n": 1, "edges": 5})],
+        ["functor", "check", write("faces.json", {"n": 1, "faces": 5})],
+        ["functor", "check", write("negative.json", {"n": -1})],
+        ["functor", "check", write("face_mapping.json", wedge)],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "x"],
+        ["kh", "homology", "trefoil_pos", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "loop:7"],
     ]
     for args in malformed:

@@ -1,7 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeburnside.linalg import Matrix, smith_normal_form
+from cubeburnside.linalg import (Matrix, invariant_factors, smith_normal_form,
+                                 sparse_product)
 
 
 def test_zero_matrix():
@@ -28,11 +29,14 @@ def test_empty_shapes():
 
 
 @st.composite
-def matrices(draw):
-    r = draw(st.integers(0, 5))
-    c = draw(st.integers(0, 5))
-    rows = [[draw(st.integers(-9, 9)) for _ in range(c)] for _ in range(r)]
-    return Matrix.from_rows(rows) if r else Matrix.zero(0, c)
+def matrices(draw, entries=st.integers(-9, 9), rows=st.integers(0, 5), cols=st.integers(0, 5)):
+    r, c = draw(rows), draw(cols)
+    table = [[draw(entries) for _ in range(c)] for _ in range(r)]
+    return Matrix.from_rows(table) if r else Matrix.zero(0, c)
+
+
+# mostly zeros and units, as in totalized differentials, with some ±2 and ±3
+SPARSE_ENTRIES = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3))
 
 
 @given(matrices())
@@ -57,3 +61,20 @@ def test_snf_properties(m):
         for j in range(s.d.cols):
             if i != j:
                 assert s.d[i, j] == 0
+
+
+@given(matrices(SPARSE_ENTRIES, st.integers(0, 7), st.integers(0, 7)) | matrices())
+@settings(max_examples=300, deadline=None)
+def test_invariant_factors_match_snf(m):
+    assert invariant_factors(m) == smith_normal_form(m).invariant_factors
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_product_matches_dense(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = data.draw(matrices(SPARSE_ENTRIES, st.just(r), st.just(k)))
+    b = data.draw(matrices(SPARSE_ENTRIES, st.just(k), st.just(c)))
+    dense = a * b
+    assert sparse_product(a, b) == [{i: x for i, x in enumerate(dense.column(j)) if x}
+                                    for j in range(c)]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeburnside import cube, fixtures as FX, simplicial
 from cubeburnside.burnside import Correspondence, FiniteSet
@@ -11,11 +13,12 @@ from cubeburnside.functor import (CubeFunctorData, StableFunctor, coproduct,
                                   product, quotient_functor,
                                   sub_inclusion_transformation)
 from cubeburnside.linalg import Matrix
-from cubeburnside.totalization import (ChainComplex, ChainMap, cone,
+from cubeburnside.totalization import (ChainComplex, ChainMap, _group_of,
+                                       _presentation, cone,
                                        complexes_equal_under, direct_sum,
                                        dualize, face_shift_iso, homology,
                                        homology_nontrivial, is_quasi_iso,
-                                       shift_complex, tot, tot_nat_trans)
+                                       shift_complex, tensor, tot, tot_nat_trans)
 
 
 def groups(c):
@@ -177,3 +180,42 @@ def test_chain_map_must_commute(projective):
     with pytest.raises(InputError):
         ChainMap.build(c, other, {d: Matrix.identity(c.dim(d))
                                   for d in c.degrees()})
+    # one wrong entry of a larger map breaks commutation
+    big = tot(product(projective, FX.projective_functor("x", "y", ("w1", "w2"))))
+    maps = {d: Matrix.identity(big.dim(d)) for d in big.degrees()}
+    ChainMap.build(big, big, maps)
+    maps[1] = Matrix.from_rows([[2, 0], [0, 1]])
+    with pytest.raises(InputError):
+        ChainMap.build(big, big, maps)
+
+
+def test_d_squared_nonzero_is_caught():
+    basis = {0: ("a",), 1: ("b",), 2: ("c",)}
+    diffs = {1: Matrix.from_rows([[1]]), 2: Matrix.from_rows([[2]])}
+    with pytest.raises(InternalInvariantError):
+        ChainComplex.build(basis, diffs)
+    # homology checks the kernel containment itself, for complexes built directly
+    with pytest.raises(InternalInvariantError):
+        homology(ChainComplex(basis, diffs))
+
+
+_ENTRIES = st.sampled_from((0, 0, 1, -1, 2, -2, 3, -3))
+
+
+@st.composite
+def two_term_complexes(draw):
+    """C_{p+1} -> C_p with a random differential."""
+    p = draw(st.integers(-1, 1))
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = [[draw(_ENTRIES) for _ in range(c)] for _ in range(r)]
+    basis = {p: tuple(f"x{i}" for i in range(r)), p + 1: tuple(f"y{j}" for j in range(c))}
+    return ChainComplex.build(basis, {p + 1: Matrix.from_rows(rows) if r else Matrix.zero(0, c)})
+
+
+@given(st.lists(two_term_complexes(), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_homology_matches_presentation_path(factors):
+    c = factors[0]
+    for other in factors[1:]:
+        c = tensor(c, other)
+    assert homology(c) == {d: _group_of(_presentation(c, d), d) for d in c.degrees()}
