@@ -89,13 +89,12 @@ def _basepoint_value(basepoint: str | None):
 @click.option("--reduced", is_flag=True, help="reduced variant (needs --basepoint)")
 @click.option("--basepoint", default=None, help="arc label, or loop:<k>")
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--jobs", default=1, type=click.IntRange(1), show_default=True)
-def kh_homology(diagram, reduced, basepoint, as_json, jobs):
+def kh_homology(diagram, reduced, basepoint, as_json):
     """Bigraded homology table of a diagram (fixture name or file)."""
     def go():
         pd = load_pd(diagram)
         bp = _basepoint_value(basepoint)
-        rows = kh_table(pd, reduced, bp if reduced else None, jobs=jobs)
+        rows = kh_table(pd, reduced, bp if reduced else None)
         if as_json:
             click.echo(_dump({"schema_version": 1, "diagram": diagram,
                               "reduced": bool(reduced), "rows": rows}))

@@ -11,8 +11,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .errors import InputError
+
 Vertex = tuple[int, ...]
 Chain = tuple[Vertex, ...]
+
+# Largest cube dimension accepted from outside input.  The work is exponential
+# in it (2^n vertices), and bundled inputs stay far below.
+MAX_DIM = 16
+
+
+def check_dim(n: int, what: str) -> None:
+    """Refuse a cube dimension fixed by outside input above ``MAX_DIM``,
+    before any work exponential in it starts."""
+    if n > MAX_DIM:
+        raise InputError(f"{what} {n} exceeds the cap of {MAX_DIM} on the cube dimension")
 
 
 def check_vertex(v: Vertex) -> None:

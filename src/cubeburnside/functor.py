@@ -1100,6 +1100,7 @@ def functor_from_json(obj: dict) -> StableFunctor:
               for k, v in _json_object(obj, "vertices").items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed functor data: {exc}") from exc
+    cube.check_dim(n, "cube dimension")
     ec = {}
     for key, elems in _json_object(obj, "edges").items():
         try:

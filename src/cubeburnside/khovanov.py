@@ -84,6 +84,7 @@ def parse_pd(text_or_obj, free_loops: int = 0) -> PDCode:
         if residue:
             raise InputError(f"unparsed PD content: {residue!r}")
         pd = PDCode(tuple(tuple(int(a) for a in t) for t in tuples), free_loops)
+    cube.check_dim(pd.n, "crossing count")
     validate_pd(pd)
     return pd
 
@@ -770,37 +771,20 @@ def _number_arcs(arcs: list[tuple[Occurrence, Occurrence]], n_crossings: int,
 # -- homology tables -------------------------------------------------------------
 
 def kh_table(pd: PDCode, reduced: bool = False, basepoint=None,
-             validate: bool = True, jobs: int = 1) -> list[dict]:
+             validate: bool = True) -> list[dict]:
     """Bigraded homology rows [{"i","j","rank","torsion"}] sorted by (j,i),
-    computed through the span functor, totalization and dualization.
-
-    With ``jobs`` > 1 the quantum gradings are totalized and their homology
-    computed in that many worker processes; building and splitting the
-    functor stay in this process."""
+    computed through the span functor, totalization and dualization."""
     if reduced:
         if basepoint is None:
             raise InputError("reduced homology needs a basepoint")
         sf = reduced_functor(pd, basepoint, validate=validate)
     else:
         sf = build_khovanov_functor(pd, validate=validate)
-    parts = sorted(split_by_quantum(pd, sf, reduced=reduced).items())
-    if jobs > 1:
-        # imported here: the import costs every caller, most of which run serially
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            per_grading = list(ex.map(_grading_rows, parts))
-    else:
-        per_grading = map(_grading_rows, parts)
-    rows = [r for rs in per_grading for r in rs]
+    rows = [{"i": -d, "j": j, "rank": h.free_rank, "torsion": list(h.torsion)}
+            for j, part in split_by_quantum(pd, sf, reduced=reduced).items()
+            for d, h in homology_nontrivial(dualize(tot(part))).items()]
     rows.sort(key=lambda r: (r["j"], r["i"]))
     return rows
-
-
-def _grading_rows(part: tuple[int, StableFunctor]) -> list[dict]:
-    """The rows of one quantum grading (module level, so workers can run it)."""
-    j, sf = part
-    return [{"i": -d, "j": j, "rank": h.free_rank, "torsion": list(h.torsion)}
-            for d, h in homology_nontrivial(dualize(tot(sf))).items()]
 
 
 def kh_table_direct(pd: PDCode, reduced: bool = False, basepoint=None) -> list[dict]:

@@ -6,8 +6,9 @@ differentials of totalized cube functors are almost all zero with ±1
 entries, so the chain-level checks multiply over nonzeros only
 (``sparse_product``) and homology reads invariant factors after cancelling
 unit pivots (``invariant_factors``); the full ``smith_normal_form``, which
-tracks unimodular transforms, runs only on what is left, or where the
-transforms themselves are needed.
+tracks unimodular transforms, runs only on the dense core that is left.
+This is the one homology path: quasi-isomorphism is tested as acyclicity
+of the mapping cone, so nothing in the library needs the transforms.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols,
-                      tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "Matrix":
         return Matrix(len(row_idx), len(col_idx),

@@ -72,6 +72,7 @@ class DeltaComplex:
                               for s in obj["simplices"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed delta complex: {exc}") from exc
+        cube.check_dim(n, "vertex count")
         return DeltaComplex(n, simplices)
 
 

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from cubeburnside.cli import main
 from cubeburnside.corpus import corpus_dir, list_fixtures, load_golden
+from cubeburnside.khovanov import braid_closure_pd
 
 
 @pytest.fixture()
@@ -40,18 +41,6 @@ def test_kh_homology_reduced(runner):
     plain = invoke(runner, ["kh", "homology", "trefoil_pos", "--json"])
     ignored = invoke(runner, ["kh", "homology", "trefoil_pos", "--basepoint", "1", "--json"])
     assert ignored.exit_code == 0 and ignored.output == plain.output
-
-
-@pytest.mark.parametrize("args", [
-    ["trefoil_pos"],
-    ["fig8"],
-    ["trefoil_pos", "--reduced", "--basepoint", "1"],
-], ids=["trefoil_pos", "fig8", "trefoil_pos-reduced"])
-def test_kh_homology_jobs_flag(runner, args):
-    seq = invoke(runner, ["kh", "homology", *args, "--json"])
-    par = invoke(runner, ["kh", "homology", *args, "--json", "--jobs", "2"])
-    assert seq.exit_code == 0 and par.exit_code == 0
-    assert par.output == seq.output
 
 
 def test_kh_homology_deterministic(runner):
@@ -103,6 +92,11 @@ def test_input_errors_exit_2(runner, tmp_path):
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "loop:7"],
+        ["kh", "homology", "fig8", "--jobs", "2"],
+        # cube dimensions above the cap are refused before any exponential work
+        ["functor", "check", write("huge.json", {"n": 40})],
+        ["delta", "homology", write("delta_huge.json", {"n_vertices": 40, "simplices": []})],
+        ["kh", "homology", write("pd_huge.json", braid_closure_pd([1] * 17, 2).to_json())],
     ]
     for args in malformed:
         assert invoke(runner, args).exit_code == 2, args

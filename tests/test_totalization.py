@@ -1,4 +1,6 @@
 import random
+from dataclasses import dataclass
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,9 @@ from cubeburnside.functor import (CubeFunctorData, StableFunctor, coproduct,
                                   empty_functor, identity_transformation,
                                   product, quotient_functor,
                                   sub_inclusion_transformation)
-from cubeburnside.linalg import Matrix
-from cubeburnside.totalization import (ChainComplex, ChainMap, _group_of,
-                                       _presentation, cone,
-                                       complexes_equal_under, direct_sum,
+from cubeburnside.linalg import Matrix, smith_normal_form
+from cubeburnside.totalization import (ChainComplex, ChainMap, HomologyGroup,
+                                       cone, complexes_equal_under, direct_sum,
                                        dualize, face_shift_iso, homology,
                                        homology_nontrivial, is_quasi_iso,
                                        shift_complex, tensor, tot, tot_nat_trans)
@@ -212,10 +213,72 @@ def two_term_complexes(draw):
     return ChainComplex.build(basis, {p + 1: Matrix.from_rows(rows) if r else Matrix.zero(0, c)})
 
 
-@given(st.lists(two_term_complexes(), min_size=1, max_size=3))
-@settings(max_examples=80, deadline=None)
-def test_homology_matches_presentation_path(factors):
+def _tensor_all(factors):
     c = factors[0]
     for other in factors[1:]:
         c = tensor(c, other)
+    return c
+
+
+# Reference homology, independent of ``invariant_factors``: generators are a
+# kernel basis, relations the boundary image in kernel coordinates, both read
+# off the full Smith normal form with its unimodular transforms.
+
+@dataclass(frozen=True)
+class _Presentation:
+    kernel: Matrix        # dim C_d x k, columns form a saturated kernel basis
+    relations: Matrix     # k x dim C_{d+1}
+
+
+def _presentation(c: ChainComplex, d: int) -> _Presentation:
+    nd = c.dim(d)
+    snf = smith_normal_form(c.diff(d))
+    r = snf.rank
+    kernel_cols = list(range(r, nd))
+    kernel = snf.v.submatrix(list(range(nd)), kernel_cols)
+    coords = snf.v_inv * c.diff(d + 1)
+    rel = coords.submatrix(kernel_cols, list(range(c.dim(d + 1))))
+    upper = coords.submatrix(list(range(r)), list(range(c.dim(d + 1))))
+    if not upper.is_zero():
+        raise InternalInvariantError("boundary image not contained in the kernel")
+    return _Presentation(kernel, rel)
+
+
+def _group_of(pres: _Presentation, d: int) -> HomologyGroup:
+    k = pres.kernel.cols
+    snf = smith_normal_form(pres.relations)
+    facs = snf.invariant_factors
+    torsion = tuple(x for x in facs if x > 1)
+    return HomologyGroup(d, k - len(facs), torsion)
+
+
+@given(st.lists(two_term_complexes(), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_homology_matches_presentation_path(factors):
+    c = _tensor_all(factors)
     assert homology(c) == {d: _group_of(_presentation(c, d), d) for d in c.degrees()}
+
+
+def _block_identity(rows, cols, k=1):
+    return Matrix.from_rows([[k if i == j else 0 for j in range(cols)]
+                             for i in range(rows)])
+
+
+@given(st.lists(two_term_complexes(), min_size=1, max_size=2),
+       st.lists(two_term_complexes(), min_size=1, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_is_quasi_iso_matches_homology(c_factors, d_factors):
+    c, other = _tensor_all(c_factors), _tensor_all(d_factors)
+    groups_c = homology(c).values()
+    # k·id is invertible on Z only for k = ±1, and on Z/t exactly when gcd(k, t) = 1
+    for k in (-1, 2, 3):
+        scaled = ChainMap.build(c, c, {d: _block_identity(c.dim(d), c.dim(d), k)
+                                       for d in c.degrees()})
+        expected = all((h.free_rank == 0 or abs(k) == 1)
+                       and all(gcd(k, t) == 1 for t in h.torsion) for h in groups_c)
+        assert is_quasi_iso(scaled) == expected, k
+    # the inclusion of a summand is a quasi-isomorphism iff the other summand is acyclic
+    total = direct_sum(c, other)
+    incl = ChainMap.build(c, total, {d: _block_identity(total.dim(d), c.dim(d))
+                                     for d in c.degrees()})
+    assert is_quasi_iso(incl) == all(h.is_trivial for h in homology(other).values())
