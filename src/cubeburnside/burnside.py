@@ -72,8 +72,9 @@ class Correspondence:
         ids = [e.id for e in self.elements]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate correspondence element ids")
+        src, tgt = set(self.source_set.elements), set(self.target_set.elements)
         for e in self.elements:
-            if e.s not in self.source_set or e.t not in self.target_set:
+            if e.s not in src or e.t not in tgt:
                 raise ValueError(f"element {e.id!r} has endpoint outside its sets")
 
     @staticmethod
@@ -125,11 +126,11 @@ def compose(y: Correspondence, x: Correspondence) -> Correspondence:
     """
     if y.source_set != x.target_set:
         raise ValueError("middle sets do not match")
-    elems = []
-    for ye in y.elements:
-        for xe in x.elements:
-            if ye.s == xe.t:
-                elems.append(CorrElem(f"{ye.id}{COMPOSE_SEP}{xe.id}", xe.s, ye.t))
+    by_target: dict[str, list[CorrElem]] = {}
+    for xe in x.elements:
+        by_target.setdefault(xe.t, []).append(xe)
+    elems = [CorrElem(f"{ye.id}{COMPOSE_SEP}{xe.id}", xe.s, ye.t)
+             for ye in y.elements for xe in by_target.get(ye.s, ())]
     return Correspondence(x.source_set, y.target_set, tuple(elems))
 
 
@@ -162,9 +163,6 @@ class BijectionOver:
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.mapping)
-
-    def apply(self, eid: str) -> str:
-        return dict(self.mapping)[eid]
 
     def inverse(self) -> "BijectionOver":
         return BijectionOver(self.dst, self.src,

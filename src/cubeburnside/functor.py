@@ -7,6 +7,12 @@ orientation is its inverse).  Validation covers the fiberwise composite
 cardinality condition on squares and the hexagon condition on 3-faces,
 which together let composites be reconstructed consistently along any
 maximal chain.
+
+Nothing derived is kept on the data.  A validation pass composes each
+square once and runs every square check on that pair; a hexagon turns its
+six face matchings into oriented id maps once and then only looks ids up;
+sub and quotient functors filter the stored matchings instead of composing
+the restricted edges again.
 """
 
 from __future__ import annotations
@@ -122,8 +128,8 @@ class CubeFunctorData:
     def square(self, face: Face2) -> tuple[Correspondence, Correspondence]:
         """The face's two 2-step composites, through ``mid_a`` and ``mid_b``."""
         top, bottom = face.top, face.bottom
-        return (composite_along_chain(self, (top, face.mid_a, bottom)),
-                composite_along_chain(self, (top, face.mid_b, bottom)))
+        return (compose(self.edge(face.mid_a, bottom), self.edge(top, face.mid_a)),
+                compose(self.edge(face.mid_b, bottom), self.edge(top, face.mid_b)))
 
     def support(self) -> list[tuple[Vertex, str]]:
         return [(v, x) for v in cube.vertices(self.n) for x in self.vset(v)]
@@ -149,14 +155,11 @@ def one_point_functor(element: str = "*") -> CubeFunctorData:
 def composite_along_chain(f: CubeFunctorData, chain: cube.Chain) -> Correspondence:
     """Flattened iterated fiber product along a saturated chain."""
     cube.check_chain(chain)
-    cur = identity_correspondence(f.vset(chain[0]))
-    for a, b in zip(chain, chain[1:]):
+    if len(chain) == 1:
+        return identity_correspondence(f.vset(chain[0]))
+    cur = f.edge(chain[0], chain[1])
+    for a, b in zip(chain[1:], chain[2:]):
         cur = compose(f.edge(a, b), cur)
-    if len(chain) > 1:
-        # drop the seed identity component from ids: "e1∘x" -> "e1"
-        elems = tuple(CorrElem(join_composite_id(split_composite_id(e.id)[:-1]), e.s, e.t)
-                      for e in cur.elements)
-        cur = Correspondence(cur.source_set, cur.target_set, elems)
     return cur
 
 
@@ -169,20 +172,28 @@ def _id_of_steps(steps: Sequence[str]) -> str:
     return join_composite_id(list(reversed(list(steps))))
 
 
-def _apply_swap(f: CubeFunctorData, chain: cube.Chain, idx: int,
-                steps: list[str]) -> list[str]:
-    """Push one composite element across the 2-face swapping interior
-    vertex ``idx`` of ``chain``."""
-    new_chain = cube.chain_swap(chain, idx)
-    face = Face2.spanning(chain[idx - 1], chain[idx], new_chain[idx], chain[idx + 1])
-    m = f.matching_via(face, chain[idx])
-    pair_id = join_composite_id([steps[idx], steps[idx - 1]])
-    image = m.apply(pair_id)
-    y2, x2 = split_composite_id(image)
-    out = list(steps)
-    out[idx - 1] = x2
-    out[idx] = y2
-    return out
+Swap = tuple[int, dict[str, str]]
+
+
+def _oriented_swap(f: CubeFunctorData, chain: cube.Chain, idx: int) -> Swap:
+    """The 2-face swapping interior vertex ``idx`` of ``chain``, as ``idx``
+    and its matching's id map oriented from the composite through
+    ``chain[idx]``.  The stored matching was validated when it was built,
+    so its inverse is taken as a plain dict."""
+    top, mid, bottom = chain[idx - 1], chain[idx], chain[idx + 1]
+    i, j = cube.edge_coordinate(top, mid), cube.edge_coordinate(mid, bottom)
+    m = f.matching(Face2.from_top(top, min(i, j), max(i, j)))
+    # mid_a clears the lower-indexed coordinate first
+    return idx, dict(m.mapping) if i < j else {b: a for a, b in m.mapping}
+
+
+def _push(steps: list[str], swaps: Iterable[Swap]) -> list[str]:
+    """Carry a composite element, as per-step ids from the top vertex,
+    across a sequence of swaps."""
+    for idx, m in swaps:
+        steps[idx], steps[idx - 1] = split_composite_id(
+            m[join_composite_id((steps[idx], steps[idx - 1]))])
+    return steps
 
 
 def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
@@ -196,17 +207,15 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
         swap_path = cube.chain_swap_path(c1, c2)
     src = composite_along_chain(f, c1)
     dst = composite_along_chain(f, c2)
-    mapping = {}
-    for e in src.elements:
-        steps = _steps_of(e.id) if len(c1) > 1 else [e.id]
-        chain = c1
-        for idx, nxt in swap_path:
-            steps = _apply_swap(f, chain, idx, steps)
-            chain = nxt
-        mapping[e.id] = _id_of_steps(steps) if len(c1) > 1 else steps[0]
     if len(c1) == 1:
         # chain of length 0: identity on the identity correspondence
-        mapping = {e.id: e.id for e in src.elements}
+        return BijectionOver.of(src, dst, {e.id: e.id for e in src.elements})
+    swaps = []
+    chain = c1
+    for idx, nxt in swap_path:
+        swaps.append(_oriented_swap(f, chain, idx))
+        chain = nxt
+    mapping = {e.id: _id_of_steps(_push(_steps_of(e.id), swaps)) for e in src.elements}
     return BijectionOver.of(src, dst, mapping)
 
 
@@ -214,19 +223,25 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
 
 def validate_c0(f: CubeFunctorData) -> ValidationReport:
     """Fiberwise equality of the two composite cardinalities on every square."""
-    failures = []
-    for face in cube.faces2(f.n):
-        ca, cb = f.square(face)
-        fa = {k: len(v) for k, v in ca.fibers().items()}
-        fb = {k: len(v) for k, v in cb.fibers().items()}
-        if fa != fb:
-            diff = {k: (fa.get(k, 0), fb.get(k, 0))
-                    for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
-            failures.append(f"face {_face_key(face)}: fiber sizes differ {diff}")
+    failures = [msg for face in cube.faces2(f.n)
+                if (msg := _c0_failure(face, *f.square(face))) is not None]
     return ValidationReport(not failures, tuple(failures))
 
 
+def _c0_failure(face: Face2, ca: Correspondence, cb: Correspondence) -> str | None:
+    """Why the square's two composites differ in some fiber size, if they do."""
+    fa = {k: len(v) for k, v in ca.fibers().items()}
+    fb = {k: len(v) for k, v in cb.fibers().items()}
+    if fa == fb:
+        return None
+    diff = {k: (fa.get(k, 0), fb.get(k, 0))
+            for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
+    return f"face {_face_key(face)}: fiber sizes differ {diff}"
+
+
 def _hexagon_cycle(face: Face3) -> list[cube.Chain]:
+    """The six chains around a 3-face; each one swaps interior vertex 1, 2,
+    1, 2, 1, 2 in turn of the one before, cyclically."""
     i, j, k = face.coords
     orders = [(i, j, k), (j, i, k), (j, k, i), (k, j, i), (k, i, j), (i, k, j)]
     return [cube.chain_from_coords(face.top, o) for o in orders]
@@ -235,24 +250,9 @@ def _hexagon_cycle(face: Face3) -> list[cube.Chain]:
 def check_hexagon(f: CubeFunctorData, face: Face3) -> bool:
     """Composing the six swaps around a 3-face must be the identity."""
     chains = _hexagon_cycle(face)
-    start = composite_along_chain(f, chains[0])
-    for e in start.elements:
-        steps = _steps_of(e.id)
-        chain = chains[0]
-        for nxt in chains[1:] + [chains[0]]:
-            idx = _swap_index(chain, nxt)
-            steps = _apply_swap(f, chain, idx, steps)
-            chain = nxt
-        if _id_of_steps(steps) != e.id:
-            return False
-    return True
-
-
-def _swap_index(c1: cube.Chain, c2: cube.Chain) -> int:
-    diffs = [i for i, (a, b) in enumerate(zip(c1, c2)) if a != b]
-    if len(diffs) != 1:
-        raise ValueError("chains are not one swap apart")
-    return diffs[0]
+    swaps = [_oriented_swap(f, c, 1 + n % 2) for n, c in enumerate(chains)]
+    return all(_id_of_steps(_push(_steps_of(e.id), swaps)) == e.id
+               for e in composite_along_chain(f, chains[0]).elements)
 
 
 def validate_coherence(f: CubeFunctorData) -> ValidationReport:
@@ -260,19 +260,19 @@ def validate_coherence(f: CubeFunctorData) -> ValidationReport:
     3-face hexagon commutes."""
     if not f.has_matchings:
         return ValidationReport(False, ("functor carries no face matchings",))
-    c0 = validate_c0(f)
-    if not c0:
-        return ValidationReport(False, c0.failures)
-    failures = []
+    c0, failures = [], []
     for face in cube.faces2(f.n):
-        m = f.matching(face)
         ca, cb = f.square(face)
+        msg = _c0_failure(face, ca, cb)
+        if msg is not None:
+            c0.append(msg)
+        m = f.matching(face)
         if m.src != ca or m.dst != cb:
             failures.append(f"face {_face_key(face)}: matching endpoints are not the stored composites")
         elif not is_two_morphism(m.as_dict(), ca, cb):
             failures.append(f"face {_face_key(face)}: matching is not a 2-morphism")
-    if failures:
-        return ValidationReport(False, tuple(failures))
+    if c0 or failures:
+        return ValidationReport(False, tuple(c0 or failures))
     for face3 in cube.faces3(f.n):
         if not check_hexagon(f, face3):
             failures.append(f"3-face at {cube.bits(face3.top)} coords "
@@ -650,19 +650,35 @@ def _restrict_data(f: CubeFunctorData, s: SupportSet) -> CubeFunctorData:
                   if (u, e.s) in s and (v, e.t) in s))
     fm = None
     if f.has_matchings:
+        kept = {e: set(c.ids()) for e, c in ec.items()}
+
+        def restrict(c: Correspondence, top: Vertex, mid: Vertex,
+                     bottom: Vertex) -> Correspondence:
+            """The composites y∘x in ``c`` whose steps x and y are both kept."""
+            xs, ys = kept[(top, mid)], kept[(mid, bottom)]
+            elems = c.elements if xs and ys else ()  # no pair survives an emptied edge
+            return Correspondence(vs[top], vs[bottom], tuple(
+                e for e in elems
+                if (p := split_composite_id(e.id))[0] in ys and p[1] in xs))
+
         fm = {}
-        probe = CubeFunctorData(f.n, vs, ec, None)
-        for face in cube.faces2(f.n):
-            ca, cb = probe.square(face)
+        for face, m in f.face_matchings.items():
+            ca = restrict(m.src, face.top, face.mid_a, face.bottom)
+            cb = restrict(m.dst, face.top, face.mid_b, face.bottom)
             keep = set(ca.ids())
-            mapping = {k: v2 for k, v2 in f.matching(face).mapping if k in keep}
-            fm[face] = BijectionOver.of(ca, cb, mapping)
+            fm[face] = BijectionOver.of(ca, cb, {a: b for a, b in m.mapping if a in keep})
     return CubeFunctorData(f.n, vs, ec, fm)
 
 
 def sub_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]]) -> CubeFunctorData:
     """Restriction to a subset of generators whose span is closed under all
-    edge targets."""
+    edge targets.
+
+    Face composites of the restriction are read off the stored matchings by
+    filtering, not composed again, so each matching's endpoints must be the
+    face's composites ``f.square(face)``.  Every constructor in this package
+    builds them so, and ``validate_coherence`` checks it; the restricted
+    matchings are validated again as they are built."""
     ss = set(s)
     witness = _closed_under_targets(f, ss)
     if witness is not None:

@@ -85,6 +85,7 @@ def parse_pd(text_or_obj, free_loops: int = 0) -> PDCode:
             raise InputError(f"unparsed PD content: {residue!r}")
         pd = PDCode(tuple(tuple(int(a) for a in t) for t in tuples), free_loops)
     cube.check_dim(pd.n, "crossing count")
+    cube.check_dim(pd.free_loops, "free loop count")
     validate_pd(pd)
     return pd
 
@@ -142,7 +143,14 @@ def _succ_table(pd: PDCode) -> dict[int, int]:
 
 
 def per_crossing_signs(pd: PDCode) -> tuple[int, ...]:
-    """+1/-1 per crossing; raises on inconsistent orientation data."""
+    """+1/-1 per crossing; raises on inconsistent orientation data.
+
+    Every arc needs exactly one head: slot 0, and slot 1 if the crossing is
+    positive, else slot 3.  An over-strand that reads both ways is a whole
+    component of at most two arcs, each occurring twice (``validate_pd``), so
+    only its own crossings compete for its heads: fixing the other heads first
+    and then taking a still-free head at each such crossing finds every
+    solution, and there are several iff one of them had two free heads."""
     if not pd.crossings:
         return ()
     succ = _succ_table(pd)
@@ -159,29 +167,28 @@ def per_crossing_signs(pd: PDCode) -> tuple[int, ...]:
             raise InputError(f"crossing ({a},{b},{c},{d}): over-strand arcs "
                              "are not consecutive either way")
         cands.append(opts)
-    occ = _occurrences(pd)
-
-    def consistent(signs: Sequence[int]) -> bool:
-        # heads: slot 0 always; slot 1 if positive else slot 3
-        head_count = {arc: 0 for arc in occ}
-        for ci, (a, b, c, d) in enumerate(pd.crossings):
-            head_count[a] += 1
-            head_count[b if signs[ci] == 1 else d] += 1
-        return all(v == 1 for v in head_count.values())
-
     ambiguous = [i for i, o in enumerate(cands) if len(o) == 2]
-    solutions = []
-    for combo in itertools.product(*(o for o in cands)):
-        if consistent(combo):
-            solutions.append(combo)
-            if len(solutions) > 1:
-                break
-    if not solutions:
-        raise InputError("no orientation-consistent crossing signs exist")
-    if len(solutions) > 1:
+    need = {arc: 1 for arc in _occurrences(pd)}
+    for (a, b, c, d), opts in zip(pd.crossings, cands):
+        need[a] -= 1
+        if len(opts) == 1:
+            need[b if opts[0] == 1 else d] -= 1
+    inconsistent = InputError("no orientation-consistent crossing signs exist")
+    several = False
+    for i in ambiguous:
+        _, b, _, d = pd.crossings[i]
+        free = [o for o in (1, -1) if need[b if o == 1 else d] > 0]
+        if not free:
+            raise inconsistent
+        several |= len(free) > 1
+        cands[i] = free[:1]
+        need[b if free[0] == 1 else d] -= 1
+    if any(need.values()):
+        raise inconsistent
+    if several:
         raise InputError("crossing signs are ambiguous; orientation data "
                          f"underdetermined at crossings {ambiguous}")
-    return solutions[0]
+    return tuple(o[0] for o in cands)
 
 
 def crossing_signs(pd: PDCode) -> tuple[int, int]:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -97,6 +99,7 @@ def test_input_errors_exit_2(runner, tmp_path):
         ["functor", "check", write("huge.json", {"n": 40})],
         ["delta", "homology", write("delta_huge.json", {"n_vertices": 40, "simplices": []})],
         ["kh", "homology", write("pd_huge.json", braid_closure_pd([1] * 17, 2).to_json())],
+        ["kh", "homology", write("loops_huge.json", {"crossings": [], "free_loops": 17})],
     ]
     for args in malformed:
         assert invoke(runner, args).exit_code == 2, args
@@ -187,3 +190,17 @@ def test_internal_invariant_exits_3():
     with pytest.raises(SystemExit) as exc:
         _run(boom)
     assert exc.value.code == 3
+
+
+def test_cli_snapshot_replays(runner):
+    """stdout and exit codes over every bundled fixture match the recorded
+    snapshot (regenerate with ``python scripts/cli_snapshot.py``)."""
+    path = Path(__file__).parent / "data" / "cli_snapshot.json"
+    differs = []
+    for want in json.loads(path.read_text(encoding="utf-8")):
+        res = invoke(runner, want["args"])
+        got = {"args": want["args"], "exit_code": res.exit_code,
+               "stdout_sha256": hashlib.sha256(res.stdout_bytes).hexdigest()}
+        if got != want:
+            differs.append(" ".join(want["args"]))
+    assert not differs, differs

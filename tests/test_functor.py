@@ -17,6 +17,7 @@ from cubeburnside.functor import (CubeFunctorData, StableFunctor,
                                   identity_transformation,
                                   is_natural_isomorphism, one_point_functor,
                                   product, quotient_functor,
+                                  quotient_functor_data,
                                   reconstruct_two_morphism,
                                   restrict_along_face_inclusion, sub_functor,
                                   sub_inclusion_transformation, tag_all,
@@ -242,6 +243,32 @@ def test_sub_functor_examples(wedge_cube):
     assert all(len(nothing.vset(v)) == 0 for v in cube.vertices(3))
     with pytest.raises(InputError):
         sub_functor(wedge_cube, {((1, 1, 1), "t")})
+
+
+def _target_closure(f, s):
+    s = set(s)
+    grew = True
+    while grew:
+        grew = False
+        for (u, v) in cube.edges(f.n):
+            for e in f.edge(u, v).elements:
+                if (u, e.s) in s and (v, e.t) not in s:
+                    s.add((v, e.t))
+                    grew = True
+    return s
+
+
+def test_restriction_matches_composed_reference(wedge_cube, restrict_by_composing):
+    """sub_functor and quotient_functor_data filter the stored matchings;
+    composing the restricted edges again gives the same data."""
+    gens = set(wedge_cube.support())
+    for g in sorted(gens):
+        closed = _target_closure(wedge_cube, {g})
+        for restricted, s in ((sub_functor(wedge_cube, closed), closed),
+                              (quotient_functor_data(wedge_cube, gens - closed),
+                               gens - closed)):
+            assert restricted == restrict_by_composing(wedge_cube, s), (g, s)
+            assert validate_coherence(restricted).ok, (g, s)
 
 
 def test_quotient_functor_examples(projective):

@@ -1,6 +1,9 @@
 import itertools
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeburnside import cube, fixtures as FX
 from cubeburnside import khovanov as kh
@@ -59,6 +62,79 @@ def test_crossing_signs_examples(pd_corpus):
     assert kh.crossing_signs(pd_corpus["kink_pos"]) == (1, 0)
     assert kh.crossing_signs(pd_corpus["fig8"]) == (2, 2)
 
+
+def _signs_by_search(pd):
+    """Reference: try every sign choice over the crossings whose over-strand
+    reads both ways, and demand exactly one head per arc."""
+    if not pd.crossings:
+        return ()
+    succ = kh._succ_table(pd)
+    cands = []
+    for (a, b, c, d) in pd.crossings:
+        if succ[a] != c:
+            raise InputError(f"under-strand {a}->{c} is not consecutive")
+        opts = [s for s, ok in ((1, succ[b] == d), (-1, succ[d] == b)) if ok]
+        if not opts:
+            raise InputError(f"crossing ({a},{b},{c},{d}): over-strand arcs "
+                             "are not consecutive either way")
+        cands.append(opts)
+    arcs = kh._occurrences(pd)
+    solutions = []
+    for combo in itertools.product(*cands):
+        heads = {arc: 0 for arc in arcs}
+        for (a, b, c, d), sign in zip(pd.crossings, combo):
+            heads[a] += 1
+            heads[b if sign == 1 else d] += 1
+        if all(v == 1 for v in heads.values()):
+            solutions.append(combo)
+    if not solutions:
+        raise InputError("no orientation-consistent crossing signs exist")
+    if len(solutions) > 1:
+        ambiguous = [i for i, o in enumerate(cands) if len(o) == 2]
+        raise InputError("crossing signs are ambiguous; orientation data "
+                         f"underdetermined at crossings {ambiguous}")
+    return solutions[0]
+
+
+@st.composite
+def _sign_inputs(draw):
+    """Braid closures or disjoint Hopf links, sometimes with one crossing's
+    arcs permuted."""
+    if draw(st.booleans()):
+        word = draw(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=8))
+        # unvalidated, so that only the two functions under test judge the signs
+        with mock.patch.object(kh, "validate_pd", lambda pd: None):
+            crossings = list(kh.braid_closure_pd(word, 4).crossings)
+    else:
+        links = draw(st.integers(1, 5))
+        crossings = [tuple(a + 4 * k for a in x)
+                     for k in range(links) for x in ((4, 1, 3, 2), (2, 3, 1, 4))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(crossings) - 1))
+        perm = draw(st.permutations(range(4)))
+        crossings[i] = tuple(crossings[i][p] for p in perm)
+    return kh.PDCode(tuple(crossings))
+
+
+def _outcome(fn, pd):
+    try:
+        return fn(pd)
+    except InputError as exc:
+        return str(exc)
+
+
+@given(_sign_inputs())
+@settings(max_examples=300, deadline=None)
+def test_per_crossing_signs_match_search(pd):
+    assert _outcome(kh.per_crossing_signs, pd) == _outcome(_signs_by_search, pd)
+
+
+def test_free_loops_capped():
+    assert kh.parse_pd("PD[]", free_loops=cube.MAX_DIM).free_loops == cube.MAX_DIM
+    with pytest.raises(InputError):
+        kh.parse_pd("PD[]", free_loops=cube.MAX_DIM + 1)
+    with pytest.raises(InputError):
+        kh.parse_pd({"crossings": [], "free_loops": cube.MAX_DIM + 1})
 
 # -- resolutions -----------------------------------------------------------------
 
@@ -376,6 +452,25 @@ def test_split_by_quantum_homology_additivity(pd_corpus):
            for d, h in homology_nontrivial(summed).items()}
     assert got == whole
 
+
+def test_split_parts_match_composed_reference(small_corpus, restrict_by_composing):
+    """Every quantum part, plain and reduced at basepoint 1, is coherent and
+    equals the restriction whose face composites are composed again."""
+    for name, pd in sorted(small_corpus.items()):
+        full = kh.build_khovanov_functor(pd)
+        variants = [(full, False)]
+        if 1 in pd.arcs():
+            red = kh.reduced_functor(pd, 1)
+            kept = set(red.functor.support())
+            assert red.functor == restrict_by_composing(full.functor, kept), name
+            variants.append((red, True))
+        for sf, reduced in variants:
+            grading = kh.generator_gradings(pd, reduced_offset=int(reduced))
+            for j, part in kh.split_by_quantum(pd, sf, reduced=reduced).items():
+                assert validate_coherence(part.functor).ok, (name, reduced, j)
+                s = {(v, x) for v, x in sf.functor.support() if grading[v][x] == j}
+                assert part.functor == restrict_by_composing(sf.functor, s), \
+                    (name, reduced, j)
 
 # -- reduced -------------------------------------------------------------------------
 
