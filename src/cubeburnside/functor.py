@@ -17,6 +17,7 @@ the restricted edges again.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from math import factorial
@@ -650,21 +651,32 @@ def _restrict_data(f: CubeFunctorData, s: SupportSet) -> CubeFunctorData:
                   if (u, e.s) in s and (v, e.t) in s))
     fm = None
     if f.has_matchings:
-        kept = {e: set(c.ids()) for e, c in ec.items()}
+        kept = {e: {x.id: x for x in c.elements} for e, c in ec.items()}
+        fanout = {e: collections.Counter(x.s for x in c.elements) for e, c in ec.items()}
 
-        def restrict(c: Correspondence, top: Vertex, mid: Vertex,
-                     bottom: Vertex) -> Correspondence:
-            """The composites y∘x in ``c`` whose steps x and y are both kept."""
-            xs, ys = kept[(top, mid)], kept[(mid, bottom)]
-            elems = c.elements if xs and ys else ()  # no pair survives an emptied edge
-            return Correspondence(vs[top], vs[bottom], tuple(
-                e for e in elems
-                if (p := split_composite_id(e.id))[0] in ys and p[1] in xs))
+        def restrict(face: Face2, c: Correspondence, mid: Vertex) -> Correspondence:
+            """The composites y∘x in ``c`` whose steps x and y are both kept,
+            after checking that they are exactly the composites of the kept
+            steps along ``mid``."""
+            xs, ys = kept[(face.top, mid)], kept[(mid, face.bottom)]
+            out, bad = [], False
+            # most gradings empty an edge of most faces; skip their id splits
+            for e in (c.elements if xs and ys else ()):
+                parts = split_composite_id(e.id)
+                if len(parts) == 2 and parts[1] in xs and parts[0] in ys:
+                    x, y = xs[parts[1]], ys[parts[0]]
+                    bad = bad or x.t != y.s or (e.s, e.t) != (x.s, y.t)
+                    out.append(e)
+            ys_from = fanout[(mid, face.bottom)]
+            if bad or len(out) != sum(ys_from[x.t] for x in xs.values()):
+                raise InputError(f"face {_face_key(face)}: matching endpoints are not "
+                                 f"the composites along {cube.bits(mid)}")
+            return Correspondence(vs[face.top], vs[face.bottom], tuple(out))
 
         fm = {}
         for face, m in f.face_matchings.items():
-            ca = restrict(m.src, face.top, face.mid_a, face.bottom)
-            cb = restrict(m.dst, face.top, face.mid_b, face.bottom)
+            ca = restrict(face, m.src, face.mid_a)
+            cb = restrict(face, m.dst, face.mid_b)
             keep = set(ca.ids())
             fm[face] = BijectionOver.of(ca, cb, {a: b for a, b in m.mapping if a in keep})
     return CubeFunctorData(f.n, vs, ec, fm)
@@ -674,11 +686,11 @@ def sub_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]]) -> CubeFunc
     """Restriction to a subset of generators whose span is closed under all
     edge targets.
 
-    Face composites of the restriction are read off the stored matchings by
-    filtering, not composed again, so each matching's endpoints must be the
-    face's composites ``f.square(face)``.  Every constructor in this package
-    builds them so, and ``validate_coherence`` checks it; the restricted
-    matchings are validated again as they are built."""
+    Face composites are filtered from the stored matchings, not composed
+    again, so each matching's endpoints must be the face composites
+    ``f.square(face)``, as every constructor here builds them; where the kept
+    ones are not, ``InputError`` is raised.  Restricted matchings are
+    validated as they are built."""
     ss = set(s)
     witness = _closed_under_targets(f, ss)
     if witness is not None:

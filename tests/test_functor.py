@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from cubeburnside import cube, fixtures as FX
-from cubeburnside.burnside import (Correspondence, FiniteSet,
+from cubeburnside.burnside import (BijectionOver, Correspondence, FiniteSet,
                                    identity_correspondence)
 from cubeburnside.cube import FaceInclusion
 from cubeburnside.errors import InputError
@@ -269,6 +270,21 @@ def test_restriction_matches_composed_reference(wedge_cube, restrict_by_composin
                                gens - closed)):
             assert restricted == restrict_by_composing(wedge_cube, s), (g, s)
             assert validate_coherence(restricted).ok, (g, s)
+
+
+def test_restriction_rejects_foreign_matching_endpoints(wedge_cube):
+    """Filtering trusts no matching whose endpoints are not the face's
+    composites: an inverted or emptied matching on unvalidated data raises."""
+    gens = set(wedge_cube.support())
+    for face, m in wedge_cube.face_matchings.items():
+        if not m.src.elements:
+            continue
+        empty = Correspondence(m.src.source_set, m.src.target_set, ())
+        for bad in (m.inverse(), BijectionOver.of(empty, empty, {})):
+            f = dataclasses.replace(wedge_cube,
+                                    face_matchings={**wedge_cube.face_matchings, face: bad})
+            with pytest.raises(InputError, match="not the composites"):
+                sub_functor(f, gens)
 
 
 def test_quotient_functor_examples(projective):
