@@ -20,9 +20,8 @@ from .functor import (CubeFunctorData, NaturalTransformation, StableFunctor,
                       validate_c0, validate_coherence)
 from .khovanov import (PDCode, braid_closure_pd, build_khovanov_functor,
                        connect_sum_pd, crossing_signs, disjoint_union_pd,
-                       edge_correspondence, kh_table, kh_table_direct,
-                       parse_pd, quantum_grading, reduced_functor, resolve,
-                       split_by_quantum)
+                       kh_table, kh_table_direct, parse_pd, reduced_functor,
+                       resolve, split_by_quantum)
 from .linalg import Matrix, smith_normal_form
 from .simplicial import DeltaComplex, delta_functor, simplicial_homology
 from .totalization import (ChainComplex, ChainMap, HomologyGroup, SignTwist,

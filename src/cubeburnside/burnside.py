@@ -168,17 +168,6 @@ class BijectionOver:
         return BijectionOver(self.dst, self.src,
                              tuple(sorted((b, a) for a, b in self.mapping)))
 
-    def then(self, other: "BijectionOver") -> "BijectionOver":
-        if self.dst != other.src:
-            raise ValueError("composition mismatch")
-        o = other.as_dict()
-        return BijectionOver(self.src, other.dst,
-                             tuple(sorted((a, o[b]) for a, b in self.mapping)))
-
-
-def identity_bijection(x: Correspondence) -> BijectionOver:
-    return BijectionOver.of(x, x, {e.id: e.id for e in x.elements})
-
 
 def is_two_morphism(f: Mapping[str, str], x: Correspondence, y: Correspondence) -> bool:
     """True iff f is a bijection of elements preserving s and t."""
@@ -209,10 +198,6 @@ def linearize(x: Correspondence) -> Matrix:
 
 
 # -- JSON ----------------------------------------------------------------
-
-def finite_set_to_json(a: FiniteSet) -> list[str]:
-    return list(a.elements)
-
 
 def correspondence_to_json(x: Correspondence) -> dict:
     return {"source": list(x.source_set.elements),

@@ -122,7 +122,7 @@ def kh_verify(diagram, as_json):
         except InternalInvariantError as exc:
             checks["d_squared_zero"] = False
             failures.append(str(exc))
-        grads = generator_gradings(pd)
+        grads = generator_gradings(pd, sf.functor)
         ok = True
         for (u, v) in cube.edges(pd.n):
             for e in sf.functor.edge(u, v).elements:
@@ -152,15 +152,14 @@ def functor_check(input, as_json):
 
 
 def _structure_checks(f) -> tuple[dict[str, bool], list[str]]:
-    """The square condition, and coherence when the functor has matchings."""
-    rep0 = validate_c0(f)
-    checks = {"square_condition": rep0.ok}
-    failures = list(rep0.failures)
-    if f.has_matchings:
-        rep = validate_coherence(f)
-        checks["coherence"] = rep.ok
-        failures.extend(rep.failures)
-    return checks, failures
+    """The square condition, and coherence when the functor has matchings;
+    then one pass over the squares decides both."""
+    if not f.has_matchings:
+        rep = validate_c0(f)
+        return {"square_condition": rep.ok}, list(rep.failures)
+    rep = validate_coherence(f)
+    return ({"square_condition": rep.square_condition, "coherence": rep.ok},
+            list(rep.failures))
 
 
 def _report_checks(checks: dict[str, bool], failures: list[str], as_json: bool,

@@ -44,8 +44,12 @@ Edge = tuple[Vertex, Vertex]
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A verdict with its failures, and whether the pass found every
+    square's two composites of equal fiber sizes."""
+
     ok: bool
-    failures: tuple[str, ...] = ()
+    failures: tuple[str, ...]
+    square_condition: bool
 
     def __bool__(self) -> bool:
         return self.ok
@@ -85,8 +89,9 @@ class CubeFunctorData:
             if corr.source_set != vs[u] or corr.target_set != vs[v]:
                 raise InputError(f"edge {u}>{v} endpoint sets do not match")
             for e in corr.elements:
-                if COMPOSE_SEP in e.id:
-                    raise InputError(f"reserved separator in edge element id {e.id!r}")
+                if not isinstance(e.id, str) or COMPOSE_SEP in e.id:
+                    raise InputError(f"edge element id {e.id!r} is not a string "
+                                     "free of the reserved separator")
             ec[(u, v)] = corr
         for e in edge_corrs:
             if e not in ec:
@@ -226,7 +231,7 @@ def validate_c0(f: CubeFunctorData) -> ValidationReport:
     """Fiberwise equality of the two composite cardinalities on every square."""
     failures = [msg for face in cube.faces2(f.n)
                 if (msg := _c0_failure(face, *f.square(face))) is not None]
-    return ValidationReport(not failures, tuple(failures))
+    return ValidationReport(not failures, tuple(failures), not failures)
 
 
 def _c0_failure(face: Face2, ca: Correspondence, cb: Correspondence) -> str | None:
@@ -258,9 +263,10 @@ def check_hexagon(f: CubeFunctorData, face: Face3) -> bool:
 
 def validate_coherence(f: CubeFunctorData) -> ValidationReport:
     """Stored matchings are 2-morphisms of the right composites, and every
-    3-face hexagon commutes."""
+    3-face hexagon commutes.  The same pass over the squares decides the
+    report's ``square_condition``, as ``validate_c0`` would."""
     if not f.has_matchings:
-        return ValidationReport(False, ("functor carries no face matchings",))
+        return ValidationReport(False, ("functor carries no face matchings",), False)
     c0, failures = [], []
     for face in cube.faces2(f.n):
         ca, cb = f.square(face)
@@ -273,12 +279,12 @@ def validate_coherence(f: CubeFunctorData) -> ValidationReport:
         elif not is_two_morphism(m.as_dict(), ca, cb):
             failures.append(f"face {_face_key(face)}: matching is not a 2-morphism")
     if c0 or failures:
-        return ValidationReport(False, tuple(c0 or failures))
+        return ValidationReport(False, tuple(c0 or failures), not c0)
     for face3 in cube.faces3(f.n):
         if not check_hexagon(f, face3):
             failures.append(f"3-face at {cube.bits(face3.top)} coords "
                             f"{tuple(c + 1 for c in face3.coords)}: hexagon does not commute")
-    return ValidationReport(not failures, tuple(failures))
+    return ValidationReport(not failures, tuple(failures), True)
 
 
 # -- exhaustive matching search ---------------------------------------------
@@ -473,9 +479,9 @@ def coproduct(f: CubeFunctorData, g: CubeFunctorData,
     fm = None
     if f.has_matchings and g.has_matchings:
         fm = {}
+        probe = CubeFunctorData(f.n, vs, ec, None)
         for face in cube.faces2(f.n):
             mapping = dict(ft.matching(face).mapping) | dict(gt.matching(face).mapping)
-            probe = CubeFunctorData(f.n, vs, ec, None)
             ca, cb = probe.square(face)
             fm[face] = BijectionOver.of(ca, cb, mapping)
     return CubeFunctorData(f.n, vs, ec, fm)
@@ -713,10 +719,8 @@ def quotient_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
                      ) -> tuple[CubeFunctorData, "NaturalTransformation"]:
     """Quotient-style restriction together with the projection
     transformation onto it."""
-    ss = set(s)
-    fs = quotient_functor_data(f, ss)
-    eta = projection_transformation(f, fs, ss)
-    return fs, eta
+    fs = quotient_functor_data(f, s)
+    return fs, _graph_of_identity(f, fs, fs)
 
 
 # -- natural transformations ---------------------------------------------------
@@ -824,11 +828,6 @@ def sub_inclusion_transformation(f: CubeFunctorData, s: Iterable[tuple[Vertex, s
     """The sub-functor on ``s`` and the inclusion transformation into f."""
     fsub = sub_functor(f, set(s))
     return fsub, _graph_of_identity(fsub, f, fsub)
-
-
-def projection_transformation(f: CubeFunctorData, fs: CubeFunctorData,
-                              s: SupportSet) -> NaturalTransformation:
-    return _graph_of_identity(f, fs, fs)
 
 
 def iso_transformation(f: CubeFunctorData, g: CubeFunctorData,

@@ -84,8 +84,8 @@ def parse_pd(text_or_obj, free_loops: int = 0) -> PDCode:
         if residue:
             raise InputError(f"unparsed PD content: {residue!r}")
         pd = PDCode(tuple(tuple(int(a) for a in t) for t in tuples), free_loops)
-    cube.check_dim(pd.n, "crossing count")
-    cube.check_dim(pd.free_loops, "free loop count")
+    # each crossing and each free loop at least doubles the work
+    cube.check_dim(pd.n + pd.free_loops, "crossing plus free loop count")
     validate_pd(pd)
     return pd
 
@@ -282,30 +282,14 @@ def resolve(pd: PDCode, v: Vertex) -> ResolvedDiagram:
     return ResolvedDiagram(v, tuple(circles))
 
 
-@dataclass(frozen=True)
-class KhGenerator:
-    vertex: Vertex
-    labels: tuple[str, ...]
-
-    @property
-    def id(self) -> str:
-        return "".join(self.labels)
-
-
-def quantum_grading(pd: PDCode, v: Vertex, labels: str | Sequence[str]) -> int:
-    np, nm = crossing_signs(pd)
-    plus = sum(1 for c in labels if c == PLUS)
-    minus = sum(1 for c in labels if c == MINUS)
-    return np - 2 * nm + cube.grading(v) + plus - minus
-
-
 _M_TABLE = {(PLUS, PLUS): PLUS, (PLUS, MINUS): MINUS, (MINUS, PLUS): MINUS,
             (MINUS, MINUS): None}
 _DELTA_TABLE = {PLUS: [(PLUS, MINUS), (MINUS, PLUS)], MINUS: [(MINUS, MINUS)]}
 
 
 class DiagramCube:
-    """Cached resolutions, generators and circle transitions of one diagram."""
+    """Cached resolutions, generators and circle transitions of one diagram,
+    and the stable functor they assemble into."""
 
     def __init__(self, pd: PDCode):
         validate_pd(pd)
@@ -358,15 +342,27 @@ class DiagramCube:
                 elems.append(CorrElem(f"{x}>{y}", x, y))
         return Correspondence(gen_u, gen_v, tuple(elems))
 
-    def functor_data(self, with_faces: bool = True) -> CubeFunctorData:
+    def functor_data(self) -> CubeFunctorData:
+        """Generators per vertex, Frobenius edge correspondences and square
+        matchings (forced or ladybug)."""
         n = self.pd.n
         vs = {v: self.generators(v) for v in cube.vertices(n)}
         ec = {(u, v): self.edge_correspondence(u, v) for (u, v) in cube.edges(n)}
-        fm = None
-        if with_faces:
-            data = CubeFunctorData.build(n, vs, ec, None)
-            fm = {face: self.face_matching(data, face) for face in cube.faces2(n)}
-        return CubeFunctorData.build(n, vs, ec, fm)
+        data = CubeFunctorData.build(n, vs, ec, None)
+        # the matchings cover every face, as build would check
+        fm = {face: self.face_matching(data, face) for face in cube.faces2(n)}
+        return CubeFunctorData(n, data.vertex_sets, data.edge_corrs, fm)
+
+    def stable_functor(self, validate: bool = True) -> StableFunctor:
+        """The functor data shifted by minus the negative crossing count;
+        coherence is validated unless ``validate`` is false."""
+        data = self.functor_data()
+        if validate:
+            rep = validate_coherence(data)
+            if not rep:
+                raise InternalInvariantError(
+                    "diagram functor fails coherence: " + "; ".join(rep.failures[:3]))
+        return StableFunctor(data, -self.n_minus)
 
     # -- square matchings -------------------------------------------------
 
@@ -566,51 +562,34 @@ def _abelian_images(y: str, rv: ResolvedDiagram, ru: ResolvedDiagram,
 
 # -- public operations ---------------------------------------------------------
 
-def edge_correspondence(pd: PDCode, u: Vertex, v: Vertex) -> Correspondence:
-    return DiagramCube(pd).edge_correspondence(u, v)
-
-
 def build_khovanov_functor(pd: PDCode, validate: bool = True) -> StableFunctor:
-    """Generators per vertex, Frobenius edge correspondences, square
-    matchings (forced or ladybug), shifted by minus the negative crossing
-    count; coherence is validated on construction."""
-    dc = DiagramCube(pd)
-    data = dc.functor_data(with_faces=True)
-    if validate:
-        rep = validate_coherence(data)
-        if not rep:
-            raise InternalInvariantError(
-                "diagram functor fails coherence: " + "; ".join(rep.failures[:3]))
-    return StableFunctor(data, -dc.n_minus)
+    """The stable functor of a diagram; coherence is validated on
+    construction unless ``validate`` is false."""
+    return DiagramCube(pd).stable_functor(validate)
 
 
-def generator_gradings(pd: PDCode, reduced_offset: int = 0,
+def generator_gradings(pd: PDCode, f: CubeFunctorData, reduced: bool = False,
                        ) -> dict[Vertex, dict[str, int]]:
-    dc = DiagramCube(pd)
-    np, nm = dc.n_plus, dc.n_minus
-    out: dict[Vertex, dict[str, int]] = {}
-    for v in cube.vertices(pd.n):
-        out[v] = {}
-        for g in dc.generators(v):
-            plus = g.count(PLUS)
-            minus = g.count(MINUS)
-            out[v][g] = np - 2 * nm + cube.grading(v) + plus - minus + reduced_offset
-    return out
+    """Quantum grading of every generator of f, the functor of pd or a
+    restriction of it, read from the generator's circle labels; the reduced
+    grading adds one for the basepoint circle's x_-."""
+    np, nm = crossing_signs(pd)
+    base = np - 2 * nm + int(reduced)
+    return {v: {g: base + cube.grading(v) + g.count(PLUS) - g.count(MINUS)
+                for g in f.vset(v)}
+            for v in cube.vertices(f.n)}
 
 
 def split_by_quantum(pd: PDCode, sf: StableFunctor,
                      reduced: bool = False) -> dict[int, StableFunctor]:
     """Restrict all data to each quantum grading; every edge element joins
     generators of equal grading, so the pieces are closed both ways."""
-    gradings = generator_gradings(pd, reduced_offset=1 if reduced else 0)
-    f = sf.functor
-    values = sorted({gradings[v][x] for v in cube.vertices(f.n) for x in f.vset(v)})
-    out = {}
-    for j in values:
-        s = {(v, x) for v in cube.vertices(f.n) for x in f.vset(v)
-             if gradings[v][x] == j}
-        out[j] = StableFunctor(sub_functor(f, s), sf.shift)
-    return out
+    parts: dict[int, set[tuple[Vertex, str]]] = {}
+    for v, grades in generator_gradings(pd, sf.functor, reduced).items():
+        for x, j in grades.items():
+            parts.setdefault(j, set()).add((v, x))
+    return {j: StableFunctor(sub_functor(sf.functor, s), sf.shift)
+            for j, s in sorted(parts.items())}
 
 
 def basepoint_circle(pd: PDCode, rd: ResolvedDiagram, basepoint) -> int:
@@ -625,13 +604,13 @@ def basepoint_circle(pd: PDCode, rd: ResolvedDiagram, basepoint) -> int:
     return rd.circle_of_arc(arc)
 
 
-def reduced_functor(pd: PDCode, basepoint, validate: bool = True) -> StableFunctor:
+def reduced_functor(pd: PDCode, basepoint) -> StableFunctor:
     """Restriction to the generators labeling the basepoint circle x_-.
 
     The discarded generators span a subcomplex of the totalization (the
     restriction is quotient-style)."""
-    sf = build_khovanov_functor(pd, validate=validate)
     dc = DiagramCube(pd)
+    sf = dc.stable_functor()
     s = set()
     for v in cube.vertices(pd.n):
         rd = dc.resolved(v)
@@ -777,16 +756,16 @@ def _number_arcs(arcs: list[tuple[Occurrence, Occurrence]], n_crossings: int,
 
 # -- homology tables -------------------------------------------------------------
 
-def kh_table(pd: PDCode, reduced: bool = False, basepoint=None,
-             validate: bool = True) -> list[dict]:
+def kh_table(pd: PDCode, reduced: bool = False, basepoint=None) -> list[dict]:
     """Bigraded homology rows [{"i","j","rank","torsion"}] sorted by (j,i),
-    computed through the span functor, totalization and dualization."""
+    computed through the span functor, whose coherence is validated on every
+    build, totalization and dualization."""
     if reduced:
         if basepoint is None:
             raise InputError("reduced homology needs a basepoint")
-        sf = reduced_functor(pd, basepoint, validate=validate)
+        sf = reduced_functor(pd, basepoint)
     else:
-        sf = build_khovanov_functor(pd, validate=validate)
+        sf = build_khovanov_functor(pd)
     rows = [{"i": -d, "j": j, "rank": h.free_rank, "torsion": list(h.torsion)}
             for j, part in split_by_quantum(pd, sf, reduced=reduced).items()
             for d, h in homology_nontrivial(dualize(tot(part))).items()]

@@ -41,8 +41,9 @@ class DeltaComplex:
             raise InputError("duplicate simplex ids")
         supports = {s.support for s in self.simplices}
         for s in self.simplices:
-            if len(set(s.verts)) != len(s.verts):
-                raise InputError(f"simplex {s.id} repeats a vertex")
+            # face signs and the d²=0 check rely on the vertex order
+            if any(a >= b for a, b in zip(s.verts, s.verts[1:])):
+                raise InputError(f"simplex {s.id} vertices do not strictly increase")
             if any(not 1 <= v <= self.n_vertices for v in s.verts):
                 raise InputError(f"simplex {s.id} uses an unknown vertex")
             for k in range(len(s.verts)):

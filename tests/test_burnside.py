@@ -149,7 +149,6 @@ def test_bijection_composition_and_inverse():
     a, b = FiniteSet(("a",)), FiniteSet(("b",))
     x = Correspondence.of(a, b, [("e1", "a", "b"), ("e2", "a", "b")])
     swap = BijectionOver.of(x, x, {"e1": "e2", "e2": "e1"})
-    assert swap.then(swap).as_dict() == {"e1": "e1", "e2": "e2"}
     assert swap.inverse().as_dict() == swap.as_dict()
     with pytest.raises(ValueError):
         BijectionOver.of(x, x, {"e1": "e1"})

@@ -5,9 +5,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cubeburnside import cube
+from cubeburnside.burnside import BijectionOver
 from cubeburnside.cli import main
-from cubeburnside.corpus import corpus_dir, list_fixtures, load_golden
-from cubeburnside.khovanov import braid_closure_pd
+from cubeburnside.corpus import corpus_dir, list_fixtures, load_golden, load_pd
+from cubeburnside.functor import CubeFunctorData, StableFunctor, functor_to_json
+from cubeburnside.khovanov import braid_closure_pd, build_khovanov_functor
 
 
 @pytest.fixture()
@@ -70,15 +73,22 @@ def test_input_errors_exit_2(runner, tmp_path):
         path.write_text(json.dumps(obj), encoding="utf-8")
         return str(path)
 
-    cert = json.loads((corpus_dir() / "certificates" / "wedge_split.json")
-                      .read_text(encoding="utf-8"))
+    def bundled(rel):
+        return json.loads((corpus_dir() / rel).read_text(encoding="utf-8"))
+
+    cert = bundled("certificates/wedge_split.json")
     nat = next(s for s in cert["steps"] if s["kind"] == "nat")
     del nat["ambient"]
     cert_point = json.loads(json.dumps(cert))
     next(s for s in cert_point["steps"] if s["kind"] == "nat")["ambient"] = {"n": 0}
-    wedge = json.loads((corpus_dir() / "functors" / "wedge_cube.json")
-                       .read_text(encoding="utf-8"))
+    wedge = bundled("functors/wedge_cube.json")
     wedge["faces"][next(iter(wedge["faces"]))] = 5
+    int_id = bundled("functors/wedge_cube.json")
+    next(iter(int_id["edges"].values()))[0]["id"] = 5
+    unordered = bundled("delta/sphere2.json")
+    next(s for s in unordered["simplices"] if s["id"] == "s1_2_3")["verts"] = [2, 3, 1]
+    trefoil_loops = bundled("pd/trefoil_pos.json")
+    trefoil_loops["free_loops"] = 14
     malformed = [
         ["kh", "homology", write("pd_letter.json", {"crossings": [["x", 1, 2, 3]]})],
         ["kh", "homology", write("pd_short.json", {"crossings": [[1, 1]]})],
@@ -91,6 +101,8 @@ def test_input_errors_exit_2(runner, tmp_path):
         ["functor", "check", write("faces.json", {"n": 1, "faces": 5})],
         ["functor", "check", write("negative.json", {"n": -1})],
         ["functor", "check", write("face_mapping.json", wedge)],
+        ["functor", "check", write("int_id.json", int_id)],
+        ["delta", "homology", write("unordered.json", unordered)],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "loop:7"],
@@ -100,6 +112,8 @@ def test_input_errors_exit_2(runner, tmp_path):
         ["delta", "homology", write("delta_huge.json", {"n_vertices": 40, "simplices": []})],
         ["kh", "homology", write("pd_huge.json", braid_closure_pd([1] * 17, 2).to_json())],
         ["kh", "homology", write("loops_huge.json", {"crossings": [], "free_loops": 17})],
+        # crossings and free loops share the cap
+        ["kh", "homology", write("trefoil_loops.json", trefoil_loops)],
     ]
     for args in malformed:
         assert invoke(runner, args).exit_code == 2, args
@@ -113,6 +127,42 @@ def test_functor_check(runner):
     out = json.loads(res2.output)
     assert out["checks"]["square_condition"] is True
     assert "coherence" not in out["checks"]
+
+
+def test_functor_check_broken_hexagon(runner, tmp_path):
+    """A ladybug matching flipped within its fiber is still a 2-morphism but
+    breaks a hexagon: the one pass over the squares passes the square
+    condition and fails coherence."""
+    sf = build_khovanov_functor(load_pd("unknot_ladybug"))
+    f = sf.functor
+    for face in cube.faces2(f.n):
+        m = f.matching(face)
+        pairs = [v for v in m.src.fibers().values() if len(v) == 2]
+        if pairs:
+            break
+    d = m.as_dict()
+    a, b = pairs[0]
+    d[a.id], d[b.id] = d[b.id], d[a.id]
+    fm = {**f.face_matchings, face: BijectionOver.of(m.src, m.dst, d)}
+    flipped = CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, fm)
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(functor_to_json(StableFunctor(flipped, sf.shift))),
+                    encoding="utf-8")
+    res = invoke(runner, ["functor", "check", str(path), "--json"])
+    assert res.exit_code == 1
+    assert res.output == """\
+{
+  "checks": {
+    "coherence": false,
+    "d_squared_zero": true,
+    "square_condition": true
+  },
+  "failures": [
+    "3-face at 111 coords (1, 2, 3): hexagon does not commute"
+  ],
+  "schema_version": 1
+}
+"""
 
 
 def test_functor_search(runner):

@@ -59,6 +59,24 @@ def test_validate_coherence_requires_matchings():
     assert not validate_coherence(FX.multiple_extension_square()).ok
 
 
+def test_coherence_pass_decides_the_square_condition(wedge_cube):
+    """validate_coherence's one pass over the squares gives validate_c0's
+    verdict, also on data whose fiber sizes fail while it carries
+    matchings, and then reports the same failures."""
+    rep = validate_coherence(wedge_cube)
+    assert rep.ok and rep.square_condition and validate_c0(wedge_cube).ok
+    (u, v), corr = next((e, c) for e, c in wedge_cube.edge_corrs.items()
+                        if len(c.elements) > 1)
+    ec = dict(wedge_cube.edge_corrs)
+    ec[(u, v)] = Correspondence(corr.source_set, corr.target_set, corr.elements[1:])
+    broken = CubeFunctorData(wedge_cube.n, wedge_cube.vertex_sets, ec,
+                             wedge_cube.face_matchings)
+    c0, coherence = validate_c0(broken), validate_coherence(broken)
+    assert not c0.ok and c0.failures
+    assert coherence.square_condition == c0.ok
+    assert not coherence.ok and coherence.failures == c0.failures
+
+
 def test_composite_along_chain_examples(projective):
     edge = composite_along_chain(projective, ((1,), (0,)))
     assert edge == projective.edge((1,), (0,))

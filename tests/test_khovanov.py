@@ -1,3 +1,4 @@
+import collections
 import itertools
 from unittest import mock
 
@@ -166,7 +167,7 @@ def test_resolve_circles_partition_arcs(pd_corpus):
 def test_edge_correspondence_merge_split(pd_corpus):
     kink = pd_corpus["kink_neg"]
     # u=(1): two circles; v=(0): one circle; the edge splits the v-circle
-    corr = kh.edge_correspondence(kink, (1,), (0,))
+    corr = kh.DiagramCube(kink).edge_correspondence((1,), (0,))
     by_target = {}
     for e in corr.elements:
         by_target.setdefault(e.t, []).append(e.s)
@@ -174,7 +175,7 @@ def test_edge_correspondence_merge_split(pd_corpus):
     assert by_target["-"] == ["--"]                 # comultiplying x_-
     # a merge edge: the positive kink merges two circles going up the cube
     kinkp = pd_corpus["kink_pos"]
-    corr2 = kh.edge_correspondence(kinkp, (1,), (0,))
+    corr2 = kh.DiagramCube(kinkp).edge_correspondence((1,), (0,))
     by_source = {}
     for e in corr2.elements:
         by_source.setdefault(e.s, []).append(e.t)
@@ -195,19 +196,20 @@ def test_merge_edge_coefficient_one(pd_corpus):
 
 def test_quantum_grading_examples(pd_corpus):
     u0 = pd_corpus["unknot0"]
-    assert kh.quantum_grading(u0, (), "+") == 1
-    assert kh.quantum_grading(u0, (), "-") == -1
+    grads = kh.generator_gradings(u0, kh.build_khovanov_functor(u0).functor)
+    assert grads[()] == {"+": 1, "-": -1}
     tref = pd_corpus["trefoil_pos"]
     np_, nm = kh.crossing_signs(tref)
-    assert kh.quantum_grading(tref, (1, 1, 1), "+++") == np_ - 2 * nm + 3 + 3
+    grads = kh.generator_gradings(tref, kh.build_khovanov_functor(tref).functor)
+    assert grads[(1, 1, 1)]["+++"] == np_ - 2 * nm + 3 + 3
 
 
 def test_quantum_grading_preserved_on_edges(small_corpus):
     for name, pd in small_corpus.items():
-        grads = kh.generator_gradings(pd)
-        dc = kh.DiagramCube(pd)
+        f = kh.build_khovanov_functor(pd).functor
+        grads = kh.generator_gradings(pd, f)
         for (u, v) in cube.edges(pd.n):
-            for e in dc.edge_correspondence(u, v).elements:
+            for e in f.edge(u, v).elements:
                 assert grads[u][e.s] == grads[v][e.t], (name, u, v, e)
 
 
@@ -226,7 +228,7 @@ def test_detect_ladybug_absent_cases(pd_corpus):
 def test_ladybug_found_in_corpus(pd_corpus):
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    data = dc.functor_data(with_faces=False)
+    data = dc.functor_data()
     found = 0
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
@@ -247,7 +249,7 @@ def test_ladybug_found_in_corpus(pd_corpus):
 def test_ladybug_numbering_does_not_matter(pd_corpus):
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    data = dc.functor_data(with_faces=False)
+    data = dc.functor_data()
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
         cb = composite_along_chain(data, (face.top, face.mid_b, face.bottom))
@@ -270,7 +272,7 @@ def test_ladybug_involution(pd_corpus):
     # swapping the roles of the two middles inverts the fiber bijection
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    data = dc.functor_data(with_faces=False)
+    data = dc.functor_data()
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
         cb = composite_along_chain(data, (face.top, face.mid_b, face.bottom))
@@ -290,7 +292,7 @@ def test_ladybug_involution(pd_corpus):
 def test_face_matching_is_two_morphism_corpus(small_corpus):
     for name, pd in small_corpus.items():
         dc = kh.DiagramCube(pd)
-        data = dc.functor_data(with_faces=False)
+        data = dc.functor_data()
         for face in cube.faces2(pd.n):
             dc.face_matching(data, face)  # BijectionOver validates on build
 
@@ -298,11 +300,10 @@ def test_face_matching_is_two_morphism_corpus(small_corpus):
 def test_flipping_ladybug_breaks_coherence(pd_corpus):
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    full = dc.functor_data(with_faces=True)
+    full = dc.functor_data()
     assert validate_coherence(full).ok
-    data = dc.functor_data(with_faces=False)
     for face in cube.faces2(pd.n):
-        ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
+        ca = composite_along_chain(full, (face.top, face.mid_a, face.bottom))
         twos = [k for k, v in ca.fibers().items() if len(v) == 2]
         if not twos:
             continue
@@ -326,6 +327,39 @@ def test_build_unknot0(pd_corpus):
     assert sf.shift == 0
     assert sf.functor.n == 0
     assert len(sf.functor.vset(())) == 2
+
+
+def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
+        pd_corpus, monkeypatch):
+    """A table (plain or reduced) and ``kh verify`` resolve every vertex
+    once, build the functor data once, and compose every square twice: once
+    for its matching and once in the coherence pass."""
+    from click.testing import CliRunner
+    from cubeburnside.cli import main
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kh, "resolve", counted("resolve", kh.resolve))
+    monkeypatch.setattr(CubeFunctorData, "build",
+                        staticmethod(counted("build", CubeFunctorData.build)))
+    monkeypatch.setattr(CubeFunctorData, "square",
+                        counted("square", CubeFunctorData.square))
+    pd = pd_corpus["fig8"]
+    once = {"resolve": 2 ** pd.n, "build": 1, "square": 2 * len(cube.faces2(pd.n))}
+    runs = [lambda: kh.kh_table(pd),
+            lambda: kh.kh_table(pd, reduced=True, basepoint=1),
+            lambda: CliRunner().invoke(main, ["kh", "verify", "fig8"],
+                                       catch_exceptions=False)]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls == once
 
 
 def test_corpus_functors_coherent(small_corpus):
@@ -415,7 +449,7 @@ def test_tables_match_direct_route(small_corpus):
 def test_tables_match_direct_route_large(pd_corpus):
     for name in ("granny", "square_knot", "trefoil_fig8"):
         pd = pd_corpus[name]
-        assert kh.kh_table(pd, validate=False) == kh.kh_table_direct(pd), name
+        assert kh.kh_table(pd) == kh.kh_table_direct(pd), name
 
 
 def test_rmove_pairs_same_homology(pd_corpus):
@@ -465,7 +499,7 @@ def test_split_parts_match_composed_reference(small_corpus, restrict_by_composin
             assert red.functor == restrict_by_composing(full.functor, kept), name
             variants.append((red, True))
         for sf, reduced in variants:
-            grading = kh.generator_gradings(pd, reduced_offset=int(reduced))
+            grading = kh.generator_gradings(pd, sf.functor, reduced)
             for j, part in kh.split_by_quantum(pd, sf, reduced=reduced).items():
                 assert validate_coherence(part.functor).ok, (name, reduced, j)
                 s = {(v, x) for v, x in sf.functor.support() if grading[v][x] == j}
@@ -560,7 +594,7 @@ def test_reduced_connect_sum_kuenneth(pd_corpus):
     tref = pd_corpus["trefoil_pos"]
     g, bp = kh.connect_sum_pd(tref, 1, tref, 1)
     assert g == pd_corpus["granny"]
-    rows = kh.kh_table(g, reduced=True, basepoint=bp, validate=False)
+    rows = kh.kh_table(g, reduced=True, basepoint=bp)
     factor = kh.kh_table(tref, reduced=True, basepoint=1)
     conv = {}
     for r1 in factor:
@@ -570,7 +604,7 @@ def test_reduced_connect_sum_kuenneth(pd_corpus):
     assert {(r["i"], r["j"]): r["rank"] for r in rows} == conv
     assert all(r["torsion"] == [] for r in rows)
     sq, bp2 = kh.connect_sum_pd(tref, 1, pd_corpus["trefoil_neg"], 1)
-    rows2 = kh.kh_table(sq, reduced=True, basepoint=bp2, validate=False)
+    rows2 = kh.kh_table(sq, reduced=True, basepoint=bp2)
     assert sum(r["rank"] for r in rows2) == 9
     assert all(r["torsion"] == [] for r in rows2)
 
@@ -601,9 +635,9 @@ def test_braid_closure_sweep():
         strands = max(abs(g) for g in w) + 1
         pd = kh.braid_closure_pd(list(w), strands)
         kh.build_khovanov_functor(pd)  # raises if any square or hexagon fails
-        assert kh.kh_table(pd, validate=False) == kh.kh_table_direct(pd), w
+        assert kh.kh_table(pd) == kh.kh_table_direct(pd), w
         dc = kh.DiagramCube(pd)
-        data = dc.functor_data(with_faces=False)
+        data = dc.functor_data()
         for face in cube.faces2(pd.n):
             ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
             lady += sum(1 for v in ca.fibers().values() if len(v) == 2)
