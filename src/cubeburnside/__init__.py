@@ -22,7 +22,7 @@ from .khovanov import (PDCode, braid_closure_pd, build_khovanov_functor,
                        connect_sum_pd, crossing_signs, disjoint_union_pd,
                        kh_table, kh_table_direct, parse_pd, reduced_functor,
                        resolve, split_by_quantum)
-from .linalg import Matrix, smith_normal_form
+from .linalg import Matrix
 from .simplicial import DeltaComplex, delta_functor, simplicial_homology
 from .totalization import (ChainComplex, ChainMap, HomologyGroup, SignTwist,
                            cone, dualize, face_shift_iso, homology,

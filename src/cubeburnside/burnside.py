@@ -188,13 +188,13 @@ def is_two_morphism(f: Mapping[str, str], x: Correspondence, y: Correspondence) 
 def linearize(x: Correspondence) -> Matrix:
     """Matrix of fiber cardinalities: rows indexed by target_set, columns by
     source_set, acting on column vectors of the free abelian group."""
-    rows = []
-    for b in x.target_set:
-        rows.append([sum(1 for e in x.elements if e.s == a and e.t == b)
-                     for a in x.source_set])
-    if not x.target_set.elements:
-        return Matrix.zero(0, len(x.source_set))
-    return Matrix.from_rows(rows)
+    row = {b: i for i, b in enumerate(x.target_set)}
+    col = {a: j for j, a in enumerate(x.source_set)}
+    cols: list[dict[int, int]] = [{} for _ in x.source_set]
+    for e in x.elements:
+        c, i = cols[col[e.s]], row[e.t]
+        c[i] = c.get(i, 0) + 1
+    return Matrix.from_columns(len(x.target_set), len(x.source_set), cols)
 
 
 # -- JSON ----------------------------------------------------------------

@@ -592,16 +592,24 @@ def split_by_quantum(pd: PDCode, sf: StableFunctor,
             for j, s in sorted(parts.items())}
 
 
-def basepoint_circle(pd: PDCode, rd: ResolvedDiagram, basepoint) -> int:
+def checked_basepoint(pd: PDCode, basepoint) -> tuple[str, int]:
+    """The basepoint as ("loop", k) or ("arc", label), checked against pd
+    alone, so that a bad one is rejected before any vertex is resolved."""
     if isinstance(basepoint, tuple) and basepoint and basepoint[0] == "loop":
         k = int(basepoint[1])
         if not 0 <= k < pd.free_loops:
             raise InputError(f"unknown basepoint loop {k}")
-        return rd.circle_of_loop(k)
+        return ("loop", k)
     arc = int(basepoint)
     if arc not in _occurrences(pd):
         raise InputError(f"unknown basepoint arc {arc}")
-    return rd.circle_of_arc(arc)
+    return ("arc", arc)
+
+
+def basepoint_circle(rd: ResolvedDiagram, basepoint: tuple[str, int]) -> int:
+    """The circle of rd through a basepoint from ``checked_basepoint``."""
+    kind, k = basepoint
+    return rd.circle_of_loop(k) if kind == "loop" else rd.circle_of_arc(k)
 
 
 def reduced_functor(pd: PDCode, basepoint) -> StableFunctor:
@@ -610,11 +618,11 @@ def reduced_functor(pd: PDCode, basepoint) -> StableFunctor:
     The discarded generators span a subcomplex of the totalization (the
     restriction is quotient-style)."""
     dc = DiagramCube(pd)
+    bp = checked_basepoint(pd, basepoint)
     sf = dc.stable_functor()
     s = set()
     for v in cube.vertices(pd.n):
-        rd = dc.resolved(v)
-        ci = basepoint_circle(pd, rd, basepoint)
+        ci = basepoint_circle(dc.resolved(v), bp)
         for g in sf.functor.vset(v):
             if g[ci] == MINUS:
                 s.add((v, g))
@@ -778,15 +786,16 @@ def kh_table_direct(pd: PDCode, reduced: bool = False, basepoint=None) -> list[d
     multiplication/comultiplication matrices (no span layer) and read off
     its cohomology."""
     dc = DiagramCube(pd)
+    if reduced:
+        if basepoint is None:
+            raise InputError("reduced homology needs a basepoint")
+        bp = checked_basepoint(pd, basepoint)
     n, np_, nm = pd.n, dc.n_plus, dc.n_minus
     gens: dict[Vertex, list[str]] = {}
     for v in cube.vertices(n):
         gens[v] = list(dc.generators(v))
-    if reduced:
-        if basepoint is None:
-            raise InputError("reduced homology needs a basepoint")
-        for v in cube.vertices(n):
-            ci = basepoint_circle(pd, dc.resolved(v), basepoint)
+        if reduced:
+            ci = basepoint_circle(dc.resolved(v), bp)
             gens[v] = [g for g in gens[v] if g[ci] == MINUS]
     offset = 1 if reduced else 0
     grad: dict[tuple[Vertex, str], int] = {}
@@ -807,8 +816,8 @@ def kh_table_direct(pd: PDCode, reduced: bool = False, basepoint=None) -> list[d
         for d in basis:
             if d - 1 not in basis:
                 continue
-            mat = [[0] * len(basis[d]) for _ in basis[d - 1]]
-            for col, (v, y) in enumerate(basis[d]):
+            cols: list[dict[int, int]] = [{} for _ in basis[d]]
+            for col, (v, y) in zip(cols, basis[d]):
                 for k in range(n):
                     if v[k] != 0:
                         continue
@@ -821,9 +830,10 @@ def kh_table_direct(pd: PDCode, reduced: bool = False, basepoint=None) -> list[d
                            if any(p.crossing == k for p in c.passages)]
                     for x in _abelian_images(y, rv, ru, vk, ukk,
                                              dc.circle_match(rv, ru)):
-                        if (u, x) in index[d - 1]:
-                            mat[index[d - 1][(u, x)]][col] += sgn
-            diffs[d] = Matrix.from_rows(mat) if mat else Matrix.zero(0, len(basis[d]))
+                        row = index[d - 1].get((u, x))
+                        if row is not None:
+                            col[row] = col.get(row, 0) + sgn
+            diffs[d] = Matrix.from_columns(len(basis[d - 1]), len(basis[d]), cols)
         cx = ChainComplex.build(
             {d: tuple(f"{cube.bits(v)}|{g}" for (v, g) in b) for d, b in basis.items()},
             diffs)

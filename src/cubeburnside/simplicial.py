@@ -128,10 +128,11 @@ def simplicial_homology(x: DeltaComplex) -> dict[int, HomologyGroup]:
     for k in basis:
         if k - 1 not in basis:
             continue
-        rows = [[0] * len(basis[k]) for _ in basis[k - 1]]
-        for j, s in enumerate(x.by_dim(k)):
+        cols: list[dict[int, int]] = [{} for _ in basis[k]]
+        for col, s in zip(cols, x.by_dim(k)):
             for i in range(len(s.verts)):
                 face = x.unique_by_support(frozenset(s.verts[:i] + s.verts[i + 1:]))
-                rows[index[k - 1][face.id]][j] += (-1) ** i
-        diffs[k] = Matrix.from_rows(rows)
+                row = index[k - 1][face.id]
+                col[row] = col.get(row, 0) + (-1) ** i
+        diffs[k] = Matrix.from_columns(len(basis[k - 1]), len(basis[k]), cols)
     return homology(ChainComplex.build(basis, diffs))

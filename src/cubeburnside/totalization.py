@@ -186,7 +186,7 @@ def tot(sf: StableFunctor | CubeFunctorData) -> ChainComplex:
     for d in list(basis):
         if d - 1 not in basis:
             continue
-        rows = [[0] * len(basis[d]) for _ in basis[d - 1]]
+        cols: list[dict[int, int]] = [{} for _ in basis[d]]
         for u in cube.vertices(f.n):
             if cube.grading(u) + r != d:
                 continue
@@ -196,8 +196,9 @@ def tot(sf: StableFunctor | CubeFunctorData) -> ChainComplex:
                 v = cube.clear_coordinate(u, k)
                 sign = -1 if (cube.sign_assignment(u, v) + r) % 2 else 1
                 for e in f.edge(u, v).elements:
-                    rows[index[(v, e.t)]][index[(u, e.s)]] += sign
-        diffs[d] = Matrix.from_rows(rows) if rows else Matrix.zero(0, len(basis[d]))
+                    col, i = cols[index[(u, e.s)]], index[(v, e.t)]
+                    col[i] = col.get(i, 0) + sign
+        diffs[d] = Matrix.from_columns(len(basis[d - 1]), len(basis[d]), cols)
     try:
         return ChainComplex.build({d: tuple(b) for d, b in basis.items()}, diffs)
     except InternalInvariantError as exc:
@@ -214,15 +215,16 @@ def tot_nat_trans(eta: NaturalTransformation, shift: int = 0) -> ChainMap:
     for d in src.degrees():
         if tgt.dim(d) == 0:
             continue
-        rows = [[0] * src.dim(d) for _ in range(tgt.dim(d))]
+        cols: list[dict[int, int]] = [{} for _ in range(src.dim(d))]
         src_index = {lbl: i for i, lbl in enumerate(src.basis[d])}
         tgt_index = {lbl: i for i, lbl in enumerate(tgt.basis.get(d, ()))}
         for v in cube.vertices(eta.n):
             if cube.grading(v) + shift != d:
                 continue
             for e in eta.component(v).elements:
-                rows[tgt_index[tot_label(v, e.t)]][src_index[tot_label(v, e.s)]] += 1
-        mats[d] = Matrix.from_rows(rows)
+                col, i = cols[src_index[tot_label(v, e.s)]], tgt_index[tot_label(v, e.t)]
+                col[i] = col.get(i, 0) + 1
+        mats[d] = Matrix.from_columns(tgt.dim(d), src.dim(d), cols)
     return ChainMap.build(src, tgt, mats)
 
 
@@ -249,12 +251,9 @@ def direct_sum(c1: ChainComplex, c2: ChainComplex,
         if d - 1 not in basis:
             continue
         m1, m2 = c1.diff(d), c2.diff(d)
-        rows = []
-        for i in range(m1.rows):
-            rows.append(list(m1.entries[i]) + [0] * m2.cols)
-        for i in range(m2.rows):
-            rows.append([0] * m1.cols + list(m2.entries[i]))
-        diffs[d] = Matrix.from_rows(rows) if rows else Matrix.zero(0, len(basis[d]))
+        diffs[d] = Matrix.from_columns(
+            m1.rows + m2.rows, m1.cols + m2.cols,
+            [*m1.columns, *({m1.rows + i: x for i, x in c.items()} for c in m2.columns)])
     return ChainComplex.build(basis, diffs)
 
 
@@ -276,24 +275,22 @@ def tensor(c1: ChainComplex, c2: ChainComplex) -> ChainComplex:
     for m in basis:
         if m - 1 not in basis:
             continue
-        rows = [[0] * len(basis[m]) for _ in basis[m - 1]]
+        cols: list[dict[int, int]] = [{} for _ in basis[m]]
         for p in c1.degrees():
             q = m - p
             if q not in c2.basis:
                 continue
             d1 = c1.diff(p)
             d2 = c2.diff(q)
+            sgn = -1 if p % 2 else 1
             for i in range(c1.dim(p)):
                 for j in range(c2.dim(q)):
-                    col = index[(p, q, i, j)]
-                    for i2 in range(c1.dim(p - 1)):
-                        if d1[i2, i]:
-                            rows[index[(p - 1, q, i2, j)]][col] += d1[i2, i]
-                    sgn = -1 if p % 2 else 1
-                    for j2 in range(c2.dim(q - 1)):
-                        if d2[j2, j]:
-                            rows[index[(p, q - 1, i, j2)]][col] += sgn * d2[j2, j]
-        diffs[m] = Matrix.from_rows(rows) if rows else Matrix.zero(0, len(basis[m]))
+                    col = cols[index[(p, q, i, j)]]
+                    for i2, x in d1.columns[i].items():
+                        col[index[(p - 1, q, i2, j)]] = x
+                    for j2, y in d2.columns[j].items():
+                        col[index[(p, q - 1, i, j2)]] = sgn * y
+        diffs[m] = Matrix.from_columns(len(basis[m - 1]), len(basis[m]), cols)
     return ChainComplex.build({d: tuple(b) for d, b in basis.items()}, diffs)
 
 
@@ -312,14 +309,11 @@ def cone(f: ChainMap) -> ChainComplex:
         dt = f.target.diff(m)
         ds = f.source.diff(m - 1)
         fm = f.matrix(m - 1)
-        tr, sr = f.target.dim(m - 1), f.source.dim(m - 2)
-        tc, sc = f.target.dim(m), f.source.dim(m - 1)
-        rows = []
-        for i in range(tr):
-            rows.append([dt[i, j] for j in range(tc)] + [fm[i, j] for j in range(sc)])
-        for i in range(sr):
-            rows.append([0] * tc + [-ds[i, j] for j in range(sc)])
-        diffs[m] = Matrix.from_rows(rows) if rows else Matrix.zero(0, len(basis[m]))
+        tr = f.target.dim(m - 1)
+        diffs[m] = Matrix.from_columns(
+            tr + f.source.dim(m - 2), len(basis[m]),
+            [*dt.columns, *({**fc, **{tr + i: -x for i, x in sc.items()}}
+                            for fc, sc in zip(fm.columns, ds.columns))])
     return ChainComplex.build(basis, diffs)
 
 
@@ -346,11 +340,11 @@ def complexes_equal_under(c1: ChainComplex, c2: ChainComplex,
     for d in c1.basis:
         if d - 1 not in c1.basis:
             continue
-        m1, m2 = c1.diff(d), c2.diff(d)
-        for i in range(m1.rows):
-            for j in range(m1.cols):
-                if m1[i, j] != m2[perms[d - 1][i], perms[d][j]]:
-                    return False
+        rowperm = perms[d - 1]
+        m2 = c2.diff(d).columns
+        for j, col in enumerate(c1.diff(d).columns):
+            if {rowperm[i]: x for i, x in col.items()} != m2[perms[d][j]]:
+                return False
     return True
 
 
@@ -394,18 +388,19 @@ def face_shift_iso(f: CubeFunctorData, iota: FaceInclusion,
     mats = {}
     for d in src.degrees():
         src_index = {lbl: i for i, lbl in enumerate(src.basis[d])}
-        rows = [[0] * src.dim(d) for _ in range(tgt.dim(d))]
+        cols: list[dict[int, int]] = [{} for _ in range(src.dim(d))]
         tgt_index = {lbl: i for i, lbl in enumerate(tgt.basis.get(d, ()))}
         for v in cube.vertices(n):
             if cube.grading(v) + w != d:
                 continue
             for x in f.vset(v):
                 sign = -1 if t[v] else 1
-                rows[tgt_index[tot_label(v, x)]][src_index[tot_label(iota.apply(v), x)]] = sign
-        mats[d] = Matrix.from_rows(rows) if rows else Matrix.zero(0, src.dim(d))
+                cols[src_index[tot_label(iota.apply(v), x)]][tgt_index[tot_label(v, x)]] = sign
+        mats[d] = Matrix.from_columns(tgt.dim(d), src.dim(d), cols)
     cm = ChainMap.build(src, tgt, mats)
     for d in src.degrees():
         m = cm.matrix(d)
-        if m.rows != m.cols or abs(m.det()) != 1:
+        # unimodular exactly when square with every invariant factor 1
+        if m.rows != m.cols or invariant_factors(m) != (1,) * m.rows:
             raise InternalInvariantError("face shift map is not an isomorphism")
     return SignTwist(iota, t), cm

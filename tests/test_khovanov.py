@@ -3,7 +3,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeburnside import cube, fixtures as FX
@@ -529,6 +529,24 @@ def test_reduced_unknown_basepoint(pd_corpus):
         kh.reduced_functor(pd_corpus["kink_neg"], 99)
 
 
+@pytest.mark.parametrize("table", [kh.kh_table, kh.kh_table_direct])
+@pytest.mark.parametrize("basepoint", [99, ("loop", 0)])
+def test_bad_basepoint_rejected_before_any_resolution(table, basepoint, monkeypatch):
+    # the checks depend on the diagram alone, so no vertex of the 2^8 is resolved
+    calls = collections.Counter()
+    resolve = kh.resolve
+
+    def counted(*args, **kwargs):
+        calls["resolve"] += 1
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(kh, "resolve", counted)
+    pd = kh.braid_closure_pd([1, -2] * 4, 3)
+    with pytest.raises(InputError, match="unknown basepoint"):
+        table(pd, reduced=True, basepoint=basepoint)
+    assert calls["resolve"] == 0
+
+
 # -- unions and sums -----------------------------------------------------------------
 
 def test_disjoint_union_basics(pd_corpus):
@@ -642,6 +660,79 @@ def test_braid_closure_sweep():
             ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
             lady += sum(1 for v in ca.fibers().values() if len(v) == 2)
     assert lady > 0
+
+
+def _laurent_mul(a, b):
+    out = collections.Counter()
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] += x * y
+    return {k: x for k, x in out.items() if x}
+
+
+def _circle_count(pd, v):
+    """Circles of the resolution v, by a union-find over arcs: the
+    0-resolution joins slots 0-3 and 1-2 of a crossing, the 1-resolution
+    slots 0-1 and 2-3."""
+    parent = {a: a for x in pd.crossings for a in x}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for x, bit in zip(pd.crossings, v):
+        for s, t in (((0, 3), (1, 2)), ((0, 1), (2, 3)))[bit]:
+            parent[find(x[s])] = find(x[t])
+    return len({find(a) for a in parent}) + pd.free_loops
+
+
+def _jones_from_states(pd):
+    """(-1)^{n-} q^{n+ - 2 n-} sum_v (-q)^{|v|} (q + q^-1)^{c(v)}, the graded
+    Euler characteristic of Khovanov homology, as {exponent: coefficient}."""
+    np_, nm = kh.crossing_signs(pd)
+    total = collections.Counter()
+    for v in itertools.product((0, 1), repeat=pd.n):
+        term = {sum(v): (-1) ** sum(v)}
+        for _ in range(_circle_count(pd, v)):
+            term = _laurent_mul(term, {1: 1, -1: 1})
+        for k, x in term.items():
+            total[k + np_ - 2 * nm] += (-1) ** nm * x
+    return {k: x for k, x in total.items() if x}
+
+
+def _euler_characteristic(rows):
+    out = collections.Counter()
+    for r in rows:
+        out[r["j"]] += (-1) ** r["i"] * r["rank"]
+    return {k: x for k, x in out.items() if x}
+
+
+def test_euler_characteristic_trefoil(pd_corpus):
+    # the golden trefoil table gives q + q^3 + q^5 - q^9
+    pd = pd_corpus["trefoil_pos"]
+    assert _euler_characteristic(kh.kh_table(pd)) == {1: 1, 3: 1, 5: 1, 9: -1}
+    assert _jones_from_states(pd) == {1: 1, 3: 1, 5: 1, 9: -1}
+
+
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(2, 3))
+    gens = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return draw(st.lists(gens, min_size=1, max_size=6)), strands
+
+
+@given(braid_words())
+@settings(max_examples=30, deadline=None)
+def test_drawn_braids_two_routes_and_euler_characteristic(word_strands):
+    word, strands = word_strands
+    try:
+        pd = kh.braid_closure_pd(word, strands)
+    except InputError:  # a closure whose orientation the word leaves open
+        assume(False)
+    rows = kh.kh_table(pd)
+    assert rows == kh.kh_table_direct(pd)
+    assert _euler_characteristic(rows) == _jones_from_states(pd)
 
 
 def test_braid_closure_ambiguous_orientation():

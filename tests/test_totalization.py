@@ -14,12 +14,13 @@ from cubeburnside.functor import (CubeFunctorData, StableFunctor, coproduct,
                                   empty_functor, identity_transformation,
                                   product, quotient_functor,
                                   sub_inclusion_transformation)
-from cubeburnside.linalg import Matrix, smith_normal_form
+from cubeburnside.linalg import Matrix
 from cubeburnside.totalization import (ChainComplex, ChainMap, HomologyGroup,
                                        cone, complexes_equal_under, direct_sum,
                                        dualize, face_shift_iso, homology,
                                        homology_nontrivial, is_quasi_iso,
                                        shift_complex, tensor, tot, tot_nat_trans)
+from snf_reference import dense_product, smith_normal_form, submatrix
 
 
 def groups(c):
@@ -153,6 +154,22 @@ def test_face_shift_iso_examples(projective):
     assert is_quasi_iso(cm2)
 
 
+def test_face_shift_iso_rejects_a_map_that_is_not_unimodular(projective, monkeypatch):
+    # 2·id commutes with every differential, so only the unimodularity check
+    # can tell that it is no isomorphism over Z
+    build = ChainMap.build
+
+    def doubled(source, target, matrices):
+        return build(source, target, {
+            d: Matrix.from_columns(m.rows, m.cols,
+                                   ({i: 2 * x for i, x in c.items()} for c in m.columns))
+            for d, m in matrices.items()})
+
+    monkeypatch.setattr(ChainMap, "build", staticmethod(doubled))
+    with pytest.raises(InternalInvariantError, match="not an isomorphism"):
+        face_shift_iso(projective, FaceInclusion.identity(1))
+
+
 def test_face_shift_iso_randomized(projective):
     rng = random.Random(11)
     functors = [projective,
@@ -235,10 +252,10 @@ def _presentation(c: ChainComplex, d: int) -> _Presentation:
     snf = smith_normal_form(c.diff(d))
     r = snf.rank
     kernel_cols = list(range(r, nd))
-    kernel = snf.v.submatrix(list(range(nd)), kernel_cols)
-    coords = snf.v_inv * c.diff(d + 1)
-    rel = coords.submatrix(kernel_cols, list(range(c.dim(d + 1))))
-    upper = coords.submatrix(list(range(r)), list(range(c.dim(d + 1))))
+    kernel = submatrix(snf.v, list(range(nd)), kernel_cols)
+    coords = dense_product(snf.v_inv, c.diff(d + 1))
+    rel = submatrix(coords, kernel_cols, list(range(c.dim(d + 1))))
+    upper = submatrix(coords, list(range(r)), list(range(c.dim(d + 1))))
     if not upper.is_zero():
         raise InternalInvariantError("boundary image not contained in the kernel")
     return _Presentation(kernel, rel)
