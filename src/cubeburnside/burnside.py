@@ -170,17 +170,19 @@ class BijectionOver:
 
 
 def is_two_morphism(f: Mapping[str, str], x: Correspondence, y: Correspondence) -> bool:
-    """True iff f is a bijection of elements preserving s and t."""
+    """True iff f is a bijection of elements preserving s and t.
+
+    One pass over x: element ids are distinct in a correspondence, so f is
+    a bijection onto y when it has no other keys, every element of x has an
+    image in y, no image is used twice and the three sizes agree."""
     if x.source_set != y.source_set or x.target_set != y.target_set:
         return False
-    xids = set(x.ids())
-    yids = set(y.ids())
-    if set(f.keys()) != xids or set(f.values()) != yids or len(f) != len(x):
+    if not len(f) == len(x) == len(y):
         return False
-    ylookup = {e.id: e for e in y.elements}
+    unused = {e.id: e for e in y.elements}
     for e in x.elements:
-        img = ylookup[f[e.id]]
-        if img.s != e.s or img.t != e.t:
+        img = unused.pop(f[e.id], None) if e.id in f else None
+        if img is None or img.s != e.s or img.t != e.t:
             return False
     return True
 

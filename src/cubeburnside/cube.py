@@ -28,6 +28,15 @@ def check_dim(n: int, what: str) -> None:
         raise InputError(f"{what} {n} exceeds the cap of {MAX_DIM} on the cube dimension")
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of JSON input.  A float, a bool or a string is
+    refused, not truncated or parsed, so it cannot stand for another
+    input."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def check_vertex(v: Vertex) -> None:
     if any(b not in (0, 1) for b in v):
         raise ValueError(f"not a 0/1 vertex: {v!r}")
@@ -298,6 +307,6 @@ class FaceInclusion:
 
     @staticmethod
     def from_json(obj: dict) -> "FaceInclusion":
-        return FaceInclusion(int(obj["n"]), int(obj["N"]),
+        return FaceInclusion(json_int(obj["n"], "n"), json_int(obj["N"], "N"),
                              vertex_from_bits(obj["bottom"]),
-                             tuple(int(c) - 1 for c in obj["coords"]))
+                             tuple(json_int(c, "coordinate") - 1 for c in obj["coords"]))

@@ -10,9 +10,12 @@ maximal chain.
 
 Nothing derived is kept on the data.  A validation pass composes each
 square once and runs every square check on that pair; a hexagon turns its
-six face matchings into oriented id maps once and then only looks ids up;
-sub and quotient functors filter the stored matchings instead of composing
-the restricted edges again.
+six face matchings into oriented id maps once and then only looks ids up.
+Sub and quotient functors and the split of a functor into parts (the
+quantum gradings) are one routine, ``restrict_parts``: one pass over the
+vertices, edges and stored matchings puts each element into its part,
+filtering the matchings instead of composing the restricted edges again,
+and corners empty in a part share one empty value.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ import collections
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import cube
 from .burnside import (
     COMPOSE_SEP,
+    EMPTY_SET,
     BijectionOver,
     CorrElem,
     Correspondence,
@@ -637,71 +641,129 @@ def restrict_along_face_inclusion(f: CubeFunctorData, iota: FaceInclusion) -> Cu
 SupportSet = set[tuple[Vertex, str]]
 
 
+def _leaves(u: Vertex, v: Vertex, e: CorrElem) -> str:
+    return (f"edge {cube.bits(u)}>{cube.bits(v)} element {e.id} leaves "
+            f"the subset at {e.t}")
+
+
 def _closed_under_targets(f: CubeFunctorData, s: SupportSet) -> str | None:
     for (u, v) in cube.edges(f.n):
         for e in f.edge(u, v).elements:
             if (u, e.s) in s and (v, e.t) not in s:
-                return (f"edge {cube.bits(u)}>{cube.bits(v)} element {e.id} leaves "
-                        f"the subset at {e.t}")
+                return _leaves(u, v, e)
     return None
 
 
-def _restrict_data(f: CubeFunctorData, s: SupportSet) -> CubeFunctorData:
-    vs = {v: FiniteSet(tuple(x for x in f.vset(v) if (v, x) in s))
-          for v in cube.vertices(f.n)}
-    ec = {}
-    for (u, v) in cube.edges(f.n):
-        ec[(u, v)] = Correspondence(
-            vs[u], vs[v],
-            tuple(e for e in f.edge(u, v).elements
-                  if (u, e.s) in s and (v, e.t) in s))
-    fm = None
-    if f.has_matchings:
-        kept = {e: {x.id: x for x in c.elements} for e, c in ec.items()}
-        fanout = {e: collections.Counter(x.s for x in c.elements) for e, c in ec.items()}
+def restrict_parts(f: CubeFunctorData, part_of: Mapping[tuple[Vertex, str], Hashable],
+                   parts: Sequence[Hashable]) -> dict[Hashable, CubeFunctorData]:
+    """The restrictions of f to the parts of its generators, from one pass
+    over the vertices, the edges and the stored face matchings.
 
-        def restrict(face: Face2, c: Correspondence, mid: Vertex) -> Correspondence:
-            """The composites y∘x in ``c`` whose steps x and y are both kept,
-            after checking that they are exactly the composites of the kept
-            steps along ``mid``."""
-            xs, ys = kept[(face.top, mid)], kept[(mid, face.bottom)]
-            out, bad = [], False
-            # most gradings empty an edge of most faces; skip their id splits
-            for e in (c.elements if xs and ys else ()):
-                parts = split_composite_id(e.id)
-                if len(parts) == 2 and parts[1] in xs and parts[0] in ys:
-                    x, y = xs[parts[1]], ys[parts[0]]
-                    bad = bad or x.t != y.s or (e.s, e.t) != (x.s, y.t)
-                    out.append(e)
-            ys_from = fanout[(mid, face.bottom)]
-            if bad or len(out) != sum(ys_from[x.t] for x in xs.values()):
-                raise InputError(f"face {_face_key(face)}: matching endpoints are not "
-                                 f"the composites along {cube.bits(mid)}")
-            return Correspondence(vs[face.top], vs[face.bottom], tuple(out))
+    ``part_of`` sends a generator (v, x) to its part, one of ``parts``;
+    generators it does not name are dropped, and so is every edge element
+    with an end in no part.  An edge element joining two different parts
+    raises ``InputError``.  Within one call a vertex, an edge or a face
+    with no generator of a part at its corners gets one shared empty value.
 
-        fm = {}
-        for face, m in f.face_matchings.items():
-            ca = restrict(face, m.src, face.mid_a)
-            cb = restrict(face, m.dst, face.mid_b)
-            keep = set(ca.ids())
-            fm[face] = BijectionOver.of(ca, cb, {a: b for a, b in m.mapping if a in keep})
-    return CubeFunctorData(f.n, vs, ec, fm)
+    Face composites are filtered from the stored matchings, not composed
+    again, so each matching's endpoints must be the face composites
+    ``f.square(face)``, as every constructor here builds them; where the
+    kept ones are not, ``InputError`` is raised.  Restricted matchings are
+    validated as they are built."""
+    empty_corr = Correspondence(EMPTY_SET, EMPTY_SET, ())
+    no_vertices = dict.fromkeys(f.vertex_sets, EMPTY_SET)
+    vs = {p: no_vertices.copy() for p in parts}
+    present: dict[Vertex, set[Hashable]] = {}
+    for v, xs in f.vertex_sets.items():
+        groups: dict[Hashable, list[str]] = {}
+        for x in xs:
+            p = part_of.get((v, x))
+            if p is not None:
+                groups.setdefault(p, []).append(x)
+        for p, kept_xs in groups.items():
+            vs[p][v] = FiniteSet(tuple(kept_xs))
+        present[v] = set(groups)
+
+    no_edges = dict.fromkeys(f.edge_corrs, empty_corr)
+    ec = {p: no_edges.copy() for p in parts}
+    kept: dict[Edge, dict[str, tuple[CorrElem, Hashable]]] = {}
+    for (u, v), corr in f.edge_corrs.items():
+        out: dict[Hashable, list[CorrElem]] = {p: [] for p in present[u] | present[v]}
+        kept[(u, v)] = kept_es = {}
+        for e in corr.elements:
+            p, q = part_of.get((u, e.s)), part_of.get((v, e.t))
+            if p is None or q is None:
+                continue
+            if p != q:
+                raise InputError("subset does not span a subcomplex: " + _leaves(u, v, e))
+            out[p].append(e)
+            kept_es[e.id] = (e, p)
+        for p, es in out.items():
+            ec[p][(u, v)] = Correspondence(vs[p][u], vs[p][v], tuple(es))
+    if not f.has_matchings:
+        return {p: CubeFunctorData(f.n, vs[p], ec[p]) for p in parts}
+
+    fanout = {e: collections.Counter(x.s for x, _ in ks.values()) for e, ks in kept.items()}
+
+    def restrict(face: Face2, c: Correspondence, mid: Vertex,
+                 ) -> dict[Hashable, list[CorrElem]]:
+        """The composites y∘x in ``c`` whose steps x and y are both kept, by
+        part, after checking that they are exactly the composites of the
+        kept steps along ``mid``."""
+        xs, ys = kept[(face.top, mid)], kept[(mid, face.bottom)]
+        out: dict[Hashable, list[CorrElem]] = {}
+        if not (xs and ys):
+            # no kept steps on one edge: no kept composites, and none expected
+            return out
+        bad = False
+        for e in c.elements:
+            ids = split_composite_id(e.id)
+            if len(ids) == 2 and ids[1] in xs and ids[0] in ys:
+                (x, p), (y, _) = xs[ids[1]], ys[ids[0]]
+                # x.t == y.s puts both steps in one part
+                bad = bad or x.t != y.s or (e.s, e.t) != (x.s, y.t)
+                out.setdefault(p, []).append(e)
+        ys_from = fanout[(mid, face.bottom)]
+        pairs: dict[Hashable, int] = {}
+        for x, p in xs.values():
+            if x.t in ys_from:
+                pairs[p] = pairs.get(p, 0) + ys_from[x.t]
+        if bad or {p: len(es) for p, es in out.items()} != pairs:
+            raise InputError(f"face {_face_key(face)}: matching endpoints are not "
+                             f"the composites along {cube.bits(mid)}")
+        return out
+
+    no_faces = dict.fromkeys(f.face_matchings, BijectionOver(empty_corr, empty_corr, ()))
+    fm = {p: no_faces.copy() for p in parts}
+    for face, m in f.face_matchings.items():
+        here = present[face.top] | present[face.bottom]
+        if not here:
+            continue
+        ca = restrict(face, m.src, face.mid_a)
+        cb = restrict(face, m.dst, face.mid_b)
+        part_of_src = {e.id: p for p, es in ca.items() for e in es}
+        mappings: dict[Hashable, dict[str, str]] = {p: {} for p in here}
+        for a, b in m.mapping:
+            if a in part_of_src:
+                mappings[part_of_src[a]][a] = b
+        for p in here:
+            top, bottom = vs[p][face.top], vs[p][face.bottom]
+            fm[p][face] = BijectionOver.of(Correspondence(top, bottom, tuple(ca.get(p, ()))),
+                                           Correspondence(top, bottom, tuple(cb.get(p, ()))),
+                                           mappings[p])
+    return {p: CubeFunctorData(f.n, vs[p], ec[p], fm[p]) for p in parts}
 
 
 def sub_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]]) -> CubeFunctorData:
     """Restriction to a subset of generators whose span is closed under all
-    edge targets.
-
-    Face composites are filtered from the stored matchings, not composed
-    again, so each matching's endpoints must be the face composites
-    ``f.square(face)``, as every constructor here builds them; where the kept
-    ones are not, ``InputError`` is raised.  Restricted matchings are
-    validated as they are built."""
+    edge targets: ``restrict_parts`` with one part, after the closure check.
+    Its face composites are filtered from the stored matchings, which must
+    therefore be the face composites (``InputError`` where they are not)."""
     ss = set(s)
     witness = _closed_under_targets(f, ss)
     if witness is not None:
         raise InputError("subset does not span a subcomplex: " + witness)
-    return _restrict_data(f, ss)
+    return restrict_parts(f, dict.fromkeys(ss, 0), (0,))[0]
 
 
 def quotient_functor_data(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
@@ -712,7 +774,7 @@ def quotient_functor_data(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
     witness = _closed_under_targets(f, comp)
     if witness is not None:
         raise InputError("complement does not span a subcomplex: " + witness)
-    return _restrict_data(f, ss)
+    return restrict_parts(f, dict.fromkeys(ss, 0), (0,))[0]
 
 
 def quotient_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
@@ -1119,10 +1181,10 @@ def functor_to_json(sf: StableFunctor | CubeFunctorData) -> dict:
 
 def functor_from_json(obj: dict) -> StableFunctor:
     try:
-        n = int(obj["n"])
+        n = cube.json_int(obj["n"], "n")
         if n < 0:
             raise ValueError(f"negative cube dimension {n}")
-        shift = int(obj.get("shift", 0))
+        shift = cube.json_int(obj.get("shift", 0), "shift")
         vs = {cube.vertex_from_bits(k): FiniteSet(tuple(v))
               for k, v in _json_object(obj, "vertices").items()}
     except (KeyError, TypeError, ValueError) as exc:

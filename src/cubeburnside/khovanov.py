@@ -26,7 +26,7 @@ from .burnside import (BijectionOver, CorrElem, Correspondence, FiniteSet,
 from .cube import Face2, Vertex
 from .errors import InputError, InternalInvariantError
 from .functor import (CubeFunctorData, StableFunctor, quotient_functor_data,
-                      sub_functor, validate_coherence)
+                      restrict_parts, validate_coherence)
 from .linalg import Matrix
 from .totalization import ChainComplex, dualize, homology_nontrivial, tot
 
@@ -67,8 +67,9 @@ def parse_pd(text_or_obj, free_loops: int = 0) -> PDCode:
     if isinstance(text_or_obj, dict):
         obj = text_or_obj
         try:
-            pd = PDCode(tuple(tuple(int(a) for a in x) for x in obj.get("crossings", [])),
-                        int(obj.get("free_loops", 0)))
+            pd = PDCode(tuple(tuple(cube.json_int(a, "arc label") for a in x)
+                              for x in obj.get("crossings", [])),
+                        cube.json_int(obj.get("free_loops", 0), "free_loops"))
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed PD data: {exc}") from exc
         if any(len(x) != 4 for x in pd.crossings):
@@ -582,14 +583,14 @@ def generator_gradings(pd: PDCode, f: CubeFunctorData, reduced: bool = False,
 
 def split_by_quantum(pd: PDCode, sf: StableFunctor,
                      reduced: bool = False) -> dict[int, StableFunctor]:
-    """Restrict all data to each quantum grading; every edge element joins
-    generators of equal grading, so the pieces are closed both ways."""
-    parts: dict[int, set[tuple[Vertex, str]]] = {}
-    for v, grades in generator_gradings(pd, sf.functor, reduced).items():
-        for x, j in grades.items():
-            parts.setdefault(j, set()).add((v, x))
-    return {j: StableFunctor(sub_functor(sf.functor, s), sf.shift)
-            for j, s in sorted(parts.items())}
+    """The restrictions of the functor to its quantum gradings, in
+    increasing order, from one ``restrict_parts`` pass over its data.  Every
+    edge element must join two generators of one grading (``InputError``
+    otherwise), so each part is closed both ways."""
+    part_of = {(v, x): j for v, grades in generator_gradings(pd, sf.functor, reduced).items()
+               for x, j in grades.items()}
+    parts = restrict_parts(sf.functor, part_of, sorted(set(part_of.values())))
+    return {j: StableFunctor(part, sf.shift) for j, part in parts.items()}
 
 
 def checked_basepoint(pd: PDCode, basepoint) -> tuple[str, int]:

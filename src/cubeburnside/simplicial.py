@@ -68,8 +68,9 @@ class DeltaComplex:
     @staticmethod
     def from_json(obj: dict) -> "DeltaComplex":
         try:
-            n = int(obj["n_vertices"])
-            simplices = tuple(Simplex(str(s["id"]), tuple(int(v) for v in s["verts"]))
+            n = cube.json_int(obj["n_vertices"], "n_vertices")
+            simplices = tuple(Simplex(str(s["id"]), tuple(cube.json_int(v, "vertex")
+                                                          for v in s["verts"]))
                               for s in obj["simplices"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed delta complex: {exc}") from exc

@@ -10,6 +10,7 @@ from cubeburnside.burnside import (BijectionOver, Correspondence, FiniteSet,
                                    linearize)
 from cubeburnside.linalg import Matrix
 from snf_reference import dense_product
+from two_morphism_reference import is_two_morphism_reference
 
 
 def test_finite_set_validation():
@@ -69,6 +70,64 @@ def test_is_two_morphism_examples():
     y = Correspondence.of(a, b2, [("e1", "a", "b1"), ("e2", "a", "b2")])
     assert not is_two_morphism({"e1": "e2", "e2": "e1"}, y, y)
     assert not is_two_morphism({"e1": "e1"}, x, x)
+    # two-to-one onto a smaller span: every key and every value is right,
+    # but f is no bijection
+    one = Correspondence.of(a, b, [("r", "a", "b")])
+    assert not is_two_morphism({"e1": "r", "e2": "r"}, x, one)
+    with pytest.raises(ValueError):
+        BijectionOver.of(x, one, {"e1": "r", "e2": "r"})
+
+
+@st.composite
+def _span_and_map(draw):
+    """A span x, a span y and a map f of element ids: f starts as a
+    relabeling of x onto a shuffled copy y, then y, its corner sets or f
+    may be edited so that any one condition of a 2-morphism fails."""
+    sources = draw(st.sampled_from([("a",), ("a", "a2")]))
+    targets = ("b", "b2")
+    n = draw(st.integers(0, 4))
+    x = Correspondence.of(FiniteSet(sources), FiniteSet(targets), [
+        (f"p{k}", draw(st.sampled_from(sources)), draw(st.sampled_from(targets)))
+        for k in range(n)])
+    order = draw(st.permutations(range(n)))
+    ys = [(f"q{k}", x.elements[i].s, x.elements[i].t) for k, i in enumerate(order)]
+    f = {x.elements[i].id: f"q{k}" for k, i in enumerate(order)}
+    y_targets = targets
+    edit = draw(st.sampled_from(["none", "drop key", "extra key", "extra y element",
+                                 "drop y element", "non-injective", "wrong s",
+                                 "wrong t", "other corner set"]))
+    if edit == "drop key" and f:
+        del f[draw(st.sampled_from(sorted(f)))]
+    elif edit == "extra key":
+        f["p9"] = draw(st.sampled_from(["q0", "q9"]))
+    elif edit == "extra y element":
+        ys.append(("q9", sources[0], targets[0]))
+    elif edit == "drop y element" and ys:
+        ys.pop(draw(st.integers(0, len(ys) - 1)))
+    elif edit == "non-injective" and len(f) > 1:
+        keys = sorted(f)
+        f[keys[0]] = f[keys[1]]
+        if draw(st.booleans()):
+            ys = [e for e in ys if e[0] in f.values()]
+    elif edit == "wrong s" and ys and len(sources) > 1:
+        k = draw(st.integers(0, len(ys) - 1))
+        i, s, t = ys[k]
+        ys[k] = (i, sources[1 - sources.index(s)], t)
+    elif edit == "wrong t" and ys:
+        k = draw(st.integers(0, len(ys) - 1))
+        i, s, t = ys[k]
+        ys[k] = (i, s, targets[1 - targets.index(t)])
+    elif edit == "other corner set":
+        y_targets = targets + ("b3",)
+    y = Correspondence.of(FiniteSet(sources), FiniteSet(y_targets), ys)
+    return f, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(_span_and_map())
+def test_is_two_morphism_matches_reference(case):
+    f, x, y = case
+    assert is_two_morphism(f, x, y) == is_two_morphism_reference(f, x, y)
 
 
 def test_linearize_examples():

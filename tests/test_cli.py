@@ -89,6 +89,35 @@ def test_input_errors_exit_2(runner, tmp_path):
     next(s for s in unordered["simplices"] if s["id"] == "s1_2_3")["verts"] = [2, 3, 1]
     trefoil_loops = bundled("pd/trefoil_pos.json")
     trefoil_loops["free_loops"] = 14
+
+    def edited(rel, edit):
+        obj = bundled(rel)
+        edit(obj)
+        return obj
+
+    def iota(fields):
+        return lambda c: next(s for s in c["steps"] if s["kind"] == "face")["iota"].update(fields)
+
+    # an integer field holding a float or a bool is refused, never truncated
+    non_integers = {
+        "pd_float_arc.json": {"crossings": [[1.9, 2, 2, 1]]},
+        "pd_bool_arc.json": {"crossings": [[True, 2, 2, 1]]},
+        "pd_float_loops.json": {"crossings": [[1, 2, 2, 1]], "free_loops": 1.5},
+        "functor_float_n.json": edited("functors/wedge_cube.json",
+                                       lambda f: f.update(n=3.5)),
+        "functor_bool_shift.json": edited("functors/wedge_cube.json",
+                                          lambda f: f.update(shift=True)),
+        "delta_float_count.json": edited("delta/sphere2.json",
+                                         lambda d: d.update(n_vertices=4.5)),
+        "delta_bool_vert.json": edited("delta/sphere2.json",
+                                       lambda d: d["simplices"][0].update(verts=[True])),
+        "iota_float_n.json": edited("certificates/wedge_split.json", iota({"n": 2.5})),
+        "iota_float_N.json": edited("certificates/wedge_split.json", iota({"N": 3.5})),
+        "iota_bool_coord.json": edited("certificates/wedge_split.json",
+                                        iota({"coords": [True, 2]})),
+    }
+    command = {"pd": ["kh", "homology"], "functor": ["functor", "check"],
+               "delta": ["delta", "homology"], "iota": ["functor", "certificate"]}
     malformed = [
         ["kh", "homology", write("pd_letter.json", {"crossings": [["x", 1, 2, 3]]})],
         ["kh", "homology", write("pd_short.json", {"crossings": [[1, 1]]})],
@@ -115,6 +144,8 @@ def test_input_errors_exit_2(runner, tmp_path):
         # crossings and free loops share the cap
         ["kh", "homology", write("trefoil_loops.json", trefoil_loops)],
     ]
+    malformed += [command[name.split("_")[0]] + [write(name, obj)]
+                  for name, obj in non_integers.items()]
     for args in malformed:
         assert invoke(runner, args).exit_code == 2, args
 

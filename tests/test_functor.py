@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from cubeburnside import cube, fixtures as FX
+from cubeburnside import khovanov as kh
 from cubeburnside.burnside import (BijectionOver, Correspondence, FiniteSet,
                                    identity_correspondence)
 from cubeburnside.cube import FaceInclusion
@@ -290,19 +291,26 @@ def test_restriction_matches_composed_reference(wedge_cube, restrict_by_composin
             assert validate_coherence(restricted).ok, (g, s)
 
 
-def test_restriction_rejects_foreign_matching_endpoints(wedge_cube):
+def test_restriction_rejects_foreign_matching_endpoints(wedge_cube, pd_corpus):
     """Filtering trusts no matching whose endpoints are not the face's
-    composites: an inverted or emptied matching on unvalidated data raises."""
-    gens = set(wedge_cube.support())
-    for face, m in wedge_cube.face_matchings.items():
-        if not m.src.elements:
-            continue
-        empty = Correspondence(m.src.source_set, m.src.target_set, ())
-        for bad in (m.inverse(), BijectionOver.of(empty, empty, {})):
-            f = dataclasses.replace(wedge_cube,
-                                    face_matchings={**wedge_cube.face_matchings, face: bad})
-            with pytest.raises(InputError, match="not the composites"):
-                sub_functor(f, gens)
+    composites: an inverted or emptied matching on unvalidated data raises,
+    with one part (sub_functor) and with several (the quantum split)."""
+    tref = pd_corpus["trefoil_pos"]
+    cases = [(wedge_cube, lambda f: sub_functor(f, set(wedge_cube.support()))),
+             (kh.build_khovanov_functor(tref).functor,
+              lambda f: kh.split_by_quantum(tref, StableFunctor(f)))]
+    for whole, restrict in cases:
+        for face, m in whole.face_matchings.items():
+            if not m.src.elements:
+                continue
+            empty = Correspondence(m.src.source_set, m.src.target_set, ())
+            for bad in (m.inverse(), BijectionOver.of(empty, empty, {})):
+                if (bad.src, bad.dst) == (m.src, m.dst):
+                    continue  # a face whose two composites are equal data
+                f = dataclasses.replace(whole,
+                                        face_matchings={**whole.face_matchings, face: bad})
+                with pytest.raises(InputError, match="not the composites"):
+                    restrict(f)
 
 
 def test_quotient_functor_examples(projective):
@@ -464,7 +472,6 @@ def test_pentagon_via_reconstruction(wedge_cube):
     same bijection, with composites reconstructed along canonical chains.
     Exhaustive over all chains u > v > w > z of the 3-cube and of a
     4-dimensional diagram functor."""
-    from cubeburnside import khovanov as kh
     fig8 = kh.build_khovanov_functor(
         kh.parse_pd("PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"),
         validate=False).functor

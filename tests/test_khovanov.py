@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeburnside import cube, fixtures as FX
-from cubeburnside import khovanov as kh
+from cubeburnside import burnside, khovanov as kh
 from cubeburnside.burnside import linearize
 from cubeburnside.errors import InputError
 from cubeburnside.functor import (CubeFunctorData, composite_along_chain,
@@ -505,6 +505,52 @@ def test_split_parts_match_composed_reference(small_corpus, restrict_by_composin
                 s = {(v, x) for v, x in sf.functor.support() if grading[v][x] == j}
                 assert part.functor == restrict_by_composing(sf.functor, s), \
                     (name, reduced, j)
+
+
+def test_split_is_one_restriction_pass(monkeypatch):
+    """On the closure of (σ1σ2⁻¹)^4 (10 gradings, 1792 faces), the split
+    calls the restriction once and validates a matching only where a part
+    has a generator at a corner, plus one shared empty matching: 8021
+    against 17920 for a matching per (part, face)."""
+    pd = kh.braid_closure_pd([1, -2] * 4, 3)
+    sf = kh.build_khovanov_functor(pd)
+    calls = collections.Counter()
+    restrict_parts, post_init = kh.restrict_parts, burnside.BijectionOver.__post_init__
+
+    def counted_restrict(*args):
+        calls["restrict_parts"] += 1
+        return restrict_parts(*args)
+
+    def counted_post_init(self):
+        calls["BijectionOver"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(kh, "restrict_parts", counted_restrict)
+    monkeypatch.setattr(burnside.BijectionOver, "__post_init__", counted_post_init)
+    parts = kh.split_by_quantum(pd, sf)
+    monkeypatch.undo()
+    occupied = sum(1 for part in parts.values() for face in part.functor.face_matchings
+                   if len(part.functor.vset(face.top)) or len(part.functor.vset(face.bottom)))
+    assert (len(parts), len(sf.functor.face_matchings), occupied) == (10, 1792, 8020)
+    assert calls == {"restrict_parts": 1, "BijectionOver": occupied + 1}
+
+
+def test_split_rejects_an_edge_between_gradings(pd_corpus, monkeypatch):
+    """A generator moved to another grading leaves an edge element joining
+    two parts, which the split refuses with the closure witness."""
+    tref = pd_corpus["trefoil_pos"]
+    sf = kh.build_khovanov_functor(tref)
+    gradings = kh.generator_gradings
+
+    def moved(pd, f, reduced=False):
+        out = gradings(pd, f, reduced)
+        x = next(iter(out[(0, 0, 0)]))
+        out[(0, 0, 0)][x] += 2
+        return out
+
+    monkeypatch.setattr(kh, "generator_gradings", moved)
+    with pytest.raises(InputError, match="subset does not span a subcomplex: .* leaves"):
+        kh.split_by_quantum(tref, sf)
 
 # -- reduced -------------------------------------------------------------------------
 
