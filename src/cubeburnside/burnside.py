@@ -12,7 +12,7 @@ the separator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import Matrix
 
@@ -124,14 +124,45 @@ def compose(y: Correspondence, x: Correspondence) -> Correspondence:
     Elements are the pairs (y, x) with s(y) = t(x), id "y∘x", ordered
     lexicographically by (position of y, position of x).
     """
+    return composite_of_pairs(x, y, composite_pairs(x, y))
+
+
+def composite_pairs(x: Correspondence, y: Correspondence) -> list[tuple[int, int]]:
+    """The elements of y∘x as (x, y) pairs of element positions, in
+    ``compose``'s order (y-major)."""
     if y.source_set != x.target_set:
         raise ValueError("middle sets do not match")
-    by_target: dict[str, list[CorrElem]] = {}
-    for xe in x.elements:
-        by_target.setdefault(xe.t, []).append(xe)
-    elems = [CorrElem(f"{ye.id}{COMPOSE_SEP}{xe.id}", xe.s, ye.t)
-             for ye in y.elements for xe in by_target.get(ye.s, ())]
-    return Correspondence(x.source_set, y.target_set, tuple(elems))
+    by_target: dict[str, list[int]] = {}
+    for i, xe in enumerate(x.elements):
+        by_target.setdefault(xe.t, []).append(i)
+    return [(i, j) for j, ye in enumerate(y.elements) for i in by_target.get(ye.s, ())]
+
+
+def composite_of_pairs(x: Correspondence, y: Correspondence,
+                       pairs: Iterable[tuple[int, int]]) -> Correspondence:
+    """The composite y∘x whose elements are ``pairs``, as
+    ``composite_pairs(x, y)`` lists them, with ids "y∘x"."""
+    xs, ys = x.elements, y.elements
+    return Correspondence(x.source_set, y.target_set, tuple([
+        CorrElem(f"{ys[j].id}{COMPOSE_SEP}{xs[i].id}", xs[i].s, ys[j].t) for i, j in pairs]))
+
+
+def composite_steps(chain: Sequence[Correspondence]) -> list[tuple[int, ...]]:
+    """The elements of the composite along ``chain`` (spans in the order
+    they apply) as tuples of element positions, one per span, in the order
+    of the iterated ``compose``: by the last span's element, then by the
+    rest of the chain the same way."""
+    out = [(i,) for i in range(len(chain[0].elements))]
+    for x, y in zip(chain, chain[1:]):
+        if y.source_set != x.target_set:
+            raise ValueError("middle sets do not match")
+        xs = x.elements
+        by_target: dict[str, list[tuple[int, ...]]] = {}
+        for steps in out:
+            by_target.setdefault(xs[steps[-1]].t, []).append(steps)
+        out = [steps + (j,) for j, ye in enumerate(y.elements)
+               for steps in by_target.get(ye.s, ())]
+    return out
 
 
 def split_composite_id(eid: str) -> tuple[str, ...]:

@@ -67,10 +67,12 @@ def edge_coordinate(u: Vertex, v: Vertex) -> int:
     """Index (0-based) of the unique coordinate where u=1, v=0; error otherwise."""
     if len(u) != len(v):
         raise ValueError("length mismatch")
-    diff = [i for i, (a, b) in enumerate(zip(u, v)) if a != b]
-    if len(diff) != 1 or u[diff[0]] != 1:
-        raise ValueError(f"not an edge: {u} > {v}")
-    return diff[0]
+    for k, (a, b) in enumerate(zip(u, v)):
+        if a != b:
+            if a == 1 and u[k + 1:] == v[k + 1:]:
+                return k
+            break
+    raise ValueError(f"not an edge: {u} > {v}")
 
 
 def sign_assignment(u: Vertex, v: Vertex) -> int:

@@ -8,9 +8,14 @@ cardinality condition on squares and the hexagon condition on 3-faces,
 which together let composites be reconstructed consistently along any
 maximal chain.
 
-Nothing derived is kept on the data.  A validation pass composes each
-square once and runs every square check on that pair; a hexagon turns its
-six face matchings into oriented id maps once and then only looks ids up.
+Nothing derived is kept on the data.  Validation is one indexed pass: a
+vertex is an int bitmask and an edge is (mask, k).  Each face's two
+composites are listed once, as (x, y) element-position pairs, by
+``_face_composites``, the one routine that builds them (``square`` builds
+its correspondences from it too), and every square check reads those
+pairs.  Each matching is oriented once per pass into a small int table on
+step pairs; a hexagon lists its triples straight from the edges and looks
+each one up in its six faces' tables, with no composite ids built or split.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
 vertices, edges and stored matchings puts each element into its part,
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import collections
 import itertools
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -35,8 +42,10 @@ from .burnside import (
     Correspondence,
     FiniteSet,
     compose,
+    composite_of_pairs,
+    composite_pairs,
+    composite_steps,
     identity_correspondence,
-    is_two_morphism,
     join_composite_id,
     split_composite_id,
 )
@@ -137,9 +146,10 @@ class CubeFunctorData:
 
     def square(self, face: Face2) -> tuple[Correspondence, Correspondence]:
         """The face's two 2-step composites, through ``mid_a`` and ``mid_b``."""
-        top, bottom = face.top, face.bottom
-        return (compose(self.edge(face.mid_a, bottom), self.edge(top, face.mid_a)),
-                compose(self.edge(face.mid_b, bottom), self.edge(top, face.mid_b)))
+        sides = ((self.edge(face.top, face.mid_a), self.edge(face.mid_a, face.bottom)),
+                 (self.edge(face.top, face.mid_b), self.edge(face.mid_b, face.bottom)))
+        return tuple(composite_of_pairs(*side, pairs)
+                     for side, pairs in zip(sides, _face_composites(*sides)))
 
     def support(self) -> list[tuple[Vertex, str]]:
         return [(v, x) for v in cube.vertices(self.n) for x in self.vset(v)]
@@ -173,37 +183,104 @@ def composite_along_chain(f: CubeFunctorData, chain: cube.Chain) -> Corresponden
     return cur
 
 
-def _steps_of(eid: str) -> list[str]:
-    """Composite id -> per-step element ids ordered from the top vertex."""
-    return list(reversed(split_composite_id(eid)))
+def _chain_edges(f: CubeFunctorData, chain: cube.Chain) -> list[Correspondence]:
+    return [f.edge(a, b) for a, b in zip(chain, chain[1:])]
 
 
-def _id_of_steps(steps: Sequence[str]) -> str:
-    return join_composite_id(list(reversed(list(steps))))
+def _face_composites(side_a: tuple[Correspondence, Correspondence],
+                     side_b: tuple[Correspondence, Correspondence],
+                     ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """A face's two composites, one per side (its first and second edge,
+    through ``mid_a`` and through ``mid_b``), as (x, y) element-position
+    pairs in ``compose``'s order.  This is the one place that builds a
+    face's composites: ``CubeFunctorData.square``, and through it the
+    Khovanov matchings, and the coherence pass all call it."""
+    return composite_pairs(*side_a), composite_pairs(*side_b)
 
 
-Swap = tuple[int, dict[str, str]]
+# A face's matching, oriented: a step pair (x, y) of one side is coded
+# y * len(x's span) + x, so each side's codes ascend in composite order.
+# The table is one array of four blocks of the composite size k: side a's
+# codes, the codes of their images on side b, side b's codes, the codes of
+# their images on side a, two bytes a code where the codes fit.
+
+def _oriented(m: BijectionOver, sides, pa: list[tuple[int, int]],
+              pb: list[tuple[int, int]]) -> array | str:
+    """The matching m of a face with composites pa and pb (from
+    ``_face_composites(*sides)``) as an oriented table, or why it is not
+    one: its endpoints are not the composites, or it is not a 2-morphism
+    (``is_two_morphism``, read through the step pairs)."""
+    (xa, ya), (xb, yb) = sides
+    if not (_is_composite(m.src, xa, ya, pa) and _is_composite(m.dst, xb, yb, pb)):
+        return "matching endpoints are not the stored composites"
+    k = len(pa)
+    mapping = m.as_dict()
+    if (xa.source_set != xb.source_set or ya.target_set != yb.target_set
+            or not len(mapping) == k == len(pb)):
+        return "matching is not a 2-morphism"
+    nxa, nxb = len(xa.elements), len(xb.elements)
+    codes_a = [j * nxa + i for i, j in pa]
+    codes_b = [j * nxb + i for i, j in pb]
+    pos_b = {e.id: q for q, e in enumerate(m.dst.elements)}
+    img_a, img_b = [-1] * k, [-1] * k
+    xas, yas, xbs, ybs = xa.elements, ya.elements, xb.elements, yb.elements
+    for p, e in enumerate(m.src.elements):
+        q = pos_b.get(mapping.get(e.id))
+        if q is None or img_b[q] >= 0:
+            return "matching is not a 2-morphism"
+        (ia, ja), (ib, jb) = pa[p], pb[q]
+        if xas[ia].s != xbs[ib].s or yas[ja].t != ybs[jb].t:
+            return "matching is not a 2-morphism"
+        img_a[p], img_b[q] = codes_b[q], codes_a[p]
+    codes = codes_a + img_a + codes_b + img_b
+    return array("H" if max(codes, default=0) < 1 << 16 else "q", codes)
 
 
-def _oriented_swap(f: CubeFunctorData, chain: cube.Chain, idx: int) -> Swap:
-    """The 2-face swapping interior vertex ``idx`` of ``chain``, as ``idx``
-    and its matching's id map oriented from the composite through
-    ``chain[idx]``.  The stored matching was validated when it was built,
-    so its inverse is taken as a plain dict."""
-    top, mid, bottom = chain[idx - 1], chain[idx], chain[idx + 1]
-    i, j = cube.edge_coordinate(top, mid), cube.edge_coordinate(mid, bottom)
-    m = f.matching(Face2.from_top(top, min(i, j), max(i, j)))
-    # mid_a clears the lower-indexed coordinate first
-    return idx, dict(m.mapping) if i < j else {b: a for a, b in m.mapping}
+def _is_composite(c: Correspondence, x: Correspondence, y: Correspondence,
+                  steps: list[tuple[int, int]]) -> bool:
+    """Whether c is y∘x, whose elements are ``steps``, as ``compose``
+    builds it: the same sets, and element by element the same id, source
+    and target."""
+    if (c.source_set != x.source_set or c.target_set != y.target_set
+            or len(c.elements) != len(steps)):
+        return False
+    xs, ys = x.elements, y.elements
+    for e, (i, j) in zip(c.elements, steps):
+        xe, ye = xs[i], ys[j]
+        if e.s != xe.s or e.t != ye.t or e.id != f"{ye.id}{COMPOSE_SEP}{xe.id}":
+            return False
+    return True
 
 
-def _push(steps: list[str], swaps: Iterable[Swap]) -> list[str]:
-    """Carry a composite element, as per-step ids from the top vertex,
-    across a sequence of swaps."""
-    for idx, m in swaps:
-        steps[idx], steps[idx - 1] = split_composite_id(
-            m[join_composite_id((steps[idx], steps[idx - 1]))])
-    return steps
+# a swap as applied to step tuples: position of its first step, table,
+# start of the table block it reads, block size, and the lengths of the
+# first step's span before and after the swap
+Swap = tuple[int, array, int, int, int, int]
+
+
+def _swap(at: int, table: array, via_mid_a: bool, nx_in: int, nx_out: int) -> Swap:
+    k = len(table) // 4
+    return at, table, 0 if via_mid_a else 2 * k, k, nx_in, nx_out
+
+
+def _apply(swaps: Iterable[Swap], steps: tuple[int, ...]) -> list[int]:
+    """Carry a composite element, as its step positions from the top
+    vertex, across a sequence of swaps."""
+    s = list(steps)
+    for at, table, lo, k, nx_in, nx_out in swaps:
+        code = table[bisect_left(table, s[at + 1] * nx_in + s[at], lo, lo + k) + k]
+        s[at + 1], s[at] = divmod(code, nx_out)
+    return s
+
+
+def _face_table(m: BijectionOver, face: Face2, sides) -> array:
+    """The matching m of ``face`` as an oriented table; ``InputError`` if
+    it is not a 2-morphism of the face composites.  ``sides`` are the
+    face's (first, second) edges through ``mid_a`` and ``mid_b``."""
+    table = _oriented(m, sides, *_face_composites(*sides))
+    if isinstance(table, str):
+        raise InputError(f"face {_face_key(face)}: {table}")
+    return table
 
 
 def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
@@ -223,84 +300,161 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
     swaps = []
     chain = c1
     for idx, nxt in swap_path:
-        swaps.append(_oriented_swap(f, chain, idx))
+        top, mid, bottom = chain[idx - 1], chain[idx], chain[idx + 1]
+        i, j = cube.edge_coordinate(top, mid), cube.edge_coordinate(mid, bottom)
+        face = Face2.from_top(top, min(i, j), max(i, j))
+        table = _face_table(f.matching(face), face, (
+            (f.edge(top, face.mid_a), f.edge(face.mid_a, bottom)),
+            (f.edge(top, face.mid_b), f.edge(face.mid_b, bottom))))
+        # mid_a clears the lower-indexed coordinate first
+        swaps.append(_swap(idx - 1, table, i < j, len(f.edge(top, mid)),
+                           len(f.edge(top, nxt[idx]))))
         chain = nxt
-    mapping = {e.id: _id_of_steps(_push(_steps_of(e.id), swaps)) for e in src.elements}
+    dst_ids = {tuple(st): e.id for st, e in
+               zip(composite_steps(_chain_edges(f, c2)), dst.elements)}
+    mapping = {e.id: dst_ids[tuple(_apply(swaps, st))] for st, e in
+               zip(composite_steps(_chain_edges(f, c1)), src.elements)}
     return BijectionOver.of(src, dst, mapping)
 
 
 # -- validation -------------------------------------------------------------
+#
+# Inside the coherence pass a vertex is an int bitmask, bit k for
+# coordinate k, and an edge is (mask, k), from mask down to mask ^ 1 << k.
+
+def _mask(v: Vertex) -> int:
+    return sum(b << k for k, b in enumerate(v))
+
+
+def _indexed_edges(f: CubeFunctorData) -> dict[tuple[int, int], Correspondence]:
+    mask = {v: _mask(v) for v in f.vertex_sets}
+    return {(mask[u], (mask[u] ^ mask[v]).bit_length() - 1): c
+            for (u, v), c in f.edge_corrs.items()}
+
+
+def _tops(n: int, dim: int):
+    """(vertex, mask, coordinates) of every face of dimension ``dim``, in
+    ``cube.faces2`` / ``cube.faces3`` order."""
+    for v in cube.vertices(n):
+        t = _mask(v)
+        for coords in itertools.combinations([k for k in range(n) if v[k]], dim):
+            yield v, t, coords
+
+
+def _sides(edges, t: int, i: int, j: int):
+    """The (first, second) edges of face (t, i, j) through mid_a and mid_b."""
+    return ((edges[t, i], edges[t ^ 1 << i, j]), (edges[t, j], edges[t ^ 1 << j, i]))
+
+
+def _fiber_sizes(side, steps: list[tuple[int, int]]) -> dict[tuple[str, str], int]:
+    xs, ys = side[0].elements, side[1].elements
+    sizes: dict[tuple[str, str], int] = {}
+    for i, j in steps:
+        key = (xs[i].s, ys[j].t)
+        sizes[key] = sizes.get(key, 0) + 1
+    return sizes
+
 
 def validate_c0(f: CubeFunctorData) -> ValidationReport:
     """Fiberwise equality of the two composite cardinalities on every square."""
-    failures = [msg for face in cube.faces2(f.n)
-                if (msg := _c0_failure(face, *f.square(face))) is not None]
+    edges = _indexed_edges(f)
+    failures = []
+    for v, t, (i, j) in _tops(f.n, 2):
+        sides = _sides(edges, t, i, j)
+        msg = _c0_failure(v, i, j, *map(_fiber_sizes, sides, _face_composites(*sides)))
+        if msg is not None:
+            failures.append(msg)
     return ValidationReport(not failures, tuple(failures), not failures)
 
 
-def _c0_failure(face: Face2, ca: Correspondence, cb: Correspondence) -> str | None:
+def _c0_failure(v: Vertex, i: int, j: int, fa: dict, fb: dict) -> str | None:
     """Why the square's two composites differ in some fiber size, if they do."""
-    fa = {k: len(v) for k, v in ca.fibers().items()}
-    fb = {k: len(v) for k, v in cb.fibers().items()}
     if fa == fb:
         return None
     diff = {k: (fa.get(k, 0), fb.get(k, 0))
             for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
-    return f"face {_face_key(face)}: fiber sizes differ {diff}"
+    return f"face {_face_key(Face2.from_top(v, i, j))}: fiber sizes differ {diff}"
 
 
-def _hexagon_cycle(face: Face3) -> list[cube.Chain]:
-    """The six chains around a 3-face; each one swaps interior vertex 1, 2,
-    1, 2, 1, 2 in turn of the one before, cyclically."""
-    i, j, k = face.coords
-    orders = [(i, j, k), (j, i, k), (j, k, i), (k, j, i), (k, i, j), (i, k, j)]
-    return [cube.chain_from_coords(face.top, o) for o in orders]
+def _hexagon_swaps(t: int, coords: tuple[int, int, int]):
+    """The six swaps around the 3-face (t, coords), as (position of the
+    first swapped step, top of the swapped face, coordinate cleared first,
+    coordinate cleared second).  The six chains clear the coordinates in
+    turn in the orders below; each one swaps interior vertex 1, 2, 1, 2,
+    1, 2 of the one before, cyclically."""
+    i, j, k = coords
+    for n, (a, b, c) in enumerate(((i, j, k), (j, i, k), (j, k, i),
+                                   (k, j, i), (k, i, j), (i, k, j))):
+        yield (0, t, a, b) if n % 2 == 0 else (1, t ^ 1 << a, b, c)
+
+
+def _hexagon_commutes(t: int, coords: tuple[int, int, int],
+                      edges: Mapping[tuple[int, int], Correspondence],
+                      tables: Mapping[tuple[int, int, int], array]) -> bool:
+    """Whether the six swaps around the 3-face (t, coords) compose to the
+    identity on every element of its first chain's composite; ``tables``
+    holds the oriented tables of (at least) its six faces."""
+    swaps = [_swap(at, tables[top, min(p, q), max(p, q)], p < q,
+                   len(edges[top, p].elements), len(edges[top, q].elements))
+             for at, top, p, q in _hexagon_swaps(t, coords)]
+    i, j, k = coords
+    chain = (edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k])
+    return all(_apply(swaps, st) == list(st) for st in composite_steps(chain))
 
 
 def check_hexagon(f: CubeFunctorData, face: Face3) -> bool:
-    """Composing the six swaps around a 3-face must be the identity."""
-    chains = _hexagon_cycle(face)
-    swaps = [_oriented_swap(f, c, 1 + n % 2) for n, c in enumerate(chains)]
-    return all(_id_of_steps(_push(_steps_of(e.id), swaps)) == e.id
-               for e in composite_along_chain(f, chains[0]).elements)
+    """Composing the six swaps around a 3-face must be the identity.  Only
+    its six boundary matchings are oriented, and each must be a 2-morphism
+    of its face's composites (``InputError`` otherwise)."""
+    edges = _indexed_edges(f)
+    t = _mask(face.top)
+    tables = {}
+    for _, m, p, q in _hexagon_swaps(t, face.coords):
+        i, j = min(p, q), max(p, q)
+        face2 = Face2.from_top(tuple(m >> k & 1 for k in range(f.n)), i, j)
+        tables[m, i, j] = _face_table(f.matching(face2), face2, _sides(edges, m, i, j))
+    return _hexagon_commutes(t, face.coords, edges, tables)
 
 
 def validate_coherence(f: CubeFunctorData) -> ValidationReport:
     """Stored matchings are 2-morphisms of the right composites, and every
     3-face hexagon commutes.  The same pass over the squares decides the
-    report's ``square_condition``, as ``validate_c0`` would."""
+    report's ``square_condition``, as ``validate_c0`` would.
+
+    One indexed pass: each face's composites are listed once, as step
+    pairs, and every square check reads them; each matching is oriented
+    once into a table that the hexagons of its 3-faces look up."""
     if not f.has_matchings:
         return ValidationReport(False, ("functor carries no face matchings",), False)
-    c0, failures = [], []
-    for face in cube.faces2(f.n):
-        ca, cb = f.square(face)
-        msg = _c0_failure(face, ca, cb)
+    edges = _indexed_edges(f)
+    mask = {v: _mask(v) for v in f.vertex_sets}
+    matchings = {}
+    for face, m in f.face_matchings.items():
+        t = mask[face.top]
+        matchings[t, (t ^ mask[face.mid_a]).bit_length() - 1,
+                  (t ^ mask[face.mid_b]).bit_length() - 1] = m
+    c0, failures, tables = [], [], {}
+    for v, t, (i, j) in _tops(f.n, 2):
+        sides = _sides(edges, t, i, j)
+        pa, pb = _face_composites(*sides)
+        msg = _c0_failure(v, i, j, _fiber_sizes(sides[0], pa), _fiber_sizes(sides[1], pb))
         if msg is not None:
             c0.append(msg)
-        m = f.matching(face)
-        if m.src != ca or m.dst != cb:
-            failures.append(f"face {_face_key(face)}: matching endpoints are not the stored composites")
-        elif not is_two_morphism(m.as_dict(), ca, cb):
-            failures.append(f"face {_face_key(face)}: matching is not a 2-morphism")
+        table = _oriented(matchings[t, i, j], sides, pa, pb)
+        if isinstance(table, str):
+            failures.append(f"face {_face_key(Face2.from_top(v, i, j))}: {table}")
+        else:
+            tables[t, i, j] = table
     if c0 or failures:
         return ValidationReport(False, tuple(c0 or failures), not c0)
-    for face3 in cube.faces3(f.n):
-        if not check_hexagon(f, face3):
-            failures.append(f"3-face at {cube.bits(face3.top)} coords "
-                            f"{tuple(c + 1 for c in face3.coords)}: hexagon does not commute")
+    for v, t, coords in _tops(f.n, 3):
+        if not _hexagon_commutes(t, coords, edges, tables):
+            failures.append(f"3-face at {cube.bits(v)} coords "
+                            f"{tuple(c + 1 for c in coords)}: hexagon does not commute")
     return ValidationReport(not failures, tuple(failures), True)
 
 
 # -- exhaustive matching search ---------------------------------------------
-
-def boundary_faces2(face: Face3) -> list[Face2]:
-    i, j, k = face.coords
-    t = face.top
-    return [Face2.from_top(t, i, j), Face2.from_top(t, i, k), Face2.from_top(t, j, k),
-            Face2.from_top(cube.clear_coordinate(t, i), j, k),
-            Face2.from_top(cube.clear_coordinate(t, j), i, k),
-            Face2.from_top(cube.clear_coordinate(t, k), i, j)]
-
 
 def _face_candidates(f: CubeFunctorData, face: Face2,
                      pinned: Mapping[str, str] | None,
@@ -359,27 +513,35 @@ def enumerate_matchings(f: CubeFunctorData,
                          "; ".join(report.failures))
     candidates = {face: _face_candidates(f, face, (pinned or {}).get(face), max_per_face)
                   for face in faces}
-    face3s = cube.faces3(f.n)
-    face_pos = {face: i for i, face in enumerate(faces)}
+    # each candidate is oriented once; faces are (top mask, i, j) as in the
+    # coherence pass, listed in the order of ``faces``
+    edges = _indexed_edges(f)
+    keys = [(t, i, j) for _, t, (i, j) in _tops(f.n, 2)]
+    tables = [[_face_table(c, face, _sides(edges, *key)) for c in candidates[face]]
+              for face, key in zip(faces, keys)]
     # 3-faces become checkable once their last (in assignment order) 2-face is set
-    ready_at: dict[int, list[Face3]] = {}
-    for f3 in face3s:
-        last = max(face_pos[b] for b in boundary_faces2(f3))
-        ready_at.setdefault(last, []).append(f3)
+    face_pos = {key: n for n, key in enumerate(keys)}
+    ready_at: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
+    for _, t, coords in _tops(f.n, 3):
+        last = max(face_pos[top, min(p, q), max(p, q)]
+                   for _, top, p, q in _hexagon_swaps(t, coords))
+        ready_at.setdefault(last, []).append((t, coords))
 
     results: list[dict[Face2, dict[str, str]]] = []
     assignment: dict[Face2, BijectionOver] = {}
+    chosen: dict[tuple[int, int, int], array] = {}
 
-    def rec(i: int) -> None:
-        if i == len(faces):
+    def rec(n: int) -> None:
+        if n == len(faces):
             results.append({face: b.as_dict() for face, b in assignment.items()})
             return
-        face = faces[i]
-        for cand in candidates[face]:
+        face = faces[n]
+        for cand, cand_table in zip(candidates[face], tables[n]):
             assignment[face] = cand
-            probe = CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, dict(assignment))
-            if all(check_hexagon(probe, f3) for f3 in ready_at.get(i, [])):
-                rec(i + 1)
+            chosen[keys[n]] = cand_table
+            if all(_hexagon_commutes(t, coords, edges, chosen)
+                   for t, coords in ready_at.get(n, [])):
+                rec(n + 1)
         assignment.pop(face, None)
 
     rec(0)

@@ -299,6 +299,7 @@ class DiagramCube:
         self.n_plus = sum(1 for s in self.signs if s > 0)
         self.n_minus = sum(1 for s in self.signs if s < 0)
         self._resolved: dict[Vertex, ResolvedDiagram] = {}
+        self._generators: dict[Vertex, FiniteSet] = {}
 
     def resolved(self, v: Vertex) -> ResolvedDiagram:
         if v not in self._resolved:
@@ -306,9 +307,11 @@ class DiagramCube:
         return self._resolved[v]
 
     def generators(self, v: Vertex) -> FiniteSet:
-        k = len(self.resolved(v).circles)
-        return FiniteSet(tuple("".join(ls) for ls in
-                               itertools.product((PLUS, MINUS), repeat=k)))
+        if v not in self._generators:
+            k = len(self.resolved(v).circles)
+            self._generators[v] = FiniteSet(tuple("".join(ls) for ls in
+                                                  itertools.product((PLUS, MINUS), repeat=k)))
+        return self._generators[v]
 
     def circle_match(self, src: ResolvedDiagram, dst: ResolvedDiagram,
                      ) -> dict[int, int]:

@@ -22,6 +22,24 @@ def test_geq_examples():
         cube.geq((1, 0), (1, 0, 0))
 
 
+def test_edge_coordinate_examples():
+    assert cube.edge_coordinate((1, 0, 1), (0, 0, 1)) == 0
+    assert cube.edge_coordinate((1, 0, 1), (1, 0, 0)) == 2
+    for u, v in cube.edges(4):
+        k = cube.edge_coordinate(u, v)
+        assert u[k] == 1 and v == cube.clear_coordinate(u, k)
+
+
+@pytest.mark.parametrize("u, v", [
+    ((1, 0, 1), (1, 0, 1)),  # equal vertices
+    ((1, 1, 0), (0, 0, 0)),  # two changed coordinates
+    ((0, 1, 0), (1, 1, 0)),  # u < v
+])
+def test_edge_coordinate_rejects_non_edges(u, v):
+    with pytest.raises(ValueError, match="not an edge"):
+        cube.edge_coordinate(u, v)
+
+
 def test_sign_assignment_examples():
     assert cube.sign_assignment((1, 1, 0), (0, 1, 0)) == 0
     assert cube.sign_assignment((1, 1), (1, 0)) == 1

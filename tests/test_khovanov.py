@@ -332,9 +332,11 @@ def test_build_unknot0(pd_corpus):
 def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
         pd_corpus, monkeypatch):
     """A table (plain or reduced) and ``kh verify`` resolve every vertex
-    once, build the functor data once, and compose every square twice: once
-    for its matching and once in the coherence pass."""
+    once, make one generator set per vertex, build the functor data once,
+    and list every face's composites twice: once for its matching and once
+    in the coherence pass."""
     from click.testing import CliRunner
+    from cubeburnside import functor
     from cubeburnside.cli import main
 
     calls = collections.Counter()
@@ -346,12 +348,14 @@ def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
         return wrapper
 
     monkeypatch.setattr(kh, "resolve", counted("resolve", kh.resolve))
+    monkeypatch.setattr(kh, "FiniteSet", counted("generator sets", kh.FiniteSet))
     monkeypatch.setattr(CubeFunctorData, "build",
                         staticmethod(counted("build", CubeFunctorData.build)))
-    monkeypatch.setattr(CubeFunctorData, "square",
-                        counted("square", CubeFunctorData.square))
+    monkeypatch.setattr(functor, "_face_composites",
+                        counted("face composites", functor._face_composites))
     pd = pd_corpus["fig8"]
-    once = {"resolve": 2 ** pd.n, "build": 1, "square": 2 * len(cube.faces2(pd.n))}
+    once = {"resolve": 2 ** pd.n, "generator sets": 2 ** pd.n, "build": 1,
+            "face composites": 2 * len(cube.faces2(pd.n))}
     runs = [lambda: kh.kh_table(pd),
             lambda: kh.kh_table(pd, reduced=True, basepoint=1),
             lambda: CliRunner().invoke(main, ["kh", "verify", "fig8"],
@@ -762,10 +766,10 @@ def test_euler_characteristic_trefoil(pd_corpus):
 
 
 @st.composite
-def braid_words(draw):
+def braid_words(draw, max_size=6):
     strands = draw(st.integers(2, 3))
     gens = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-    return draw(st.lists(gens, min_size=1, max_size=6)), strands
+    return draw(st.lists(gens, min_size=1, max_size=max_size)), strands
 
 
 @given(braid_words())
@@ -779,6 +783,47 @@ def test_drawn_braids_two_routes_and_euler_characteristic(word_strands):
     rows = kh.kh_table(pd)
     assert rows == kh.kh_table_direct(pd)
     assert _euler_characteristic(rows) == _jones_from_states(pd)
+
+
+@st.composite
+def markov_moves(draw):
+    """A braid word of 1-5 letters on 2-3 strands and its image under a
+    Markov move: a cyclic rotation, a conjugation by a generator or its
+    inverse, or a stabilization onto one more strand (at most 7 letters)."""
+    word, strands = draw(braid_words(max_size=5))
+    move = draw(st.sampled_from(("rotate", "conjugate", "stabilize")))
+    sign = draw(st.sampled_from((1, -1)))
+    if move == "rotate":
+        r = draw(st.integers(1, len(word)))
+        return (word, strands), (word[r:] + word[:r], strands)
+    if move == "conjugate":
+        k = sign * draw(st.integers(1, strands - 1))
+        return (word, strands), ([k] + word + [-k], strands)
+    return (word, strands), (word + [sign * strands], strands + 1)
+
+
+@given(markov_moves())
+@settings(max_examples=12, deadline=None)
+def test_kh_table_invariant_under_markov_moves(pair):
+    """Braid closures related by a Markov move are the same oriented link,
+    so their Khovanov tables agree."""
+    tables = []
+    for word, strands in pair:
+        try:
+            pd = kh.braid_closure_pd(word, strands)
+        except InputError:  # a closure whose orientation the word leaves open
+            assume(False)
+        tables.append(kh.kh_table(pd))
+    assert tables[0] == tables[1]
+
+
+def test_markov_move_examples():
+    s1_cubed = kh.kh_table(kh.braid_closure_pd([1, 1, 1], 2))
+    for sign in (1, -1):
+        assert kh.kh_table(kh.braid_closure_pd([1, 1, 1, 2 * sign], 3)) == s1_cubed
+    word = [1, -2, 1, -2]
+    assert (kh.kh_table(kh.braid_closure_pd(word[1:] + word[:1], 3))
+            == kh.kh_table(kh.braid_closure_pd(word, 3)))
 
 
 def test_braid_closure_ambiguous_orientation():
