@@ -556,6 +556,82 @@ def test_split_rejects_an_edge_between_gradings(pd_corpus, monkeypatch):
     with pytest.raises(InputError, match="subset does not span a subcomplex: .* leaves"):
         kh.split_by_quantum(tref, sf)
 
+
+def _splits_of_kh_table(pd, reduced, monkeypatch):
+    """The parts that ``kh_table`` totalizes, caught at its split."""
+    seen = []
+    split = kh.split_by_quantum
+
+    def caught(*args, **kwargs):
+        seen.append(split(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(kh, "split_by_quantum", caught)
+    kh.kh_table(pd, reduced=reduced, basepoint=1 if reduced else None)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0]
+
+
+def test_kh_table_split_matches_split_with_matchings(small_corpus, monkeypatch):
+    """``kh_table`` splits vertices and edges only; plain and reduced at
+    basepoint 1, its parts are the gradings, vertices and edges of the split
+    with matchings, and totalize to the same complexes."""
+    for name, pd in sorted(small_corpus.items()):
+        variants = [(False, kh.build_khovanov_functor(pd))]
+        if 1 in pd.arcs():
+            variants.append((True, kh.reduced_functor(pd, 1)))
+        for reduced, sf in variants:
+            got = _splits_of_kh_table(pd, reduced, monkeypatch)
+            want = kh.split_by_quantum(pd, sf, reduced=reduced)
+            assert list(got) == list(want), (name, reduced)
+            for j, part in got.items():
+                f, g = part.functor, want[j].functor
+                assert not f.has_matchings and g.has_matchings, (name, reduced, j)
+                assert (f.vertex_sets, f.edge_corrs, part.shift) == \
+                    (g.vertex_sets, g.edge_corrs, want[j].shift), (name, reduced, j)
+                assert tot(part) == tot(want[j]), (name, reduced, j)
+
+
+def test_kh_table_split_rejects_an_edge_between_gradings(pd_corpus, monkeypatch):
+    # the edge-only split keeps the closure check of the split with matchings
+    gradings = kh.generator_gradings
+
+    def moved(pd, f, reduced=False):
+        out = gradings(pd, f, reduced)
+        x = next(iter(out[(0, 0, 0)]))
+        out[(0, 0, 0)][x] += 2
+        return out
+
+    monkeypatch.setattr(kh, "generator_gradings", moved)
+    with pytest.raises(InputError, match="subset does not span a subcomplex: .* leaves"):
+        kh.kh_table(pd_corpus["trefoil_pos"])
+
+
+def test_kh_table_validates_matchings_once(monkeypatch):
+    """An unreduced table on the closure of (σ1σ2⁻¹)^4 builds one matching
+    per face, in the build, and its one split builds no face data."""
+    pd = kh.braid_closure_pd([1, -2] * 4, 3)
+    calls = collections.Counter()
+    splits = []
+    restrict_parts, post_init = kh.restrict_parts, burnside.BijectionOver.__post_init__
+
+    def counted_restrict(*args):
+        splits.append(restrict_parts(*args))
+        return splits[-1]
+
+    def counted_post_init(self):
+        calls["BijectionOver"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(kh, "restrict_parts", counted_restrict)
+    monkeypatch.setattr(burnside.BijectionOver, "__post_init__", counted_post_init)
+    kh.kh_table(pd)
+    monkeypatch.undo()
+    assert calls == {"BijectionOver": len(cube.faces2(pd.n))}
+    assert len(splits) == 1 and len(splits[0]) == 10
+    assert not any(part.has_matchings for part in splits[0].values())
+
 # -- reduced -------------------------------------------------------------------------
 
 def test_reduced_unknot(pd_corpus):
@@ -593,6 +669,27 @@ def test_bad_basepoint_rejected_before_any_resolution(table, basepoint, monkeypa
     monkeypatch.setattr(kh, "resolve", counted)
     pd = kh.braid_closure_pd([1, -2] * 4, 3)
     with pytest.raises(InputError, match="unknown basepoint"):
+        table(pd, reduced=True, basepoint=basepoint)
+    assert calls["resolve"] == 0
+
+
+@pytest.mark.parametrize("table", [kh.kh_table, kh.kh_table_direct])
+@pytest.mark.parametrize("basepoint", [1.5, 1.0, True, "abc", "1", ("arc", 1),
+                                       ("loop", 0.0), ("loop", False), ("loop", "x"),
+                                       ("loop",)], ids=repr)
+def test_basepoint_of_another_type_refused(table, basepoint, pd_corpus, monkeypatch):
+    # a float, a bool or a string is not truncated or parsed to an arc or a
+    # loop, and no ValueError leaks
+    calls = collections.Counter()
+    resolve = kh.resolve
+
+    def counted(*args, **kwargs):
+        calls["resolve"] += 1
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(kh, "resolve", counted)
+    pd = kh.disjoint_union_pd(pd_corpus["trefoil_pos"], kh.PDCode((), 1))
+    with pytest.raises(InputError, match="basepoint"):
         table(pd, reduced=True, basepoint=basepoint)
     assert calls["resolve"] == 0
 
@@ -824,6 +921,48 @@ def test_markov_move_examples():
     word = [1, -2, 1, -2]
     assert (kh.kh_table(kh.braid_closure_pd(word[1:] + word[:1], 3))
             == kh.kh_table(kh.braid_closure_pd(word, 3)))
+
+
+def _groups(rows):
+    return {(r["i"], r["j"]): (r["rank"], sorted(r["torsion"])) for r in rows}
+
+
+def _mirror_groups(rows):
+    """The groups of the mirror, by duality over Z: the free part of
+    Kh^{i,j} moves to (-i, -j), its torsion to (1 - i, -j)."""
+    out = collections.defaultdict(lambda: (0, []))
+    for r in rows:
+        if r["rank"]:
+            key = (-r["i"], -r["j"])
+            out[key] = (r["rank"], out[key][1])
+        if r["torsion"]:
+            key = (1 - r["i"], -r["j"])
+            out[key] = (out[key][0], sorted(r["torsion"]))
+    return dict(out)
+
+
+def test_mirror_duality_trefoil(pd_corpus):
+    # the Z/2 at (3, 7) of the positive trefoil sits at (-2, -7) in its mirror
+    pos = kh.kh_table(pd_corpus["trefoil_pos"])
+    neg = kh.kh_table(pd_corpus["trefoil_neg"])
+    assert _groups(neg) == _mirror_groups(pos)
+    assert _groups(pos) == _mirror_groups(neg)
+    assert _groups(neg)[(-2, -7)] == (0, [2])
+
+
+@given(braid_words())
+@settings(max_examples=10, deadline=None)
+def test_mirror_duality_on_braid_words(word_strands):
+    """Flipping every crossing of a braid word mirrors its closure."""
+    word, strands = word_strands
+    tables = []
+    for w in (word, [-g for g in word]):
+        try:
+            pd = kh.braid_closure_pd(w, strands)
+        except InputError:  # a closure whose orientation the word leaves open
+            assume(False)
+        tables.append(kh.kh_table(pd))
+    assert _groups(tables[1]) == _mirror_groups(tables[0])
 
 
 def test_braid_closure_ambiguous_orientation():
