@@ -813,6 +813,25 @@ def kh_table_direct(pd: PDCode, reduced: bool = False, basepoint=None) -> list[d
         if reduced:
             ci = basepoint_circle(dc.resolved(v), bp)
             gens[v] = [g for g in gens[v] if g[ci] == MINUS]
+    # each vertex's outgoing edges (target, sign, resolutions, the circles at
+    # the changed crossing, the circle matching), once per table rather than
+    # once per generator
+    steps: dict[Vertex, list[tuple]] = {}
+    for v in cube.vertices(n):
+        rv = dc.resolved(v)
+        steps[v] = []
+        for k in range(n):
+            if v[k] != 0:
+                continue
+            u = v[:k] + (1,) + v[k + 1:]
+            ru = dc.resolved(u)
+            steps[v].append((
+                u, -1 if cube.sign_assignment(u, v) else 1, rv, ru,
+                [i2 for i2, c in enumerate(rv.circles)
+                 if any(p.crossing == k for p in c.passages)],
+                [i2 for i2, c in enumerate(ru.circles)
+                 if any(p.crossing == k for p in c.passages)],
+                dc.circle_match(rv, ru)))
     offset = 1 if reduced else 0
     grad: dict[tuple[Vertex, str], int] = {}
     for v in cube.vertices(n):
@@ -834,18 +853,8 @@ def kh_table_direct(pd: PDCode, reduced: bool = False, basepoint=None) -> list[d
                 continue
             cols: list[dict[int, int]] = [{} for _ in basis[d]]
             for col, (v, y) in zip(cols, basis[d]):
-                for k in range(n):
-                    if v[k] != 0:
-                        continue
-                    u = v[:k] + (1,) + v[k + 1:]
-                    sgn = -1 if cube.sign_assignment(u, v) else 1
-                    rv, ru = dc.resolved(v), dc.resolved(u)
-                    vk = [i2 for i2, c in enumerate(rv.circles)
-                          if any(p.crossing == k for p in c.passages)]
-                    ukk = [i2 for i2, c in enumerate(ru.circles)
-                           if any(p.crossing == k for p in c.passages)]
-                    for x in _abelian_images(y, rv, ru, vk, ukk,
-                                             dc.circle_match(rv, ru)):
+                for u, sgn, rv, ru, vk, uk, stable in steps[v]:
+                    for x in _abelian_images(y, rv, ru, vk, uk, stable):
                         row = index[d - 1].get((u, x))
                         if row is not None:
                             col[row] = col.get(row, 0) + sgn

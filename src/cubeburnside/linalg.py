@@ -9,11 +9,18 @@ no second, dense form.  The chain-level checks multiply over nonzeros
 elimination that tracks no transforms (``invariant_factors``).  Nothing in
 the library needs the unimodular transforms of a Smith normal form:
 quasi-isomorphism is tested as acyclicity of the mapping cone.
+
+The elimination runs in two phases.  Phase 1 takes unit pivots, cheapest
+fill-in first, from a lazy heap; a unit pivot needs no reduction mod the
+pivot, so its row and column are dropped as soon as its column is cleared.
+Phase 2 takes what is left, a core without unit entries that is a few rows
+at most on totalized differentials, by least |entry| and a gcd/lcm fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -119,47 +126,53 @@ def _pivot(rows: dict[int, dict[int, int]],
     return best
 
 
-def invariant_factors(m: Matrix) -> tuple[int, ...]:
-    """The nonzero invariant factors of ``m``, d1 | d2 | ..., those of its
-    Smith normal form.
+def _clear_column(rows: dict[int, dict[int, int]], cols: list[dict[int, int]],
+                  p: int, q: int) -> list[int]:
+    """Subtract (a // u) times row p from every other row with an entry a
+    in column q, u the entry at (p, q); return the rows left nonempty."""
+    prow = rows[p]
+    u = prow[q]
+    touched = []
+    for i, a in list(cols[q].items()):
+        if i == p:
+            continue
+        f = a // u
+        r = rows[i]
+        for j, x in prow.items():
+            y = r.get(j, 0) - f * x
+            if y:
+                r[j] = y
+                cols[j][i] = y
+            else:
+                del r[j]
+                del cols[j][i]
+        if r:
+            touched.append(i)
+        else:
+            del rows[i]
+    return touched
 
-    One sparse elimination, the matrix form of Bar-Natan's Gaussian
-    elimination when the pivot is a unit.  Each step takes the pivot u at
-    (p, q) chosen by ``_pivot`` and subtracts (a // u) times row p from
-    every other row with an entry a in column q.  A remainder left in
+
+def _core_factors(rows: dict[int, dict[int, int]],
+                  cols: list[dict[int, int]]) -> tuple[int, ...]:
+    """The invariant factors of what phase 1 leaves: the least-|entry|
+    elimination, then the gcd/lcm fold.
+
+    Each step takes the pivot u at (p, q) chosen by ``_pivot`` and clears
+    column q against row p (``_clear_column``).  A remainder left in
     column q is smaller than u, so the next pivot is smaller.  Otherwise
     column q is u at row p alone, so column operations change row p only,
     and reduce it mod u; once u is all that is left of row p, |u| is
     recorded and row p and column q are dropped.  The recorded entries are
     diagonal but need not divide one another, so pairs are replaced by
-    their (gcd, lcm) until they do.
-    """
-    cols = [dict(c) for c in m.columns]
-    rows: dict[int, dict[int, int]] = {}
-    for j, c in enumerate(cols):
-        for i, x in c.items():
-            rows.setdefault(i, {})[j] = x
+    their (gcd, lcm) until they do."""
     units = 0
     factors: list[int] = []
     while rows:
         p, q = _pivot(rows, cols)
         prow = rows[p]
         u = prow[q]
-        for i, a in list(cols[q].items()):
-            if i == p:
-                continue
-            f = a // u
-            r = rows[i]
-            for j, x in prow.items():
-                y = r.get(j, 0) - f * x
-                if y:
-                    r[j] = y
-                    cols[j][i] = y
-                else:
-                    del r[j]
-                    del cols[j][i]
-            if not r:
-                del rows[i]
+        _clear_column(rows, cols, p, q)
         if len(cols[q]) > 1:
             continue
         for j in [j for j in prow if j != q]:
@@ -183,3 +196,72 @@ def invariant_factors(m: Matrix) -> tuple[int, ...]:
             g = gcd(factors[a], factors[b])
             factors[a], factors[b] = g, factors[a] * factors[b] // g
     return (1,) * units + tuple(factors)
+
+
+def _cheapest_unit(r: dict[int, int],
+                   cols: list[dict[int, int]]) -> tuple[int, int] | None:
+    """(cost, column) of the unit of row r with the least fill-in bound
+    (row nnz - 1)(col nnz - 1), or None if r holds no unit."""
+    row_cost = len(r) - 1
+    best = None
+    for j, x in r.items():
+        if x == 1 or x == -1:
+            cost = row_cost * (len(cols[j]) - 1)
+            if best is None or cost < best[0]:
+                if cost == 0:
+                    return 0, j
+                best = cost, j
+    return best
+
+
+def invariant_factors(m: Matrix) -> tuple[int, ...]:
+    """The nonzero invariant factors of ``m``, d1 | d2 | ..., those of its
+    Smith normal form.
+
+    One sparse elimination that tracks no transforms, in two phases.
+
+    Phase 1 is Bar-Natan's Gaussian elimination on unit pivots, cheapest
+    first by the fill-in bound (row nnz - 1)(col nnz - 1).  A lazy min-heap
+    holds each row under the cost of its cheapest unit (``_cheapest_unit``),
+    so no pivot rescans the matrix: a popped row whose cost has changed
+    goes back under its current cost, and every row an elimination touches
+    is pushed again.  For a unit pivot u at (p, q), ``_clear_column``
+    leaves u alone in column q, since a // u = a*u is exact.  Column
+    operations by u then clear the rest of row p and change no other row,
+    and since u divides everything they need no reduction mod u: row p and
+    column q are dropped outright, and one factor 1 is counted.
+
+    Phase 2 hands the core that is left, rows without a unit entry, to the
+    least-|entry| elimination and gcd/lcm fold of ``_core_factors``.  On
+    totalized differentials that core is a few rows at most.
+    """
+    cols = [dict(c) for c in m.columns]
+    rows: dict[int, dict[int, int]] = {}
+    for j, c in enumerate(cols):
+        for i, x in c.items():
+            rows.setdefault(i, {})[j] = x
+    heap = []
+    for i, r in rows.items():
+        cheapest = _cheapest_unit(r, cols)
+        if cheapest:
+            heap.append((cheapest[0], i))
+    heapify(heap)
+    units = 0
+    while heap:
+        cost, p = heappop(heap)
+        prow = rows.get(p)
+        cheapest = _cheapest_unit(prow, cols) if prow else None
+        if cheapest is None:
+            continue
+        if cheapest[0] != cost:
+            heappush(heap, (cheapest[0], p))
+            continue
+        for i in _clear_column(rows, cols, p, cheapest[1]):
+            cheapest = _cheapest_unit(rows[i], cols)
+            if cheapest:
+                heappush(heap, (cheapest[0], i))
+        for j in prow:
+            del cols[j][p]
+        del rows[p]
+        units += 1
+    return (1,) * units + _core_factors(rows, cols)

@@ -80,149 +80,136 @@ class SmithForm:
         return tuple(x for x in self.diagonal if x != 0)
 
 
-def smith_normal_form(m: Matrix) -> SmithForm:
-    """Diagonalize by unimodular row/column operations.
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
-    Pivoting by least absolute value keeps intermediate entries small for
-    the sparse ±1/±2 matrices that dominate this package.
-    """
-    a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    ui = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    vi = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
+class _Elimination:
+    """a = u * m * v with u, v unimodular and their inverses kept exact.
 
-    def row_add(i, j, c):
-        # row i += c * row j; inverse: column j of ui gets -c * column i
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in ui:
-            r[j] -= c * r[i]
+    Every step is a unimodular 2x2 operation on two rows; a column step is
+    a row step on the transpose, which swaps the roles of u and v."""
 
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
+    def __init__(self, m: Matrix):
+        def eye(n):
+            return [[int(i == j) for j in range(n)] for i in range(n)]
+        self.a = [list(row) for row in m.entries]
+        self.u, self.ui = eye(m.rows), eye(m.rows)
+        self.v, self.vi = eye(m.cols), eye(m.cols)
+        self.ncols = m.cols
 
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
+    def rows(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
+        """(row i, row j) <- (p row i + q row j, r row i + s row j)."""
+        for mat in (self.a, self.u):
+            x, y = mat[i], mat[j]
+            mat[i] = [p * e + q * f for e, f in zip(x, y)]
+            mat[j] = [r * e + s * f for e, f in zip(x, y)]
+        det = p * s - q * r
+        for row in self.ui:
+            x, y = row[i], row[j]
+            row[i], row[j] = det * (s * x - r * y), det * (p * y - q * x)
 
-    def col_add(i, j, c):
-        # col i += c * col j; inverse: row j of vi gets -c * row i
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-        vi[j] = [x - c * y for x, y in zip(vi[j], vi[i])]
+    def cols(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
+        """(column i, column j) <- (p col i + q col j, r col i + s col j)."""
+        self.transpose()
+        self.rows(i, j, p, q, r, s)
+        self.transpose()
 
-    def col_negate(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        vi[i] = [-x for x in vi[i]]
+    def negate(self, i: int) -> None:
+        self.a[i] = [-e for e in self.a[i]]
+        self.u[i] = [-e for e in self.u[i]]
+        for row in self.ui:
+            row[i] = -row[i]
 
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        # least-|entry| pivot in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        if a[t][t] < 0:
-            row_negate(t)
-        # clear row and column t; restart if a remainder shrinks the pivot
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    row_add(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
-                        if a[t][t] < 0:
-                            row_negate(t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        if a[t][t] < 0:
-                            col_negate(t)
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        t += 1
+    def transpose(self) -> None:
+        def t(mat, n):
+            return [list(col) for col in zip(*mat)] if mat else [[] for _ in range(n)]
+        self.a = t(self.a, self.ncols)
+        self.ncols = len(self.u)
+        self.u, self.v = t(self.v, 0), t(self.u, 0)
+        self.ui, self.vi = t(self.vi, 0), t(self.ui, 0)
 
-    # enforce divisibility d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di == 0 and dj != 0:
-                row_swap(i, i + 1)
-                col_swap(i, i + 1)
-                changed = True
-                continue
-            if di != 0 and dj % di != 0:
-                # fold d_{i+1} into position (i, i) via gcd
-                col_add(i, i + 1, 1)
-                while True:
-                    p = a[i][i]
-                    q2 = a[i + 1][i] // p if p else 0
-                    row_add(i + 1, i, -q2)
-                    if a[i + 1][i] != 0:
-                        row_swap(i, i + 1)
-                        if a[i][i] < 0:
-                            row_negate(i)
-                        continue
-                    q3 = a[i][i + 1] // a[i][i]
-                    col_add(i + 1, i, -q3)
-                    if a[i][i + 1] != 0:
-                        col_swap(i, i + 1)
-                        if a[i][i] < 0:
-                            col_negate(i)
-                        continue
+    def row_hermite(self) -> None:
+        """Row Hermite form, one row inserted at a time (Kannan-Bachem).
+
+        Rows [0, k) are the basis: leading columns ``lead`` increasing,
+        leading entries positive, and every entry above a leading entry
+        reduced into [0, leading entry).  Row i is cleared against the basis
+        by gcd steps and joins it if anything is left; the basis is reduced
+        again after each insertion, so no entry outgrows the lattice the
+        rows span."""
+        a = self.a
+        lead: list[int] = []
+        for i in range(len(a)):
+            while True:
+                c = next((c for c, x in enumerate(a[i]) if x), None)
+                if c is None:
                     break
-                changed = True
-        for i in range(limit):
-            if a[i][i] < 0:
-                row_negate(i)
+                if c in lead:
+                    b = lead.index(c)
+                    g, s, t = _ext_gcd(a[b][c], a[i][c])
+                    self.rows(b, i, s, t, -a[i][c] // g, a[b][c] // g)
+                    continue
+                k = len(lead)
+                if i != k:
+                    self.rows(k, i, 0, 1, 1, 0)
+                while k and lead[k - 1] > c:
+                    self.rows(k - 1, k, 0, 1, 1, 0)
+                    k -= 1
+                lead.insert(k, c)
+                break
+            for b, c in enumerate(lead):
+                if a[b][c] < 0:
+                    self.negate(b)
+                for j in range(b):
+                    q = a[j][c] // a[b][c]
+                    if q:
+                        self.rows(j, b, 1, -q, 0, 1)
 
-    return SmithForm(Matrix.from_rows(a) if a else Matrix.zero(nr, nc),
-                     Matrix.from_rows(u) if u else Matrix.zero(0, 0),
-                     Matrix.from_rows(v) if v else Matrix.zero(0, 0),
-                     Matrix.from_rows(ui) if ui else Matrix.zero(0, 0),
-                     Matrix.from_rows(vi) if vi else Matrix.zero(0, 0))
+    def is_diagonal(self) -> bool:
+        return all(not x or i == j
+                   for i, row in enumerate(self.a) for j, x in enumerate(row))
+
+
+def smith_normal_form(m: Matrix) -> SmithForm:
+    """Diagonalize by unimodular row/column operations, with transforms.
+
+    Row and column Hermite forms alternate until the matrix is diagonal
+    (Kannan-Bachem, SIAM J. Comput. 1979).  Each keeps every entry above a
+    leading entry reduced mod that leading entry, and leading entries
+    divide minors of ``m``, so the matrix cannot grow the way a plain
+    least-entry elimination does: that one reached entries of 50,000 bits
+    on a 27x54 differential with entries of at most 3.  The diagonal is
+    then made a divisibility chain by replacing pairs with (gcd, lcm).
+    """
+    e = _Elimination(m)
+    while True:
+        e.row_hermite()
+        e.transpose()
+        e.row_hermite()
+        e.transpose()
+        if e.is_diagonal():
+            break
+    rank = sum(1 for i in range(min(m.rows, m.cols)) if e.a[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            di, dj = e.a[i][i], e.a[j][j]
+            if dj % di:
+                # column i += column j, a gcd step on rows i and j, then
+                # clear row i at column j: diag(di, dj) becomes (gcd, lcm)
+                e.cols(i, j, 1, 1, 0, 1)
+                g, s, t = _ext_gcd(di, dj)
+                e.rows(i, j, s, t, -dj // g, di // g)
+                e.cols(j, i, 1, -t * dj // g, 0, 1)
+
+    def dense(rows, r=0, c=0):
+        return Matrix.from_rows(rows) if rows else Matrix.zero(r, c)
+    return SmithForm(dense(e.a, m.rows, m.cols), dense(e.u), dense(e.v),
+                     dense(e.ui), dense(e.vi))

@@ -1,7 +1,12 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeburnside import khovanov as kh
 from cubeburnside.linalg import Matrix, invariant_factors, sparse_product
+from cubeburnside.totalization import dualize, tot
 from snf_reference import dense_product, det, smith_normal_form
 
 
@@ -100,3 +105,104 @@ def test_sparse_product_matches_dense(data):
     a = data.draw(matrices(SPARSE_ENTRIES, st.just(r), st.just(k)))
     b = data.draw(matrices(SPARSE_ENTRIES, st.just(k), st.just(c)))
     assert sparse_product(a, b) == list(dense_product(a, b).columns)
+
+
+# -- the two phases of ``invariant_factors`` ----------------------------------
+
+@pytest.mark.parametrize("rows, want", [
+    # all entries are units, but eliminating one leaves [[-2]] for phase 2
+    ([[1, 1], [1, -1]], (1, 2)),
+    # column 0 is a unit alone: row 0 and column 0 go without reducing 2 and
+    # 3 mod 1, and [[4, 6]] is left for phase 2
+    ([[1, 2, 3], [0, 4, 6]], (1, 2)),
+    # no unit entry: straight to phase 2, which may still find a unit
+    ([[2, 4], [6, 8]], (2, 4)),
+    ([[2, 3]], (1,)),
+    ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+    # empty rows and columns
+    ([[0, 1, 0, 2, 0], [0, 0, 0, 0, 0], [0, 1, 0, -2, 0], [0, 0, 0, 0, 0]], (1, 4)),
+])
+def test_unit_phase_edge_cases(rows, want):
+    m = Matrix.from_rows(rows)
+    assert invariant_factors(m) == want == smith_normal_form(m).invariant_factors
+
+
+def _chain(diagonal):
+    """The invariant factors of a diagonal matrix, prime by prime: the
+    largest power of each prime goes to the last factor, the next largest to
+    the one before, and so on."""
+    nonzero = [abs(x) for x in diagonal if x]
+    out = [1] * len(nonzero)
+    for p in (2, 3):
+        powers = []
+        for x in nonzero:
+            k = 0
+            while x % p == 0:
+                x //= p
+                k += 1
+            powers.append(k)
+        for slot, k in enumerate(sorted(powers)):
+            out[slot] *= p ** k
+    return tuple(out)
+
+
+def _planted(rng, rows, cols, ops):
+    """U * D * V with D a random diagonal of units, zeros and 2, 3, 4, 6, 12,
+    and U, V products of ``ops`` random elementary operations: adding ±1
+    times a row (column) to another, or swapping two."""
+    diagonal = [rng.choice((1, 1, -1, 0, 2, -3, 4, 6, 12)) for _ in range(min(rows, cols))]
+    a = [{i: x} if x else {} for i, x in enumerate(diagonal)] + \
+        [{} for _ in range(cols - len(diagonal))]
+    for _ in range(ops):
+        if rng.random() < 0.5:
+            # column k += sign * column j, or swap them
+            j, k = rng.sample(range(cols), 2)
+            if rng.random() < 0.1:
+                a[j], a[k] = a[k], a[j]
+                continue
+            sign = rng.choice((1, -1))
+            for i, x in a[j].items():
+                y = a[k].get(i, 0) + sign * x
+                if y:
+                    a[k][i] = y
+                else:
+                    del a[k][i]
+        else:
+            # row k += sign * row j, or swap them
+            j, k = rng.sample(range(rows), 2)
+            swap = rng.random() < 0.1
+            sign = rng.choice((1, -1))
+            for c in a:
+                x, y = c.get(j, 0), c.get(k, 0)
+                new = (y, x) if swap else (x, y + sign * x)
+                for i, z in zip((j, k), new):
+                    if z:
+                        c[i] = z
+                    else:
+                        c.pop(i, None)
+    return Matrix.from_columns(rows, cols, a), _chain(diagonal)
+
+
+@given(st.integers(0, 2**32), st.integers(2, 300), st.integers(2, 300))
+@settings(max_examples=25, deadline=None)
+def test_invariant_factors_of_planted_diagonals(seed, rows, cols):
+    rng = random.Random(seed)
+    # about one operation per row and column keeps the product sparse, as
+    # totalized differentials are
+    m, want = _planted(rng, rows, cols, ops=rng.randint((rows + cols) // 2, rows + cols))
+    assert invariant_factors(m) == want
+
+
+def test_invariant_factors_of_khovanov_blocks(small_corpus):
+    """Every quantum block of every small-corpus diagram, plain and reduced
+    at basepoint 1: the differentials ``kh_table`` reduces, against the
+    transform-tracking reference."""
+    for name, pd in sorted(small_corpus.items()):
+        variants = [(False, kh.build_khovanov_functor(pd))]
+        if 1 in pd.arcs():
+            variants.append((True, kh.reduced_functor(pd, 1)))
+        for reduced, sf in variants:
+            for j, part in kh.split_by_quantum(pd, sf, reduced=reduced).items():
+                for d, m in dualize(tot(part)).diffs.items():
+                    assert invariant_factors(m) == \
+                        smith_normal_form(m).invariant_factors, (name, reduced, j, d)
