@@ -12,7 +12,7 @@ the separator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix
 
@@ -32,10 +32,6 @@ class FiniteSet:
             if COMPOSE_SEP in e:
                 raise ValueError(f"reserved separator in id {e!r}")
 
-    @staticmethod
-    def of(elements: Iterable[str]) -> "FiniteSet":
-        return FiniteSet(tuple(elements))
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -44,9 +40,6 @@ class FiniteSet:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def index(self, e: str) -> int:
-        return self.elements.index(e)
 
 
 EMPTY_SET = FiniteSet(())
@@ -101,21 +94,9 @@ class Correspondence:
             out.setdefault((e.s, e.t), []).append(e)
         return out
 
-    def flip(self) -> "Correspondence":
-        """Swap source and target maps (the self-duality of spans)."""
-        return Correspondence(self.target_set, self.source_set,
-                              tuple(CorrElem(e.id, e.t, e.s) for e in self.elements))
-
 
 def identity_correspondence(a: FiniteSet) -> Correspondence:
     return Correspondence(a, a, tuple(CorrElem(e, e, e) for e in a))
-
-
-def correspondence_from_map(a: FiniteSet, b: FiniteSet,
-                            f: Callable[[str], str] | Mapping[str, str]) -> Correspondence:
-    """A set map a -> b viewed as a span with identity source map."""
-    get = f.__getitem__ if isinstance(f, Mapping) else f
-    return Correspondence(a, b, tuple(CorrElem(e, e, get(e)) for e in a))
 
 
 def compose(y: Correspondence, x: Correspondence) -> Correspondence:
@@ -228,16 +209,3 @@ def linearize(x: Correspondence) -> Matrix:
         c, i = cols[col[e.s]], row[e.t]
         c[i] = c.get(i, 0) + 1
     return Matrix.from_columns(len(x.target_set), len(x.source_set), cols)
-
-
-# -- JSON ----------------------------------------------------------------
-
-def correspondence_to_json(x: Correspondence) -> dict:
-    return {"source": list(x.source_set.elements),
-            "target": list(x.target_set.elements),
-            "elements": [{"id": e.id, "s": e.s, "t": e.t} for e in x.elements]}
-
-
-def correspondence_from_json(obj: dict) -> Correspondence:
-    return Correspondence.of(FiniteSet.of(obj["source"]), FiniteSet.of(obj["target"]),
-                             [(e["id"], e["s"], e["t"]) for e in obj["elements"]])

@@ -226,7 +226,7 @@ def chain_swap_path(c1: Chain, c2: Chain) -> list[tuple[int, Chain]]:
     return path
 
 
-def all_swap_paths(c1: Chain, c2: Chain, max_len: int | None = None) -> Iterator[list[tuple[int, Chain]]]:
+def all_swap_paths(c1: Chain, c2: Chain) -> Iterator[list[tuple[int, Chain]]]:
     """All simple swap paths from c1 to c2 (no chain revisited)."""
     if c1[0] != c2[0] or c1[-1] != c2[-1]:
         raise ValueError("chains do not share endpoints")
@@ -235,8 +235,6 @@ def all_swap_paths(c1: Chain, c2: Chain, max_len: int | None = None) -> Iterator
     def rec(chain: Chain, seen: frozenset[Chain], path):
         if chain == c2:
             yield list(path)
-            return
-        if max_len is not None and len(path) >= max_len:
             return
         for idx in range(1, k):
             nxt = chain_swap(chain, idx)
@@ -288,20 +286,6 @@ class FaceInclusion:
 
     def image(self) -> set[Vertex]:
         return {self.apply(v) for v in vertices(self.n)}
-
-    def preimage(self, w: Vertex) -> Vertex | None:
-        """Inverse on the image; None if w is not in the image."""
-        if len(w) != self.N:
-            raise ValueError("dimension mismatch")
-        v = tuple(w[c] for c in self.coords)
-        return v if self.apply(v) == w else None
-
-    def compose(self, inner: "FaceInclusion") -> "FaceInclusion":
-        """self after inner: C(inner.n) -> C(self.N)."""
-        if inner.N != self.n:
-            raise ValueError("dimension mismatch")
-        return FaceInclusion(inner.n, self.N, self.apply(inner.bottom),
-                             tuple(self.coords[c] for c in inner.coords))
 
     def to_json(self) -> dict:
         return {"n": self.n, "N": self.N, "bottom": bits(self.bottom),

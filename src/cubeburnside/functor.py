@@ -49,7 +49,7 @@ from .burnside import (
     join_composite_id,
     split_composite_id,
 )
-from .cube import Face2, Face3, FaceInclusion, Vertex
+from .cube import Face2, FaceInclusion, Vertex
 from .errors import InputError, SearchCapExceeded
 
 Edge = tuple[Vertex, Vertex]
@@ -161,9 +161,8 @@ class StableFunctor:
     shift: int = 0
 
 
-def empty_functor(n: int, with_matchings: bool = True) -> CubeFunctorData:
-    data = CubeFunctorData.build(n, {}, {}, None)
-    return forced_matchings(data) if with_matchings else data
+def empty_functor(n: int) -> CubeFunctorData:
+    return forced_matchings(CubeFunctorData.build(n, {}, {}, None))
 
 
 def one_point_functor(element: str = "*") -> CubeFunctorData:
@@ -402,20 +401,6 @@ def _hexagon_commutes(t: int, coords: tuple[int, int, int],
     return all(_apply(swaps, st) == list(st) for st in composite_steps(chain))
 
 
-def check_hexagon(f: CubeFunctorData, face: Face3) -> bool:
-    """Composing the six swaps around a 3-face must be the identity.  Only
-    its six boundary matchings are oriented, and each must be a 2-morphism
-    of its face's composites (``InputError`` otherwise)."""
-    edges = _indexed_edges(f)
-    t = _mask(face.top)
-    tables = {}
-    for _, m, p, q in _hexagon_swaps(t, face.coords):
-        i, j = min(p, q), max(p, q)
-        face2 = Face2.from_top(tuple(m >> k & 1 for k in range(f.n)), i, j)
-        tables[m, i, j] = _face_table(f.matching(face2), face2, _sides(edges, m, i, j))
-    return _hexagon_commutes(t, face.coords, edges, tables)
-
-
 def validate_coherence(f: CubeFunctorData) -> ValidationReport:
     """Stored matchings are 2-morphisms of the right composites, and every
     3-face hexagon commutes.  The same pass over the squares decides the
@@ -585,72 +570,34 @@ def _forced_mapping(ca: Correspondence, cb: Correspondence) -> dict[str, str]:
     return mapping
 
 
-# -- relabeling --------------------------------------------------------------
-
-def relabel(f: CubeFunctorData,
-            vmap: Mapping[Vertex, Mapping[str, str]],
-            emap: Mapping[Edge, Mapping[str, str]]) -> CubeFunctorData:
-    """Rename vertex-set elements and edge elements; structure unchanged."""
-    def vm(v: Vertex, x: str) -> str:
-        return vmap.get(v, {}).get(x, x)
-
-    def em(e: Edge, x: str) -> str:
-        return emap.get(e, {}).get(x, x)
-
-    vs = {v: FiniteSet(tuple(vm(v, x) for x in f.vset(v))) for v in cube.vertices(f.n)}
-    ec = {}
-    for (u, v) in cube.edges(f.n):
-        corr = f.edge(u, v)
-        ec[(u, v)] = Correspondence(vs[u], vs[v],
-                                    tuple(CorrElem(em((u, v), e.id), vm(u, e.s), vm(v, e.t))
-                                          for e in corr.elements))
-    fm = None
-    if f.has_matchings:
-        fm = {}
-        probe = CubeFunctorData(f.n, vs, ec, None)
-        for face in cube.faces2(f.n):
-            ea, eb = (face.top, face.mid_a), (face.mid_a, face.bottom)
-            ea2, eb2 = (face.top, face.mid_b), (face.mid_b, face.bottom)
-            mapping = {}
-            for src, dst in f.matching(face).mapping:
-                ys, xs = split_composite_id(src)
-                yd, xd = split_composite_id(dst)
-                mapping[join_composite_id([em(eb, ys), em(ea, xs)])] = \
-                    join_composite_id([em(eb2, yd), em(ea2, xd)])
-            ca, cb = probe.square(face)
-            fm[face] = BijectionOver.of(ca, cb, mapping)
-    return CubeFunctorData(f.n, vs, ec, fm)
-
-
-def tag_all(f: CubeFunctorData, tag: str) -> CubeFunctorData:
-    vmap = {v: {x: tag + x for x in f.vset(v)} for v in cube.vertices(f.n)}
-    emap = {e: {el.id: tag + el.id for el in f.edge(*e).elements} for e in cube.edges(f.n)}
-    return relabel(f, vmap, emap)
-
-
 # -- coproduct, product, face inclusions -------------------------------------
 
-def coproduct(f: CubeFunctorData, g: CubeFunctorData,
-              tags: tuple[str, str] = ("l·", "r·")) -> CubeFunctorData:
-    """Vertexwise disjoint union; elements are tagged to stay distinct."""
+def coproduct(f: CubeFunctorData, g: CubeFunctorData) -> CubeFunctorData:
+    """Vertexwise disjoint union, the one routine that tags one: f's vertex
+    and edge ids get the prefix "l·" and g's "r·", f's elements first.  A
+    face's matching is the union of f's and g's, with every step of each
+    composite id tagged.  Matchings are kept only when both have them."""
     if f.n != g.n:
         raise InputError("coproduct requires equal cube dimensions")
-    ft, gt = tag_all(f, tags[0]), tag_all(g, tags[1])
-    vs = {v: FiniteSet(ft.vset(v).elements + gt.vset(v).elements)
+    sides = (("l·", f), ("r·", g))
+    vs = {v: FiniteSet(tuple(tag + x for tag, h in sides for x in h.vset(v)))
           for v in cube.vertices(f.n)}
-    ec = {}
-    for e in cube.edges(f.n):
-        ec[e] = Correspondence(vs[e[0]], vs[e[1]],
-                               ft.edge(*e).elements + gt.edge(*e).elements)
+    ec = {(u, v): Correspondence(vs[u], vs[v], tuple(
+              CorrElem(tag + e.id, tag + e.s, tag + e.t)
+              for tag, h in sides for e in h.edge(u, v).elements))
+          for (u, v) in cube.edges(f.n)}
     fm = None
     if f.has_matchings and g.has_matchings:
-        fm = {}
         probe = CubeFunctorData(f.n, vs, ec, None)
-        for face in cube.faces2(f.n):
-            mapping = dict(ft.matching(face).mapping) | dict(gt.matching(face).mapping)
-            ca, cb = probe.square(face)
-            fm[face] = BijectionOver.of(ca, cb, mapping)
+        fm = {face: BijectionOver.of(*probe.square(face), {
+                  _tag_steps(tag, a): _tag_steps(tag, b)
+                  for tag, h in sides for a, b in h.matching(face).mapping})
+              for face in cube.faces2(f.n)}
     return CubeFunctorData(f.n, vs, ec, fm)
+
+
+def _tag_steps(tag: str, eid: str) -> str:
+    return join_composite_id(tag + step for step in split_composite_id(eid))
 
 
 def _pair_id(a: str, b: str) -> str:
@@ -1077,62 +1024,37 @@ def glue_along_top(eta: NaturalTransformation, eta2: NaturalTransformation,
     """Pushout of two transformations out of the same source: identify the
     1-side copies and take the disjoint union elsewhere.
 
-    Returns (H, incl_from_target(eta), incl_from_target(eta2)); the inclusion
-    sources are the extensions of the two targets by empty sets on the
-    1-side, with their generators tagged "l·" and "r·" inside H.
+    H is the ambient of a transformation from the shared source to the
+    ``coproduct`` of the two targets: its 1-side is the source, its 0-side
+    (vertex sets, edges and face matchings) is the coproduct, and the
+    components and mixed squares of eta and eta2 take on the coproduct's
+    tags "l·" and "r·".  Only the mixed squares are composed here.
+
+    Returns (H, incl_from_target(eta), incl_from_target(eta2)); the
+    inclusion sources are the extensions of the two targets by empty sets
+    on the 1-side.
     """
-    if eta.source_functor() != eta2.source_functor():
+    g = eta.source_functor()
+    if g != eta2.source_functor():
         raise InputError("transformations do not share their restriction to the 1-side")
     n = eta.n
-    g = eta.source_functor()
     fa, fb = eta.target_functor(), eta2.target_functor()
-    fat, fbt = tag_all(fa, "l·"), tag_all(fb, "r·")
-    vs: dict[Vertex, FiniteSet] = {}
-    ec: dict[Edge, Correspondence] = {}
-    for v in cube.vertices(n):
-        vs[(1,) + v] = g.vset(v)
-        vs[(0,) + v] = FiniteSet(fat.vset(v).elements + fbt.vset(v).elements)
+    union = coproduct(fa, fb)
+    sides = (("l·", eta), ("r·", eta2))
+    comps = {v: Correspondence(g.vset(v), union.vset(v), tuple(
+                 CorrElem(tag + e.id, e.s, tag + e.t)
+                 for tag, tr in sides for e in tr.component(v).elements))
+             for v in cube.vertices(n)}
+    mixed: dict[Edge, dict[str, str]] = {}
     for (u, v) in cube.edges(n):
-        ec[((1,) + u, (1,) + v)] = g.edge(u, v)
-        ec[((0,) + u, (0,) + v)] = Correspondence(
-            vs[(0,) + u], vs[(0,) + v], fat.edge(u, v).elements + fbt.edge(u, v).elements)
-    for v in cube.vertices(n):
-        elems = []
-        for tag, tr in (("l·", eta), ("r·", eta2)):
-            for e in tr.component(v).elements:
-                elems.append(CorrElem(tag + e.id, e.s, tag + e.t))
-        ec[((1,) + v, (0,) + v)] = Correspondence(vs[(1,) + v], vs[(0,) + v], tuple(elems))
-    fm: dict[Face2, BijectionOver] = {}
-    probe = CubeFunctorData(n + 1, vs, ec, None)
-    for face in cube.faces2(n + 1):
-        ca, cb = probe.square(face)
-        if face.top[0] == face.bottom[0]:
-            if face.top[0] == 1:
-                inner = Face2.spanning(face.top[1:], face.mid_a[1:], face.mid_b[1:],
-                                       face.bottom[1:])
-                fm[face] = g.matching(inner)
-            else:
-                inner = Face2.spanning(face.top[1:], face.mid_a[1:], face.mid_b[1:],
-                                       face.bottom[1:])
-                mapping = dict(fat.matching(inner).mapping) | dict(fbt.matching(inner).mapping)
-                fm[face] = BijectionOver.of(ca, cb, mapping)
-        else:
-            mapping = {}
-            for tag, tr in (("l·", eta), ("r·", eta2)):
-                m = tr.ambient.matching(
-                    Face2.spanning(face.top, face.mid_a, face.mid_b, face.bottom))
-                for src, dst in m.mapping:
-                    ys, xs = split_composite_id(src)
-                    yd, xd = split_composite_id(dst)
-                    # mid_a = (0, u): both steps rename on the 0-side/mixed side
-                    mapping[join_composite_id([tag + ys, tag + xs])] = \
-                        join_composite_id([tag + yd, xd])
-            fm[face] = BijectionOver.of(ca, cb, mapping)
-    h = CubeFunctorData(n + 1, vs, ec, fm)
-    rep = validate_coherence(h)
-    if not rep:
-        raise InputError("glued functor is not coherent: " + "; ".join(rep.failures))
-    iota0 = FaceInclusion(n, n + 1, (0,) * (n + 1), tuple(range(1, n + 1)))
+        mixed[(u, v)] = m = {}
+        # mid_a = (0, u): both steps are tagged; mid_b = (1, v): g's step is not
+        face = Face2.from_top((1,) + u, 0, cube.edge_coordinate(u, v) + 1)
+        for tag, tr in sides:
+            for src, dst in tr.ambient.matching(face).mapping:
+                yd, xd = split_composite_id(dst)
+                m[_tag_steps(tag, src)] = join_composite_id([tag + yd, xd])
+    h = build_nat_trans(g, union, comps, mixed).ambient
     sl = {((0,) + v, "l·" + x) for v in cube.vertices(n) for x in fa.vset(v)}
     sr = {((0,) + v, "r·" + x) for v in cube.vertices(n) for x in fb.vset(v)}
     _, th_l = sub_inclusion_transformation(h, sl)
@@ -1190,9 +1112,7 @@ def _face_commutes(f: CubeFunctorData, g: CubeFunctorData,
 
 
 def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
-                             max_nodes: int = 2_000_000,
-                             sigma_hint: Mapping[Vertex, Mapping[str, str]] | None = None,
-                             ):
+                             max_nodes: int = 2_000_000):
     """Bounded exhaustive search for (sigma, tau) making f and g naturally
     isomorphic; returns the pair or None."""
     if f.n != g.n or f.has_matchings != g.has_matchings:
@@ -1253,16 +1173,12 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
             yield None
             return
         v = verts[vi]
-        if sigma_hint is not None and v in sigma_hint:
-            cands = [dict(sigma_hint[v])]
-        else:
-            fx = list(f.vset(v))
-            gx = list(g.vset(v))
-            cands = []
-            for perm in itertools.permutations(gx):
-                m = dict(zip(fx, perm))
-                if all(fsig[v][a] == gsig[v][b] for a, b in m.items()):
-                    cands.append(m)
+        fx = list(f.vset(v))
+        cands = []
+        for perm in itertools.permutations(g.vset(v)):
+            m = dict(zip(fx, perm))
+            if all(fsig[v][a] == gsig[v][b] for a, b in m.items()):
+                cands.append(m)
         for m in cands:
             bump()
             sigma[v] = m
@@ -1308,14 +1224,11 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
                 yield from assign_tau(ei + 1)
             del tau[e]
 
-    try:
-        for _ in assign_sigma(0):
-            for _ in assign_tau(0):
-                out_sigma = {v: dict(sigma[v]) for v in verts}
-                out_tau = {e: dict(tau[e]) for e in edges}
-                return out_sigma, out_tau
-    except SearchCapExceeded:
-        raise
+    for _ in assign_sigma(0):
+        for _ in assign_tau(0):
+            out_sigma = {v: dict(sigma[v]) for v in verts}
+            out_tau = {e: dict(tau[e]) for e in edges}
+            return out_sigma, out_tau
     return None
 
 

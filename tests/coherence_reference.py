@@ -1,6 +1,5 @@
 """Reference coherence check: the string-id path the library used before its
-indexed pass, kept as the oracle for ``validate_coherence`` and
-``check_hexagon``.
+indexed pass, kept as the oracle for ``validate_coherence``.
 
 Every square is composed with ``compose``; a hexagon carries each element
 of its first chain's composite, as per-step element ids, through the six

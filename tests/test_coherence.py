@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from cubeburnside import cube, fixtures as FX
 from cubeburnside import khovanov as kh
 from cubeburnside.burnside import BijectionOver, CorrElem, Correspondence
-from cubeburnside.functor import (CubeFunctorData, check_hexagon,
-                                  identity_transformation, validate_c0,
-                                  validate_coherence)
+from cubeburnside.functor import (CubeFunctorData, identity_transformation,
+                                  validate_c0, validate_coherence)
 
 import coherence_reference as ref
 
@@ -86,15 +85,8 @@ def mutate(f: CubeFunctorData, mutation: str, pick: int) -> CubeFunctorData:
 
 
 def assert_matches_reference(g: CubeFunctorData) -> None:
-    rep = validate_coherence(g)
-    assert rep == ref.validate_coherence(g)
+    assert validate_coherence(g) == ref.validate_coherence(g)
     assert validate_c0(g) == ref.validate_c0(g)
-    if g.has_matchings and all(x.startswith("3-face") for x in rep.failures):
-        # every matching is a 2-morphism of its face composites, so every
-        # hexagon is defined
-        faces3 = cube.faces3(g.n)
-        assert ([check_hexagon(g, f3) for f3 in faces3]
-                == [ref.check_hexagon(g, f3) for f3 in faces3])
 
 
 @given(st.sampled_from(NAMES), st.sampled_from(MUTATIONS),
@@ -108,9 +100,9 @@ def assert_matches_reference(g: CubeFunctorData) -> None:
 @settings(max_examples=60, deadline=None)
 def test_coherence_matches_string_reference(name, mutation, pick):
     """The whole ``ValidationReport`` (verdict, failures with their wording
-    and order, square condition), ``validate_c0``'s report and, where the
-    hexagons are defined, the ``check_hexagon`` verdict on every 3-face
-    equal the reference's."""
+    and order, square condition) and ``validate_c0``'s report equal the
+    reference's.  The report lists every failing 3-face in order, so it
+    carries each hexagon verdict."""
     assert_matches_reference(mutate(bundled()[name], mutation, pick))
 
 

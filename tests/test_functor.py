@@ -9,7 +9,8 @@ from cubeburnside.burnside import (BijectionOver, Correspondence, FiniteSet,
                                    identity_correspondence)
 from cubeburnside.cube import FaceInclusion
 from cubeburnside.errors import InputError
-from cubeburnside.functor import (CubeFunctorData, StableFunctor,
+from cubeburnside.functor import (CubeFunctorData, NaturalTransformation,
+                                  StableFunctor,
                                   build_nat_trans, composite_along_chain,
                                   coproduct, empty_functor,
                                   enumerate_matchings,
@@ -22,7 +23,7 @@ from cubeburnside.functor import (CubeFunctorData, StableFunctor,
                                   quotient_functor_data,
                                   reconstruct_two_morphism,
                                   restrict_along_face_inclusion, sub_functor,
-                                  sub_inclusion_transformation, tag_all,
+                                  sub_inclusion_transformation,
                                   validate_c0, validate_coherence,
                                   with_matchings, glue_along_top)
 from cubeburnside.burnside import linearize
@@ -385,6 +386,22 @@ def test_glue_along_top(projective):
         glue_along_top(eta, identity_transformation(acyc))
 
 
+def test_glue_along_top_same_side_faces(pd_corpus, wedge_cube):
+    """Gluing two identity transformations of a functor f of dimension 2 or
+    3, whose ambient cube has faces on each side: H is coherent, its 0-side
+    is coproduct(f, f) with its matchings, its 1-side is f, and both
+    inclusions are quasi-isomorphisms."""
+    for f in (FX.wedge_square(), wedge_cube,
+              kh.build_khovanov_functor(pd_corpus["trefoil_pos"]).functor):
+        h, th_l, th_r = glue_along_top(identity_transformation(f),
+                                       identity_transformation(f))
+        assert validate_coherence(h).ok
+        glued = NaturalTransformation(h)
+        assert glued.target_functor() == coproduct(f, f)
+        assert glued.source_functor() == f
+        assert is_quasi_iso(tot_nat_trans(th_l)) and is_quasi_iso(tot_nat_trans(th_r))
+
+
 def test_matching_linearizations_agree(wedge_cube):
     for face in cube.faces2(3):
         m = wedge_cube.matching(face)
@@ -401,9 +418,9 @@ def test_natural_isomorphism_verifier(projective):
 
 
 def test_tagging_relabel(projective):
-    tagged = tag_all(projective, "z·")
-    assert tagged.vset((1,)).elements == ("z·e",)
-    assert tagged.edge((1,), (0,)).ids() == ("z·u1", "z·u2")
+    tagged = coproduct(projective, empty_functor(1))
+    assert tagged.vset((1,)).elements == ("l·e",)
+    assert tagged.edge((1,), (0,)).ids() == ("l·u1", "l·u2")
     assert find_natural_isomorphism(tagged, projective) is not None
 
 

@@ -11,7 +11,7 @@ from cubeburnside import burnside, khovanov as kh
 from cubeburnside.burnside import linearize
 from cubeburnside.errors import InputError
 from cubeburnside.functor import (CubeFunctorData, composite_along_chain,
-                                  coproduct, find_natural_isomorphism, product,
+                                  coproduct, find_natural_isomorphism,
                                   validate_c0, validate_coherence)
 from cubeburnside.linalg import Matrix
 from cubeburnside.totalization import (direct_sum, homology_nontrivial,
@@ -702,55 +702,6 @@ def test_disjoint_union_basics(pd_corpus):
     assert both.free_loops == 2
     sf = kh.build_khovanov_functor(both)
     assert len(sf.functor.vset(())) == 4
-
-
-def _coproduct_fold(parts):
-    out = None
-    for p in parts:
-        out = p if out is None else coproduct(out, p)
-    return out
-
-
-def test_x1_disjoint_union(pd_corpus):
-    k = pd_corpus["kink_neg"]
-    union = kh.disjoint_union_pd(k, k)
-    left = kh.split_by_quantum(union, kh.build_khovanov_functor(union))
-    parts = {j: s.functor
-             for j, s in kh.split_by_quantum(k, kh.build_khovanov_functor(k)).items()}
-    for j, lf in left.items():
-        rhs = _coproduct_fold([product(parts[j1], parts[j2])
-                               for j1 in sorted(parts) for j2 in sorted(parts)
-                               if j1 + j2 == j])
-        assert find_natural_isomorphism(lf.functor, rhs) is not None, j
-
-
-def test_x2_reduced_disjoint_union(pd_corpus):
-    k, u0 = pd_corpus["kink_neg"], pd_corpus["unknot0"]
-    union = kh.disjoint_union_pd(k, u0)
-    left = kh.split_by_quantum(union, kh.reduced_functor(union, 1), reduced=True)
-    red = {j: s.functor for j, s in
-           kh.split_by_quantum(k, kh.reduced_functor(k, 1), reduced=True).items()}
-    unred = {j: s.functor for j, s in
-             kh.split_by_quantum(u0, kh.build_khovanov_functor(u0)).items()}
-    for j, lf in left.items():
-        rhs = _coproduct_fold([product(red[j1], unred[j2])
-                               for j1 in sorted(red) for j2 in sorted(unred)
-                               if j1 + j2 == j])
-        assert find_natural_isomorphism(lf.functor, rhs) is not None, j
-
-
-def test_x3_connected_sum(pd_corpus):
-    k = pd_corpus["kink_neg"]
-    csum, bp = kh.connect_sum_pd(k, 1, k, 1)
-    left = kh.split_by_quantum(csum, kh.reduced_functor(csum, bp), reduced=True)
-    red = {j: s.functor for j, s in
-           kh.split_by_quantum(k, kh.reduced_functor(k, 1), reduced=True).items()}
-    for j, lf in left.items():
-        rhs = _coproduct_fold([product(red[j1], red[j2])
-                               for j1 in sorted(red) for j2 in sorted(red)
-                               if j1 + j2 == j])
-        assert rhs is not None and \
-            find_natural_isomorphism(lf.functor, rhs) is not None, j
 
 
 def test_reduced_connect_sum_kuenneth(pd_corpus):
