@@ -11,8 +11,8 @@ the separator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .linalg import Matrix
 
@@ -21,22 +21,27 @@ COMPOSE_SEP = "∘"
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Ordered finite set of distinct string identifiers."""
+    """Ordered finite set of distinct string identifiers.  ``_members``
+    is the same elements as a set, kept from the duplicate check for
+    membership tests; it takes no part in equality, hashing or repr."""
 
     elements: tuple[str, ...]
+    _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        members = frozenset(self.elements)
+        if len(members) != len(self.elements):
             raise ValueError("duplicate element ids")
         for e in self.elements:
             if COMPOSE_SEP in e:
                 raise ValueError(f"reserved separator in id {e!r}")
+        object.__setattr__(self, "_members", members)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, e: str) -> bool:
-        return e in self.elements
+        return e in self._members
 
     def __iter__(self):
         return iter(self.elements)
@@ -65,7 +70,7 @@ class Correspondence:
         ids = [e.id for e in self.elements]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate correspondence element ids")
-        src, tgt = set(self.source_set.elements), set(self.target_set.elements)
+        src, tgt = self.source_set._members, self.target_set._members
         for e in self.elements:
             if e.s not in src or e.t not in tgt:
                 raise ValueError(f"element {e.id!r} has endpoint outside its sets")
@@ -105,45 +110,30 @@ def compose(y: Correspondence, x: Correspondence) -> Correspondence:
     Elements are the pairs (y, x) with s(y) = t(x), id "y∘x", ordered
     lexicographically by (position of y, position of x).
     """
-    return composite_of_pairs(x, y, composite_pairs(x, y))
-
-
-def composite_pairs(x: Correspondence, y: Correspondence) -> list[tuple[int, int]]:
-    """The elements of y∘x as (x, y) pairs of element positions, in
-    ``compose``'s order (y-major)."""
     if y.source_set != x.target_set:
         raise ValueError("middle sets do not match")
-    by_target: dict[str, list[int]] = {}
-    for i, xe in enumerate(x.elements):
-        by_target.setdefault(xe.t, []).append(i)
-    return [(i, j) for j, ye in enumerate(y.elements) for i in by_target.get(ye.s, ())]
+    return composite_of_pairs(x, y, _step_pairs([e.t for e in x.elements],
+                                                [e.s for e in y.elements]))
+
+
+def _step_pairs(x_targets: Sequence[Hashable], y_sources: Sequence[Hashable],
+               ) -> list[tuple[int, int]]:
+    """The pairs (i, j) with ``x_targets[i] == y_sources[j]``, by j and
+    then by i: the steps of a composite y∘x, read from the target of each
+    element of x and the source of each element of y (ids or positions)."""
+    by_target: dict[Hashable, list[int]] = {}
+    for i, b in enumerate(x_targets):
+        by_target.setdefault(b, []).append(i)
+    return [(i, j) for j, b in enumerate(y_sources) for i in by_target.get(b, ())]
 
 
 def composite_of_pairs(x: Correspondence, y: Correspondence,
                        pairs: Iterable[tuple[int, int]]) -> Correspondence:
-    """The composite y∘x whose elements are ``pairs``, as
-    ``composite_pairs(x, y)`` lists them, with ids "y∘x"."""
+    """The composite y∘x whose elements are ``pairs``, (x, y) element
+    positions as ``_step_pairs`` lists them, with ids "y∘x"."""
     xs, ys = x.elements, y.elements
     return Correspondence(x.source_set, y.target_set, tuple([
         CorrElem(f"{ys[j].id}{COMPOSE_SEP}{xs[i].id}", xs[i].s, ys[j].t) for i, j in pairs]))
-
-
-def composite_steps(chain: Sequence[Correspondence]) -> list[tuple[int, ...]]:
-    """The elements of the composite along ``chain`` (spans in the order
-    they apply) as tuples of element positions, one per span, in the order
-    of the iterated ``compose``: by the last span's element, then by the
-    rest of the chain the same way."""
-    out = [(i,) for i in range(len(chain[0].elements))]
-    for x, y in zip(chain, chain[1:]):
-        if y.source_set != x.target_set:
-            raise ValueError("middle sets do not match")
-        xs = x.elements
-        by_target: dict[str, list[tuple[int, ...]]] = {}
-        for steps in out:
-            by_target.setdefault(xs[steps[-1]].t, []).append(steps)
-        out = [steps + (j,) for j, ye in enumerate(y.elements)
-               for steps in by_target.get(ye.s, ())]
-    return out
 
 
 def split_composite_id(eid: str) -> tuple[str, ...]:

@@ -17,9 +17,9 @@ from .certificates import verify_certificate
 from .corpus import (load_certificate, load_delta, load_functor, load_golden,
                      load_pd)
 from .errors import InputError, InternalInvariantError, SearchCapExceeded
-from .functor import (enumerate_matchings, find_natural_isomorphism, product,
-                      validate_c0, validate_coherence)
-from .khovanov import build_khovanov_functor, generator_gradings, kh_table
+from .functor import (StableFunctor, enumerate_matchings, find_natural_isomorphism,
+                      product, validate_c0, validate_coherence)
+from .khovanov import DiagramCube, generator_gradings, kh_table
 from .simplicial import delta_functor, simplicial_homology
 from .totalization import HomologyGroup, homology_nontrivial, tot
 
@@ -114,7 +114,8 @@ def kh_verify(diagram, as_json):
     preservation for a diagram's functor."""
     def go():
         pd = load_pd(diagram)
-        sf = build_khovanov_functor(pd, validate=False)
+        dc = DiagramCube(pd)
+        sf = StableFunctor(dc.functor_data(), -dc.n_minus)
         checks, failures = _structure_checks(sf.functor)
         try:
             tot(sf)

@@ -8,14 +8,20 @@ cardinality condition on squares and the hexagon condition on 3-faces,
 which together let composites be reconstructed consistently along any
 maximal chain.
 
-Nothing derived is kept on the data.  Validation is one indexed pass: a
-vertex is an int bitmask and an edge is (mask, k).  Each face's two
-composites are listed once, as (x, y) element-position pairs, by
-``_face_composites``, the one routine that builds them (``square`` builds
-its correspondences from it too), and every square check reads those
-pairs.  Each matching is oriented once per pass into a small int table on
-step pairs; a hexagon lists its triples straight from the edges and looks
-each one up in its six faces' tables, with no composite ids built or split.
+Nothing derived is kept on the data.  Validation is one pass on element
+positions: a vertex is an int bitmask, and an edge (mask, k) is read as two
+int sequences, the source and the target position of each element.
+``validate_coherence`` indexes string data into positions as the pass goes,
+keeping the one check that reads ids: a stored matching's endpoints are the
+stored composites.  The Khovanov build hands the same pass positions it
+made itself.  Each face's two composites are listed once, as (x, y)
+element-position pairs, by ``_face_composites``, and every square check
+reads those pairs: fiber sizes, and the matching as a position image that
+must be a bijection keeping every element's fiber.  Each matching is
+oriented once per pass into a small int table on step pairs; a hexagon
+lists its triples straight from the edges and looks each one up in its six
+faces' tables (``_hexagon_commutes``, the one hexagon kernel), with no
+composite ids built or split.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
 vertices, edges and stored matchings puts each element into its part,
@@ -43,9 +49,8 @@ from .burnside import (
     FiniteSet,
     compose,
     composite_of_pairs,
-    composite_pairs,
-    composite_steps,
     identity_correspondence,
+    _step_pairs,
     join_composite_id,
     split_composite_id,
 )
@@ -146,10 +151,8 @@ class CubeFunctorData:
 
     def square(self, face: Face2) -> tuple[Correspondence, Correspondence]:
         """The face's two 2-step composites, through ``mid_a`` and ``mid_b``."""
-        sides = ((self.edge(face.top, face.mid_a), self.edge(face.mid_a, face.bottom)),
-                 (self.edge(face.top, face.mid_b), self.edge(face.mid_b, face.bottom)))
-        return tuple(composite_of_pairs(*side, pairs)
-                     for side, pairs in zip(sides, _face_composites(*sides)))
+        return (compose(self.edge(face.mid_a, face.bottom), self.edge(face.top, face.mid_a)),
+                compose(self.edge(face.mid_b, face.bottom), self.edge(face.top, face.mid_b)))
 
     def support(self) -> list[tuple[Vertex, str]]:
         return [(v, x) for v in cube.vertices(self.n) for x in self.vset(v)]
@@ -182,19 +185,77 @@ def composite_along_chain(f: CubeFunctorData, chain: cube.Chain) -> Corresponden
     return cur
 
 
-def _chain_edges(f: CubeFunctorData, chain: cube.Chain) -> list[Correspondence]:
-    return [f.edge(a, b) for a, b in zip(chain, chain[1:])]
+# -- the coherence pass -------------------------------------------------------
+#
+# The pass works on positions.  A vertex is an int bitmask, bit k for
+# coordinate k, and an edge is (mask, k), from mask down to mask ^ 1 << k.
+# An edge is read as a pair of int sequences: the position of each
+# element's source in its source vertex's set, and of its target.  String
+# data is indexed into positions once (``_indexed``); the Khovanov build
+# makes positions directly.
+
+_Positions = tuple[Sequence[int], Sequence[int]]
+
+_NOT_TWO_MORPHISM = "matching is not a 2-morphism"
 
 
-def _face_composites(side_a: tuple[Correspondence, Correspondence],
-                     side_b: tuple[Correspondence, Correspondence],
+def _mask(v: Vertex) -> int:
+    return sum(b << k for k, b in enumerate(v))
+
+
+def _indexed(f: CubeFunctorData):
+    """f's edges keyed (mask, k), as correspondences and on positions, and
+    each vertex's elements keyed by mask.  An edge whose endpoint sets are
+    not its vertices' sets is refused, as ``CubeFunctorData.build`` does."""
+    mask = {v: _mask(v) for v in f.vertex_sets}
+    pos = {v: {x: p for p, x in enumerate(s.elements)} for v, s in f.vertex_sets.items()}
+    corrs, edges = {}, {}
+    for (u, v), c in f.edge_corrs.items():
+        if c.source_set != f.vertex_sets[u] or c.target_set != f.vertex_sets[v]:
+            raise InputError(f"edge {u}>{v} endpoint sets do not match")
+        key = (mask[u], (mask[u] ^ mask[v]).bit_length() - 1)
+        corrs[key] = c
+        pu, pv = pos[u], pos[v]
+        edges[key] = ([pu[e.s] for e in c.elements], [pv[e.t] for e in c.elements])
+    labels = {mask[v]: s.elements for v, s in f.vertex_sets.items()}
+    return corrs, edges, labels
+
+
+def _tops(n: int, dim: int):
+    """(vertex, mask, coordinates) of every face of dimension ``dim``, in
+    ``cube.faces2`` / ``cube.faces3`` order."""
+    for v in cube.vertices(n):
+        t = _mask(v)
+        for coords in itertools.combinations([k for k in range(n) if v[k]], dim):
+            yield v, t, coords
+
+
+def _sides(edges, t: int, i: int, j: int):
+    """The (first, second) edges of face (t, i, j) through mid_a and mid_b."""
+    return ((edges[t, i], edges[t ^ 1 << i, j]), (edges[t, j], edges[t ^ 1 << j, i]))
+
+
+def _face_composites(side_a: tuple[_Positions, _Positions],
+                     side_b: tuple[_Positions, _Positions],
                      ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """A face's two composites, one per side (its first and second edge,
-    through ``mid_a`` and through ``mid_b``), as (x, y) element-position
-    pairs in ``compose``'s order.  This is the one place that builds a
-    face's composites: ``CubeFunctorData.square``, and through it the
-    Khovanov matchings, and the coherence pass all call it."""
-    return composite_pairs(*side_a), composite_pairs(*side_b)
+    through ``mid_a`` and through ``mid_b``, on positions), as (x, y)
+    element-position pairs in ``compose``'s order.  This is the one place
+    that lists a face's composites for the coherence pass, and so for
+    ``validate_coherence``, the Khovanov build and ``enumerate_matchings``."""
+    (xa, ya), (xb, yb) = side_a, side_b
+    return _step_pairs(xa[1], ya[0]), _step_pairs(xb[1], yb[0])
+
+
+def _chain_steps(chain: Sequence[_Positions]) -> list[tuple[int, ...]]:
+    """The elements of the composite along ``chain`` (edges in the order
+    they apply) as tuples of element positions, one per edge, in the order
+    of the iterated ``compose``: by the last edge's element, then by the
+    rest of the chain the same way."""
+    out = [(i,) for i in range(len(chain[0][0]))]
+    for x, y in zip(chain, chain[1:]):
+        out = [out[a] + (j,) for a, j in _step_pairs([x[1][s[-1]] for s in out], y[0])]
+    return out
 
 
 # A face's matching, oriented: a step pair (x, y) of one side is coded
@@ -203,36 +264,46 @@ def _face_composites(side_a: tuple[Correspondence, Correspondence],
 # codes, the codes of their images on side b, side b's codes, the codes of
 # their images on side a, two bytes a code where the codes fit.
 
-def _oriented(m: BijectionOver, sides, pa: list[tuple[int, int]],
-              pb: list[tuple[int, int]]) -> array | str:
-    """The matching m of a face with composites pa and pb (from
-    ``_face_composites(*sides)``) as an oriented table, or why it is not
-    one: its endpoints are not the composites, or it is not a 2-morphism
-    (``is_two_morphism``, read through the step pairs)."""
+def _table(sides, pa: list[tuple[int, int]], pb: list[tuple[int, int]],
+           ka: list[tuple[int, int]], kb: list[tuple[int, int]],
+           image: Sequence[int | None]) -> array | str:
+    """The matching pa[p] -> pb[image[p]] of a face with position sides
+    ``sides``, composites pa and pb and their fiber keys ka and kb as an
+    oriented table, or why it is not one: it is not a bijection that keeps
+    every element's fiber (``is_two_morphism``, on positions)."""
+    k = len(pa)
+    if (not len(image) == k == len(pb) or None in image
+            or sorted(image) != list(range(k)) or [kb[q] for q in image] != ka):
+        return _NOT_TWO_MORPHISM
+    nxa, nxb = len(sides[0][0][0]), len(sides[1][0][0])
+    codes_a = [j * nxa + i for i, j in pa]
+    codes_b = [j * nxb + i for i, j in pb]
+    inverse = sorted(range(k), key=image.__getitem__)
+    codes = (codes_a + [codes_b[q] for q in image]
+             + codes_b + [codes_a[p] for p in inverse])
+    return array("H" if max(codes, default=0) < 1 << 16 else "q", codes)
+
+
+def _fiber_keys(side, steps: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (top, bottom) positions of each element of a side's composite."""
+    xs, yt = side[0][0], side[1][1]
+    return [(xs[i], yt[j]) for i, j in steps]
+
+
+def _matching_image(m: BijectionOver, sides, pa: list[tuple[int, int]],
+                    pb: list[tuple[int, int]]) -> list[int | None] | str:
+    """A stored matching of a face with correspondence sides ``sides`` and
+    composites pa and pb, as the position image that ``_table`` checks, or
+    why it is not one: its endpoints are not the stored composites.  This
+    is the one check that reads ids."""
     (xa, ya), (xb, yb) = sides
     if not (_is_composite(m.src, xa, ya, pa) and _is_composite(m.dst, xb, yb, pb)):
         return "matching endpoints are not the stored composites"
-    k = len(pa)
     mapping = m.as_dict()
-    if (xa.source_set != xb.source_set or ya.target_set != yb.target_set
-            or not len(mapping) == k == len(pb)):
-        return "matching is not a 2-morphism"
-    nxa, nxb = len(xa.elements), len(xb.elements)
-    codes_a = [j * nxa + i for i, j in pa]
-    codes_b = [j * nxb + i for i, j in pb]
+    if len(mapping) != len(pa):
+        return _NOT_TWO_MORPHISM
     pos_b = {e.id: q for q, e in enumerate(m.dst.elements)}
-    img_a, img_b = [-1] * k, [-1] * k
-    xas, yas, xbs, ybs = xa.elements, ya.elements, xb.elements, yb.elements
-    for p, e in enumerate(m.src.elements):
-        q = pos_b.get(mapping.get(e.id))
-        if q is None or img_b[q] >= 0:
-            return "matching is not a 2-morphism"
-        (ia, ja), (ib, jb) = pa[p], pb[q]
-        if xas[ia].s != xbs[ib].s or yas[ja].t != ybs[jb].t:
-            return "matching is not a 2-morphism"
-        img_a[p], img_b[q] = codes_b[q], codes_a[p]
-    codes = codes_a + img_a + codes_b + img_b
-    return array("H" if max(codes, default=0) < 1 << 16 else "q", codes)
+    return [pos_b.get(mapping.get(e.id)) for e in m.src.elements]
 
 
 def _is_composite(c: Correspondence, x: Correspondence, y: Correspondence,
@@ -251,6 +322,34 @@ def _is_composite(c: Correspondence, x: Correspondence, y: Correspondence,
     return True
 
 
+def _face_table(m: BijectionOver, face: Face2, sides, positions) -> array:
+    """The matching m of ``face`` as an oriented table; ``InputError`` if
+    it is not a 2-morphism of the face composites.  ``sides`` and
+    ``positions`` are the face's (first, second) edges through ``mid_a``
+    and ``mid_b``, as correspondences and on positions."""
+    pa, pb = _face_composites(*positions)
+    image = _matching_image(m, sides, pa, pb)
+    table = image if isinstance(image, str) else _table(
+        positions, pa, pb, _fiber_keys(positions[0], pa), _fiber_keys(positions[1], pb), image)
+    if isinstance(table, str):
+        raise InputError(f"face {_face_key(face)}: {table}")
+    return table
+
+
+def _written_matching(table: array, sides) -> BijectionOver:
+    """The matching whose oriented table is ``table`` on a face with
+    correspondence sides ``sides``: both composites as ``compose`` builds
+    them, checked by ``BijectionOver``."""
+    (xa, ya), (xb, yb) = sides
+    k = len(table) // 4
+    nxa, nxb = len(xa.elements), len(xb.elements)
+    src = composite_of_pairs(xa, ya, [(c % nxa, c // nxa) for c in table[:k]])
+    dst = composite_of_pairs(xb, yb, [(c % nxb, c // nxb) for c in table[2 * k:3 * k]])
+    ids_b = dict(zip(table[2 * k:3 * k], (e.id for e in dst.elements)))
+    return BijectionOver.of(src, dst, {e.id: ids_b[c] for e, c in
+                                       zip(src.elements, table[k:2 * k])})
+
+
 # a swap as applied to step tuples: position of its first step, table,
 # start of the table block it reads, block size, and the lengths of the
 # first step's span before and after the swap
@@ -262,24 +361,18 @@ def _swap(at: int, table: array, via_mid_a: bool, nx_in: int, nx_out: int) -> Sw
     return at, table, 0 if via_mid_a else 2 * k, k, nx_in, nx_out
 
 
-def _apply(swaps: Iterable[Swap], steps: tuple[int, ...]) -> list[int]:
+def _apply(swaps: Iterable[Swap], steps: tuple[int, ...]) -> tuple[int, ...]:
     """Carry a composite element, as its step positions from the top
     vertex, across a sequence of swaps."""
     s = list(steps)
     for at, table, lo, k, nx_in, nx_out in swaps:
         code = table[bisect_left(table, s[at + 1] * nx_in + s[at], lo, lo + k) + k]
         s[at + 1], s[at] = divmod(code, nx_out)
-    return s
+    return tuple(s)
 
 
-def _face_table(m: BijectionOver, face: Face2, sides) -> array:
-    """The matching m of ``face`` as an oriented table; ``InputError`` if
-    it is not a 2-morphism of the face composites.  ``sides`` are the
-    face's (first, second) edges through ``mid_a`` and ``mid_b``."""
-    table = _oriented(m, sides, *_face_composites(*sides))
-    if isinstance(table, str):
-        raise InputError(f"face {_face_key(face)}: {table}")
-    return table
+def _chain_positions(edges, chain: cube.Chain) -> list[_Positions]:
+    return [edges[_mask(a), cube.edge_coordinate(a, b)] for a, b in zip(chain, chain[1:])]
 
 
 def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
@@ -296,80 +389,64 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
     if len(c1) == 1:
         # chain of length 0: identity on the identity correspondence
         return BijectionOver.of(src, dst, {e.id: e.id for e in src.elements})
+    corrs, edges, _ = _indexed(f)
     swaps = []
     chain = c1
     for idx, nxt in swap_path:
         top, mid, bottom = chain[idx - 1], chain[idx], chain[idx + 1]
         i, j = cube.edge_coordinate(top, mid), cube.edge_coordinate(mid, bottom)
         face = Face2.from_top(top, min(i, j), max(i, j))
-        table = _face_table(f.matching(face), face, (
-            (f.edge(top, face.mid_a), f.edge(face.mid_a, bottom)),
-            (f.edge(top, face.mid_b), f.edge(face.mid_b, bottom))))
+        key = (_mask(top), min(i, j), max(i, j))
+        table = _face_table(f.matching(face), face, _sides(corrs, *key), _sides(edges, *key))
         # mid_a clears the lower-indexed coordinate first
-        swaps.append(_swap(idx - 1, table, i < j, len(f.edge(top, mid)),
-                           len(f.edge(top, nxt[idx]))))
+        swaps.append(_swap(idx - 1, table, i < j, len(edges[key[0], i][0]),
+                           len(edges[key[0], j][0])))
         chain = nxt
-    dst_ids = {tuple(st): e.id for st, e in
-               zip(composite_steps(_chain_edges(f, c2)), dst.elements)}
-    mapping = {e.id: dst_ids[tuple(_apply(swaps, st))] for st, e in
-               zip(composite_steps(_chain_edges(f, c1)), src.elements)}
+    dst_ids = {st: e.id for st, e in
+               zip(_chain_steps(_chain_positions(edges, c2)), dst.elements)}
+    mapping = {e.id: dst_ids[_apply(swaps, st)] for st, e in
+               zip(_chain_steps(_chain_positions(edges, c1)), src.elements)}
     return BijectionOver.of(src, dst, mapping)
 
 
 # -- validation -------------------------------------------------------------
-#
-# Inside the coherence pass a vertex is an int bitmask, bit k for
-# coordinate k, and an edge is (mask, k), from mask down to mask ^ 1 << k.
 
-def _mask(v: Vertex) -> int:
-    return sum(b << k for k, b in enumerate(v))
+def _square_pass(n: int, edges, labels, image_of=None):
+    """Every square of an n-cube functor given on positions: its two
+    composites must have equal fiber sizes and, given ``image_of``, the
+    matching image_of(v, t, i, j, sides, pa, pb, ka, kb) returns (a position
+    image or why there is none) must be a 2-morphism of them.  ka and kb
+    are the composites' fiber keys, (top, bottom) position pairs.
 
-
-def _indexed_edges(f: CubeFunctorData) -> dict[tuple[int, int], Correspondence]:
-    mask = {v: _mask(v) for v in f.vertex_sets}
-    return {(mask[u], (mask[u] ^ mask[v]).bit_length() - 1): c
-            for (u, v), c in f.edge_corrs.items()}
-
-
-def _tops(n: int, dim: int):
-    """(vertex, mask, coordinates) of every face of dimension ``dim``, in
-    ``cube.faces2`` / ``cube.faces3`` order."""
-    for v in cube.vertices(n):
-        t = _mask(v)
-        for coords in itertools.combinations([k for k in range(n) if v[k]], dim):
-            yield v, t, coords
-
-
-def _sides(edges, t: int, i: int, j: int):
-    """The (first, second) edges of face (t, i, j) through mid_a and mid_b."""
-    return ((edges[t, i], edges[t ^ 1 << i, j]), (edges[t, j], edges[t ^ 1 << j, i]))
-
-
-def _fiber_sizes(side, steps: list[tuple[int, int]]) -> dict[tuple[str, str], int]:
-    xs, ys = side[0].elements, side[1].elements
-    sizes: dict[tuple[str, str], int] = {}
-    for i, j in steps:
-        key = (xs[i].s, ys[j].t)
-        sizes[key] = sizes.get(key, 0) + 1
-    return sizes
-
-
-def validate_c0(f: CubeFunctorData) -> ValidationReport:
-    """Fiberwise equality of the two composite cardinalities on every square."""
-    edges = _indexed_edges(f)
-    failures = []
-    for v, t, (i, j) in _tops(f.n, 2):
+    Returns the fiber-size failures, the matching failures and each face's
+    oriented table.  After a fiber-size failure no matching is read, since
+    a report then lists only those.  ``labels[mask]`` names a vertex's
+    positions in messages."""
+    c0: list[str] = []
+    failures: list[str] = []
+    tables: dict[tuple[int, int, int], array] = {}
+    for v, t, (i, j) in _tops(n, 2):
         sides = _sides(edges, t, i, j)
-        msg = _c0_failure(v, i, j, *map(_fiber_sizes, sides, _face_composites(*sides)))
-        if msg is not None:
-            failures.append(msg)
-    return ValidationReport(not failures, tuple(failures), not failures)
+        pa, pb = _face_composites(*sides)
+        ka, kb = _fiber_keys(sides[0], pa), _fiber_keys(sides[1], pb)
+        if sorted(ka) != sorted(kb):
+            top, bottom = labels[t], labels[t ^ 1 << i ^ 1 << j]
+            c0.append(_c0_failure(v, i, j, *(
+                {(top[x], bottom[z]): c for (x, z), c in collections.Counter(keys).items()}
+                for keys in (ka, kb))))
+        if c0 or image_of is None:
+            continue
+        image = image_of(v, t, i, j, sides, pa, pb, ka, kb)
+        table = image if isinstance(image, str) else _table(sides, pa, pb, ka, kb, image)
+        if isinstance(table, str):
+            failures.append(f"face {_face_key(Face2.from_top(v, i, j))}: {table}")
+        else:
+            tables[t, i, j] = table
+    return c0, failures, tables
 
 
-def _c0_failure(v: Vertex, i: int, j: int, fa: dict, fb: dict) -> str | None:
-    """Why the square's two composites differ in some fiber size, if they do."""
-    if fa == fb:
-        return None
+def _c0_failure(v: Vertex, i: int, j: int, fa: dict, fb: dict) -> str:
+    """Why the square's two composites differ in some fiber size."""
     diff = {k: (fa.get(k, 0), fb.get(k, 0))
             for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
     return f"face {_face_key(Face2.from_top(v, i, j))}: fiber sizes differ {diff}"
@@ -387,18 +464,45 @@ def _hexagon_swaps(t: int, coords: tuple[int, int, int]):
         yield (0, t, a, b) if n % 2 == 0 else (1, t ^ 1 << a, b, c)
 
 
-def _hexagon_commutes(t: int, coords: tuple[int, int, int],
-                      edges: Mapping[tuple[int, int], Correspondence],
+def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
                       tables: Mapping[tuple[int, int, int], array]) -> bool:
     """Whether the six swaps around the 3-face (t, coords) compose to the
     identity on every element of its first chain's composite; ``tables``
-    holds the oriented tables of (at least) its six faces."""
+    holds the oriented tables of (at least) its six faces.  This is the one
+    hexagon kernel: ``validate_coherence``, the Khovanov build and
+    ``enumerate_matchings`` call it.  The swaps alternate between steps
+    (0, 1) and (1, 2), so they are applied in three rounds of two."""
     swaps = [_swap(at, tables[top, min(p, q), max(p, q)], p < q,
-                   len(edges[top, p].elements), len(edges[top, q].elements))
+                   len(edges[top, p][0]), len(edges[top, q][0]))[1:]
              for at, top, p, q in _hexagon_swaps(t, coords)]
+    rounds = [swaps[r] + swaps[r + 1] for r in (0, 2, 4)]
     i, j, k = coords
-    chain = (edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k])
-    return all(_apply(swaps, st) == list(st) for st in composite_steps(chain))
+    e0, e1, e2 = edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]
+    first = _step_pairs(e0[1], e1[0])
+    e1t = e1[1]
+    for n, m in _step_pairs([e1t[y] for _, y in first], e2[0]):
+        (a0, b0), c0 = first[n], m
+        a, b, c = a0, b0, c0
+        for t0, l0, k0, i0, o0, t1, l1, k1, i1, o1 in rounds:
+            b, a = divmod(t0[bisect_left(t0, b * i0 + a, l0, l0 + k0) + k0], o0)
+            c, b = divmod(t1[bisect_left(t1, c * i1 + b, l1, l1 + k1) + k1], o1)
+        if a != a0 or b != b0 or c != c0:
+            return False
+    return True
+
+
+def _hexagon_failures(n: int, edges, tables) -> list[str]:
+    """The 3-faces, in ``cube.faces3`` order, whose hexagon does not commute."""
+    return [f"3-face at {cube.bits(v)} coords {tuple(c + 1 for c in coords)}: "
+            "hexagon does not commute"
+            for v, t, coords in _tops(n, 3) if not _hexagon_commutes(t, coords, edges, tables)]
+
+
+def validate_c0(f: CubeFunctorData) -> ValidationReport:
+    """Fiberwise equality of the two composite cardinalities on every square."""
+    _, edges, labels = _indexed(f)
+    failures, _, _ = _square_pass(f.n, edges, labels)
+    return ValidationReport(not failures, tuple(failures), not failures)
 
 
 def validate_coherence(f: CubeFunctorData) -> ValidationReport:
@@ -406,36 +510,27 @@ def validate_coherence(f: CubeFunctorData) -> ValidationReport:
     3-face hexagon commutes.  The same pass over the squares decides the
     report's ``square_condition``, as ``validate_c0`` would.
 
-    One indexed pass: each face's composites are listed once, as step
-    pairs, and every square check reads them; each matching is oriented
-    once into a table that the hexagons of its 3-faces look up."""
+    The data is indexed into positions, and the coherence pass runs on
+    them: each face's composites are listed once, as step pairs, and every
+    square check reads them; each matching is read once, through its ids,
+    into a position table that the hexagons of its 3-faces look up."""
     if not f.has_matchings:
         return ValidationReport(False, ("functor carries no face matchings",), False)
-    edges = _indexed_edges(f)
+    corrs, edges, labels = _indexed(f)
     mask = {v: _mask(v) for v in f.vertex_sets}
     matchings = {}
     for face, m in f.face_matchings.items():
         t = mask[face.top]
         matchings[t, (t ^ mask[face.mid_a]).bit_length() - 1,
                   (t ^ mask[face.mid_b]).bit_length() - 1] = m
-    c0, failures, tables = [], [], {}
-    for v, t, (i, j) in _tops(f.n, 2):
-        sides = _sides(edges, t, i, j)
-        pa, pb = _face_composites(*sides)
-        msg = _c0_failure(v, i, j, _fiber_sizes(sides[0], pa), _fiber_sizes(sides[1], pb))
-        if msg is not None:
-            c0.append(msg)
-        table = _oriented(matchings[t, i, j], sides, pa, pb)
-        if isinstance(table, str):
-            failures.append(f"face {_face_key(Face2.from_top(v, i, j))}: {table}")
-        else:
-            tables[t, i, j] = table
+
+    def image_of(v, t, i, j, sides, pa, pb, ka, kb):
+        return _matching_image(matchings[t, i, j], _sides(corrs, t, i, j), pa, pb)
+
+    c0, failures, tables = _square_pass(f.n, edges, labels, image_of)
     if c0 or failures:
         return ValidationReport(False, tuple(c0 or failures), not c0)
-    for v, t, coords in _tops(f.n, 3):
-        if not _hexagon_commutes(t, coords, edges, tables):
-            failures.append(f"3-face at {cube.bits(v)} coords "
-                            f"{tuple(c + 1 for c in coords)}: hexagon does not commute")
+    failures = _hexagon_failures(f.n, edges, tables)
     return ValidationReport(not failures, tuple(failures), True)
 
 
@@ -500,10 +595,10 @@ def enumerate_matchings(f: CubeFunctorData,
                   for face in faces}
     # each candidate is oriented once; faces are (top mask, i, j) as in the
     # coherence pass, listed in the order of ``faces``
-    edges = _indexed_edges(f)
+    corrs, edges, _ = _indexed(f)
     keys = [(t, i, j) for _, t, (i, j) in _tops(f.n, 2)]
-    tables = [[_face_table(c, face, _sides(edges, *key)) for c in candidates[face]]
-              for face, key in zip(faces, keys)]
+    tables = [[_face_table(c, face, _sides(corrs, *key), _sides(edges, *key))
+               for c in candidates[face]] for face, key in zip(faces, keys)]
     # 3-faces become checkable once their last (in assignment order) 2-face is set
     face_pos = {key: n for n, key in enumerate(keys)}
     ready_at: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}

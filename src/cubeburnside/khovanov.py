@@ -4,6 +4,16 @@ ladybug pairing on exceptional square fibers, and assembly of the stable
 functor of a link diagram together with its reduced and quantum-graded
 variants.
 
+The functor is built on generator positions: generator p of a vertex with
+k circles labels circle c x_- exactly when bit k - 1 - c of p is set, the
+``itertools.product`` order of its labels.  Edges come from bit operations
+on positions, and each face's matching is a position image: forced on
+one-element fibers, and on two-element fibers the ladybug transfer of
+middle labels, a map of positions.  The coherence pass of ``functor``
+checks fiber sizes, every matching and every hexagon on these positions
+before any string id is written; the face matchings are then written only
+when asked for (``matchings``), and ``kh_table`` does not ask.
+
 Conventions (fixed; mirroring a diagram exchanges them):
   * Crossing tuples (a,b,c,d) list arcs counterclockwise from the incoming
     under-strand.  A crossing is positive when d follows b in its
@@ -17,16 +27,16 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import cube
-from .burnside import (BijectionOver, CorrElem, Correspondence, FiniteSet,
-                       split_composite_id)
+from .burnside import CorrElem, Correspondence, FiniteSet
 from .cube import Face2, Vertex
 from .errors import InputError, InternalInvariantError
-from .functor import (CubeFunctorData, StableFunctor, quotient_functor_data,
-                      restrict_parts, validate_coherence)
+from .functor import (CubeFunctorData, StableFunctor, _hexagon_failures, _mask,
+                      _square_pass, _tops, _written_matching, quotient_functor_data,
+                      restrict_parts)
 from .linalg import Matrix
 from .totalization import ChainComplex, dualize, homology_nontrivial, tot
 
@@ -290,7 +300,8 @@ _DELTA_TABLE = {PLUS: [(PLUS, MINUS), (MINUS, PLUS)], MINUS: [(MINUS, MINUS)]}
 
 class DiagramCube:
     """Cached resolutions, generators and circle transitions of one diagram,
-    and the stable functor they assemble into."""
+    and the stable functor they assemble into, built and checked on
+    generator positions."""
 
     def __init__(self, pd: PDCode):
         validate_pd(pd)
@@ -327,74 +338,154 @@ class DiagramCube:
                 out[i] = j
         return out
 
-    def edge_correspondence(self, u: Vertex, v: Vertex) -> Correspondence:
-        """Elements are the pairs (target generator y at v, source generator
-        x at u) whose abelian-side coefficient is 1; merge edges apply the
-        multiplication table, split edges the comultiplication table."""
+    def _edge_positions(self, u: Vertex, v: Vertex) -> tuple[list[int], list[int]]:
+        """The edge u -> v on generator positions: the source (at u) and
+        target (at v) position of each element.  Elements are the pairs
+        (y at v, x at u) whose abelian-side coefficient is 1, by y and then
+        in the order of the merge or split table.  Circle c of a vertex with
+        k circles carries x_- exactly when bit k - 1 - c of a position is
+        set (``generators`` order); circles away from the changed crossing
+        keep their labels."""
         k = cube.edge_coordinate(u, v)
         rv, ru = self.resolved(v), self.resolved(u)
-        vk = [i for i, c in enumerate(rv.circles)
-              if any(p.crossing == k for p in c.passages)]
-        uk = [i for i, c in enumerate(ru.circles)
-              if any(p.crossing == k for p in c.passages)]
-        stable_vu = self.circle_match(rv, ru)
-        elems = []
-        gen_u = self.generators(u)
-        gen_v = self.generators(v)
-        for y in gen_v:
-            for x in _abelian_images(y, rv, ru, vk, uk, stable_vu):
-                elems.append(CorrElem(f"{x}>{y}", x, y))
-        return Correspondence(gen_u, gen_v, tuple(elems))
+        cv, cu = len(rv.circles), len(ru.circles)
+        vk = [i for i, c in enumerate(rv.circles) if any(p.crossing == k for p in c.passages)]
+        uk = [i for i, c in enumerate(ru.circles) if any(p.crossing == k for p in c.passages)]
+        stable = self.circle_match(rv, ru)
+        rest = _bit_images(cv, [(cv - 1 - c, cu - 1 - stable[c]) for c in range(cv)
+                                if c not in vk])
+        s: list[int] = []
+        t: list[int] = []
+        if len(vk) == 2 and len(uk) == 1:
+            # merge: x_+ x_+ -> x_+, one x_- -> x_-, two x_- -> nothing
+            a, b, m = cv - 1 - vk[0], cv - 1 - vk[1], 1 << cu - 1 - uk[0]
+            for y, x in enumerate(rest):
+                la, lb = y >> a & 1, y >> b & 1
+                if not (la and lb):
+                    s.append(x | m if la or lb else x)
+                    t.append(y)
+        elif len(vk) == 1 and len(uk) == 2:
+            # split: x_+ -> x_+ x_- then x_- x_+, x_- -> x_- x_-
+            a, m0, m1 = cv - 1 - vk[0], 1 << cu - 1 - uk[0], 1 << cu - 1 - uk[1]
+            for y, x in enumerate(rest):
+                if y >> a & 1:
+                    s.append(x | m0 | m1)
+                    t.append(y)
+                else:
+                    s += (x | m1, x | m0)
+                    t += (y, y)
+        else:
+            raise InternalInvariantError("resolution change is neither merge nor split")
+        return s, t
+
+    def edge_correspondence(self, u: Vertex, v: Vertex) -> Correspondence:
+        """The edge u -> v with generator labels (``_edge_positions``)."""
+        return self._labelled(u, v, self._edge_positions(u, v))
+
+    def _labelled(self, u: Vertex, v: Vertex, positions) -> Correspondence:
+        """The edge u -> v of ``positions``, its element "x>y" running from
+        x at u to y at v."""
+        gen_u, gen_v = self.generators(u), self.generators(v)
+        xs, ys = gen_u.elements, gen_v.elements
+        return Correspondence(gen_u, gen_v, tuple([
+            CorrElem(f"{xs[a]}>{ys[b]}", xs[a], ys[b]) for a, b in zip(*positions)]))
+
+    def _checked_squares(self):
+        """Every edge on positions, keyed (u, v) and (mask, k), and each
+        face's matching as an oriented table, from the square pass: fiber
+        sizes, the matchings ``matching_image`` names and their 2-morphism
+        check.  ``InternalInvariantError`` on any failure."""
+        n = self.pd.n
+        mask = {v: _mask(v) for v in cube.vertices(n)}
+        positions = {(u, v): self._edge_positions(u, v) for (u, v) in cube.edges(n)}
+        edges = {(mask[u], (mask[u] ^ mask[v]).bit_length() - 1): p
+                 for (u, v), p in positions.items()}
+        labels = {m: self.generators(v).elements for v, m in mask.items()}
+        c0, failures, tables = _square_pass(n, edges, labels, self.matching_image)
+        if c0 or failures:
+            raise InternalInvariantError(
+                "diagram functor fails coherence: " + "; ".join((c0 or failures)[:3]))
+        return positions, edges, tables
+
+    def _written(self, positions, tables: dict | None) -> CubeFunctorData:
+        """The functor data with string ids: generator sets, the edges of
+        ``positions`` through ``CubeFunctorData.build``, and the face
+        matchings of ``tables`` unless it is None."""
+        n = self.pd.n
+        vs = {v: self.generators(v) for v in cube.vertices(n)}
+        ec = {(u, v): self._labelled(u, v, p) for (u, v), p in positions.items()}
+        data = CubeFunctorData.build(n, vs, ec, None)
+        if tables is None:
+            return data
+        fm = {}
+        for v, t, (i, j) in _tops(n, 2):
+            face = Face2.from_top(v, i, j)
+            fm[face] = _written_matching(tables[t, i, j], (
+                (ec[face.top, face.mid_a], ec[face.mid_a, face.bottom]),
+                (ec[face.top, face.mid_b], ec[face.mid_b, face.bottom])))
+        return CubeFunctorData(n, data.vertex_sets, data.edge_corrs, fm)
 
     def functor_data(self) -> CubeFunctorData:
         """Generators per vertex, Frobenius edge correspondences and square
-        matchings (forced or ladybug)."""
-        n = self.pd.n
-        vs = {v: self.generators(v) for v in cube.vertices(n)}
-        ec = {(u, v): self.edge_correspondence(u, v) for (u, v) in cube.edges(n)}
-        data = CubeFunctorData.build(n, vs, ec, None)
-        # the matchings cover every face, as build would check
-        fm = {face: self.face_matching(data, face) for face in cube.faces2(n)}
-        return CubeFunctorData(n, data.vertex_sets, data.edge_corrs, fm)
+        matchings (forced or ladybug), with the squares checked on
+        positions but the hexagons not (``InternalInvariantError`` where a
+        square has no matching)."""
+        positions, _, tables = self._checked_squares()
+        return self._written(positions, tables)
 
-    def stable_functor(self, validate: bool = True) -> StableFunctor:
-        """The functor data shifted by minus the negative crossing count;
-        coherence is validated unless ``validate`` is false."""
-        data = self.functor_data()
-        if validate:
-            rep = validate_coherence(data)
-            if not rep:
-                raise InternalInvariantError(
-                    "diagram functor fails coherence: " + "; ".join(rep.failures[:3]))
-        return StableFunctor(data, -self.n_minus)
+    def stable_functor(self, matchings: bool = True) -> StableFunctor:
+        """The functor data shifted by minus the negative crossing count.
+        Coherence (fiber sizes, matchings, every hexagon) is checked on
+        positions before any string is written; face matchings are written
+        only when ``matchings`` is true."""
+        positions, edges, tables = self._checked_squares()
+        failures = _hexagon_failures(self.pd.n, edges, tables)
+        if failures:
+            raise InternalInvariantError(
+                "diagram functor fails coherence: " + "; ".join(failures[:3]))
+        return StableFunctor(self._written(positions, tables if matchings else None),
+                             -self.n_minus)
 
     # -- square matchings -------------------------------------------------
 
-    def face_matching(self, data: CubeFunctorData, face: Face2) -> BijectionOver:
-        ca, cb = data.square(face)
-        fa, fb = ca.fibers(), cb.fibers()
-        mapping: dict[str, str] = {}
-        lady = None
-        for key in fa:
-            ea, eb = fa[key], fb.get(key, [])
-            if len(ea) != len(eb):
-                raise InternalInvariantError(
-                    f"square fibers differ at {key} on face {face}")
-            if len(ea) == 1:
-                mapping[ea[0].id] = eb[0].id
-            elif len(ea) == 2:
+    def matching_image(self, v: Vertex, t: int, i: int, j: int, sides,
+                       pa: list[tuple[int, int]], pb: list[tuple[int, int]],
+                       ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[int]:
+        """The matching of face (v, i, j) on positions, for the square
+        pass: element pa[p] goes to pb[image[p]] in its fiber (ka, kb).  A
+        one-element fiber is forced; the two-element fibers are paired by
+        the face's ladybug transfer of middle labels (``detect_ladybug``
+        once per face)."""
+        where = {key: q for q, key in enumerate(kb)}
+        if len(where) == len(kb):
+            return [where[key] for key in ka]
+        fibers: dict[tuple[int, int], list[int]] = {}
+        for q, key in enumerate(kb):
+            fibers.setdefault(key, []).append(q)
+        mids_a, mids_b = sides[0][0][1], sides[1][0][1]
+        face = Face2.from_top(v, i, j)
+        image, transfer = [], None
+        for p, key in enumerate(ka):
+            qs = fibers[key]
+            if len(qs) == 1:
+                image.append(qs[0])
+                continue
+            if len(qs) > 2:
+                raise InternalInvariantError(f"fiber of size {len(qs)} on face {face}")
+            if transfer is None:
                 x, z = key
-                if lady is None:
-                    lady = self.detect_ladybug(face, x, z)
+                lady = self.detect_ladybug(face, self.generators(face.top).elements[x],
+                                           self.generators(face.bottom).elements[z])
                 if lady is None:
                     raise InternalInvariantError(
                         f"two-element fiber without ladybug configuration on {face}")
-                transfer = self.ladybug_fiber_map(lady, ea, eb)
-                mapping.update(transfer)
-            elif len(ea) > 2:
-                raise InternalInvariantError(
-                    f"fiber of size {len(ea)} on face {face}")
-        return BijectionOver.of(ca, cb, mapping)
+                transfer = self.ladybug_transfer(lady)
+            mid = transfer[mids_a[pa[p][0]]]
+            hits = [q for q in qs if mids_b[pb[q][0]] == mid]
+            if not hits:
+                raise InternalInvariantError("transferred labeling missing on the far side")
+            image.append(hits[0])
+        return image
 
     def detect_ladybug(self, face: Face2, x: str, z: str) -> "LadybugData | None":
         """The exceptional square pattern: one bottom circle carrying both
@@ -479,44 +570,33 @@ class DiagramCube:
             raise InternalInvariantError("expected two surgery endpoints")
         return (segs[0], segs[1])
 
-    def ladybug_fiber_map(self, lady: "LadybugData",
-                          ea: list[CorrElem], eb: list[CorrElem]) -> dict[str, str]:
-        """Pair the two-element fibers through the two middles by transferring
-        the middle labeling along the right-pair circle identification."""
+    def ladybug_transfer(self, lady: "LadybugData") -> list[int]:
+        """The ladybug's transfer of middle labels, as a map of generator
+        positions: entry p is the generator of ``mid_b`` whose labels are
+        those of generator p of ``mid_a``, carried along the identification
+        of circles.  The right-pair circles go to each other in order, every
+        other circle to the circle with its arcs."""
         face = lady.face
         rv, rvp = self.resolved(face.mid_a), self.resolved(face.mid_b)
-        stable = self.circle_match(rv, rvp)
-        out = {}
-        by_mid_b = {}
-        for e in eb:
-            by_mid_b[_middle_label(e)] = e
-        for e in ea:
-            mid = _middle_label(e)
-            target = [None] * len(rvp.circles)
-            for ci in range(len(rv.circles)):
-                if ci == lady.split_a[0]:
-                    target[lady.split_b[0]] = mid[ci]
-                elif ci == lady.split_a[1]:
-                    target[lady.split_b[1]] = mid[ci]
-                else:
-                    target[stable[ci]] = mid[ci]
-            if any(t is None for t in target):
-                raise InternalInvariantError("middle labeling transfer incomplete")
-            key = "".join(target)
-            if key not in by_mid_b:
-                raise InternalInvariantError("transferred labeling missing on the far side")
-            out[e.id] = by_mid_b[key].id
-        return out
+        ca, cb = len(rv.circles), len(rvp.circles)
+        dest = self.circle_match(rv, rvp)
+        dest.update(zip(lady.split_a, lady.split_b))
+        if sorted(dest) != list(range(ca)) or sorted(dest.values()) != list(range(cb)):
+            raise InternalInvariantError("middle labeling transfer incomplete")
+        return _bit_images(ca, [(ca - 1 - c, cb - 1 - dest[c]) for c in range(ca)])
 
 
-def _middle_label(e: CorrElem) -> str:
-    """Middle generator of a two-step composite element "x2>m∘m>x1"."""
-    y, x = split_composite_id(e.id)
-    src, mid = x.split(">")
-    mid2, tgt = y.split(">")
-    if mid != mid2:
-        raise InternalInvariantError("composite steps do not share their middle")
-    return mid
+def _bit_images(c: int, moves: list[tuple[int, int]]) -> list[int]:
+    """For every generator position p with c bits, the position with bit b
+    equal to bit a of p, for each (a, b) in ``moves``, and every other bit
+    clear; built by doubling, one bit of p at a time."""
+    to = [0] * c
+    for a, b in moves:
+        to[a] = 1 << b
+    images = [0]
+    for bit in to:
+        images += [x | bit for x in images]
+    return images
 
 
 @dataclass(frozen=True)
@@ -566,10 +646,11 @@ def _abelian_images(y: str, rv: ResolvedDiagram, ru: ResolvedDiagram,
 
 # -- public operations ---------------------------------------------------------
 
-def build_khovanov_functor(pd: PDCode, validate: bool = True) -> StableFunctor:
-    """The stable functor of a diagram; coherence is validated on
-    construction unless ``validate`` is false."""
-    return DiagramCube(pd).stable_functor(validate)
+def build_khovanov_functor(pd: PDCode, matchings: bool = True) -> StableFunctor:
+    """The stable functor of a diagram, its coherence checked on
+    construction; face matchings are written only when ``matchings`` is
+    true (``DiagramCube.stable_functor``)."""
+    return DiagramCube(pd).stable_functor(matchings)
 
 
 def generator_gradings(pd: PDCode, f: CubeFunctorData, reduced: bool = False,
@@ -621,14 +702,15 @@ def basepoint_circle(rd: ResolvedDiagram, basepoint: tuple[str, int]) -> int:
     return rd.circle_of_loop(k) if kind == "loop" else rd.circle_of_arc(k)
 
 
-def reduced_functor(pd: PDCode, basepoint) -> StableFunctor:
-    """Restriction to the generators labeling the basepoint circle x_-.
+def reduced_functor(pd: PDCode, basepoint, matchings: bool = True) -> StableFunctor:
+    """Restriction to the generators labeling the basepoint circle x_-,
+    with face matchings only when ``matchings`` is true.
 
     The discarded generators span a subcomplex of the totalization (the
     restriction is quotient-style)."""
     dc = DiagramCube(pd)
     bp = checked_basepoint(pd, basepoint)
-    sf = dc.stable_functor()
+    sf = dc.stable_functor(matchings)
     s = set()
     for v in cube.vertices(pd.n):
         ci = basepoint_circle(dc.resolved(v), bp)
@@ -777,21 +859,19 @@ def kh_table(pd: PDCode, reduced: bool = False, basepoint=None) -> list[dict]:
     """Bigraded homology rows [{"i","j","rank","torsion"}] sorted by (j,i),
     computed through the span functor.
 
-    Coherence is validated once, on the whole functor as it is built.  The
-    chain complexes need only vertices and edges, so the quantum split
-    reads those alone: a matching restricted to grading-closed fibers is
-    again a 2-morphism, and its endpoints were checked on the whole functor.
-    The split still refuses an edge element between two gradings, and
-    d∘d = 0 is checked on every totalization and dualization."""
+    Coherence is checked once, on positions, on the whole functor as it is
+    built: every face matching and every hexagon.  The chain complexes need
+    only vertices and edges, so no face matching is written.  The split
+    still refuses an edge element between two gradings, and d∘d = 0 is
+    checked on every totalization and dualization."""
     if reduced:
         if basepoint is None:
             raise InputError("reduced homology needs a basepoint")
-        sf = reduced_functor(pd, basepoint)
+        sf = reduced_functor(pd, basepoint, matchings=False)
     else:
-        sf = build_khovanov_functor(pd)
-    edges_only = StableFunctor(replace(sf.functor, face_matchings=None), sf.shift)
+        sf = build_khovanov_functor(pd, matchings=False)
     rows = [{"i": -d, "j": j, "rank": h.free_rank, "torsion": list(h.torsion)}
-            for j, part in split_by_quantum(pd, edges_only, reduced=reduced).items()
+            for j, part in split_by_quantum(pd, sf, reduced=reduced).items()
             for d, h in homology_nontrivial(dualize(tot(part))).items()]
     rows.sort(key=lambda r: (r["j"], r["i"]))
     return rows

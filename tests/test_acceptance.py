@@ -34,7 +34,7 @@ def report(criterion: str, detail: str = ""):
 def test_criterion_01_corpus_coherence(pd_corpus):
     start = time.time()
     for name, pd in pd_corpus.items():
-        sf = kh.build_khovanov_functor(pd, validate=False)
+        sf = kh.build_khovanov_functor(pd)
         assert validate_c0(sf.functor).ok, name
         assert validate_coherence(sf.functor).ok, name
     elapsed = time.time() - start
@@ -46,7 +46,7 @@ def test_criterion_01_corpus_coherence(pd_corpus):
 def test_criterion_02_d_squared_zero(pd_corpus):
     count = 0
     for name, pd in pd_corpus.items():
-        tot(kh.build_khovanov_functor(pd, validate=False))
+        tot(kh.build_khovanov_functor(pd))
         count += 1
     for x in FX.delta_fixtures().values():
         tot(simplicial.delta_functor(x))
@@ -208,7 +208,7 @@ def test_criterion_11_path_independence(pd_corpus, wedge_cube):
     for name in ("kink_neg", "hopf", "unknot_r2", "unknot_ladybug", "trefoil_pos"):
         pd = pd_corpus[name]
         if pd.n <= 3:
-            functors.append(kh.build_khovanov_functor(pd, validate=False).functor)
+            functors.append(kh.build_khovanov_functor(pd).functor)
     checked = 0
     for f in functors:
         for u in cube.vertices(f.n):

@@ -153,7 +153,7 @@ def test_face_inclusion_injective_and_edge_preserving(n, N):
             cube.edge_coordinate(iota.apply(u), iota.apply(v))  # still an edge
 
 
-def test_face_inclusion_compose_and_json():
+def test_face_inclusion_json():
     i2 = FaceInclusion(2, 3, (1, 0, 0), (1, 2))
     assert FaceInclusion.from_json(i2.to_json()) == i2
 

@@ -490,8 +490,7 @@ def test_pentagon_via_reconstruction(wedge_cube):
     Exhaustive over all chains u > v > w > z of the 3-cube and of a
     4-dimensional diagram functor."""
     fig8 = kh.build_khovanov_functor(
-        kh.parse_pd("PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"),
-        validate=False).functor
+        kh.parse_pd("PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]")).functor
     for f in (wedge_cube, fig8):
         verts = cube.vertices(f.n)
         quads = [(u, v, w, z)

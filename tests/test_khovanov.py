@@ -1,5 +1,7 @@
 import collections
+import hashlib
 import itertools
+import json
 from unittest import mock
 
 import pytest
@@ -7,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeburnside import cube, fixtures as FX
-from cubeburnside import burnside, khovanov as kh
+from cubeburnside import burnside, functor, khovanov as kh
 from cubeburnside.burnside import linearize
-from cubeburnside.errors import InputError
+from cubeburnside.errors import InputError, InternalInvariantError
 from cubeburnside.functor import (CubeFunctorData, composite_along_chain,
-                                  coproduct, find_natural_isomorphism,
+                                  coproduct, find_natural_isomorphism, functor_to_json,
                                   validate_c0, validate_coherence)
 from cubeburnside.linalg import Matrix
 from cubeburnside.totalization import (direct_sum, homology_nontrivial,
@@ -252,7 +254,6 @@ def test_ladybug_numbering_does_not_matter(pd_corpus):
     data = dc.functor_data()
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(data, (face.top, face.mid_b, face.bottom))
         for key, elems in ca.fibers().items():
             if len(elems) != 2:
                 continue
@@ -263,38 +264,46 @@ def test_ladybug_numbering_does_not_matter(pd_corpus):
                 (lady.right_pair[1], lady.right_pair[0]),
                 (lady.split_a[1], lady.split_a[0]),
                 (lady.split_b[1], lady.split_b[0]))
-            a = dc.ladybug_fiber_map(lady, elems, cb.fibers()[key])
-            b = dc.ladybug_fiber_map(swapped, elems, cb.fibers()[key])
+            a = dc.ladybug_transfer(lady)
+            b = dc.ladybug_transfer(swapped)
             assert a == b
 
 
 def test_ladybug_involution(pd_corpus):
-    # swapping the roles of the two middles inverts the fiber bijection
+    # swapping the roles of the two middles inverts the transfer of labels
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
     data = dc.functor_data()
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
-        cb = composite_along_chain(data, (face.top, face.mid_b, face.bottom))
         for key, elems in ca.fibers().items():
             if len(elems) != 2:
                 continue
             x, z = key
             lady = dc.detect_ladybug(face, x, z)
-            fwd = dc.ladybug_fiber_map(lady, elems, cb.fibers()[key])
+            fwd = dc.ladybug_transfer(lady)
             reversed_data = kh.LadybugData(
-                lady.face, lady.bottom_circle, lady.top_circle, lady.endpoints,
+                cube.Face2(face.top, face.mid_b, face.mid_a, face.bottom),
+                lady.bottom_circle, lady.top_circle, lady.endpoints,
                 lady.right_pair, lady.split_b, lady.split_a)
-            back = dc.ladybug_fiber_map(reversed_data, cb.fibers()[key], elems)
-            assert {v: k for k, v in fwd.items()} == back
+            back = dc.ladybug_transfer(reversed_data)
+            assert {v: k for k, v in enumerate(fwd)} == dict(enumerate(back))
 
 
 def test_face_matching_is_two_morphism_corpus(small_corpus):
+    # every face's matching, as the build names it on positions, passes the
+    # 2-morphism check of the coherence pass
     for name, pd in small_corpus.items():
         dc = kh.DiagramCube(pd)
-        data = dc.functor_data()
-        for face in cube.faces2(pd.n):
-            dc.face_matching(data, face)  # BijectionOver validates on build
+        edges = {(functor._mask(u), cube.edge_coordinate(u, v)): dc._edge_positions(u, v)
+                 for (u, v) in cube.edges(pd.n)}
+        for v, t, (i, j) in functor._tops(pd.n, 2):
+            sides = functor._sides(edges, t, i, j)
+            pa, pb = functor._face_composites(*sides)
+            ka, kb = functor._fiber_keys(sides[0], pa), functor._fiber_keys(sides[1], pb)
+            image = dc.matching_image(v, t, i, j, sides, pa, pb, ka, kb)
+            table = functor._table(sides, pa, pb, ka, kb, image)
+            assert not isinstance(table, str), (name, v, i, j)
 
 
 def test_flipping_ladybug_breaks_coherence(pd_corpus):
@@ -320,6 +329,83 @@ def test_flipping_ladybug_breaks_coherence(pd_corpus):
     pytest.fail("no ladybug face found")
 
 
+def _flip_one_ladybug(monkeypatch):
+    """Make the build's per-face matching step swap the images of one
+    two-element fiber, on the first face (in pass order) that has one."""
+    matching_image = kh.DiagramCube.matching_image
+    flipped_face = []
+
+    def flipping(self, v, t, i, j, sides, pa, pb, ka, kb):
+        image = matching_image(self, v, t, i, j, sides, pa, pb, ka, kb)
+        twos = [p for p, key in enumerate(ka) if ka.count(key) == 2]
+        if twos and not flipped_face:
+            flipped_face.append((t, i, j))
+        if flipped_face == [(t, i, j)]:
+            p = twos[0]
+            q = next(q for q in twos if q > p and ka[q] == ka[p])
+            image[p], image[q] = image[q], image[p]
+        return image
+
+    monkeypatch.setattr(kh.DiagramCube, "matching_image", flipping)
+
+
+@pytest.mark.parametrize("matchings", [True, False])
+@pytest.mark.parametrize("build", [kh.build_khovanov_functor,
+                                   lambda pd, matchings: kh.reduced_functor(pd, 1, matchings)],
+                         ids=["build_khovanov_functor", "reduced_functor"])
+def test_flipped_ladybug_fails_the_build(pd_corpus, monkeypatch, build, matchings):
+    """Swapping one ladybug fiber's images keeps a 2-morphism, so only a
+    hexagon can catch it, with or without written matchings."""
+    _flip_one_ladybug(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="hexagon does not commute"):
+        build(pd_corpus["unknot_ladybug"], matchings)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_flipped_ladybug_fails_kh_table(pd_corpus, monkeypatch, reduced):
+    # the table writes no matching, and still checks every hexagon
+    _flip_one_ladybug(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="hexagon does not commute"):
+        kh.kh_table(pd_corpus["unknot_ladybug"], reduced=reduced, basepoint=1)
+
+
+# sha256 of the canonical JSON of the full and (at arc 1) the reduced functor
+FUNCTOR_JSON_SHA = {
+    "fig8": ("81265becb3ec078b", "1f32e3ccba135dd9"),
+    "granny": ("aad363c0cd973d1b", "035d6cc1d81950b9"),
+    "hopf": ("a5b89dd4f3cfcd6f", "ab743c1b0f28a7df"),
+    "hopf_unknot": ("d3ab07605b9ecc73", "a6c1bbde22c1fe5b"),
+    "kink_disjoint": ("d50814bd53e19611", "b1e97bdeb501c577"),
+    "kink_kink": ("ff43947fafc020a6", "4c68e27a0e5b3486"),
+    "kink_neg": ("ca78bf30a2ae9f8c", "75b31503ab7eae94"),
+    "kink_pos": ("30a274c93be156e3", "8f19977056f399f7"),
+    "square_knot": ("d0d6de8040c10ea0", "1a967c8effff350d"),
+    "trefoil_fig8": ("1552181f9d57cb43", "028a4268291a85f3"),
+    "trefoil_kink": ("cf572d093ab40985", "f274b800d26ee7e8"),
+    "trefoil_neg": ("9c2a8c765fa0efbd", "d613aa6c249b407b"),
+    "trefoil_pos": ("45e8ee01ae51ac7a", "02ca2087126f1d60"),
+    "trefoil_unknot": ("93ce5b98bb8ec4c2", "09a1478775bf0366"),
+    "unknot_ladybug": ("f31d4a38a642cdfd", "9772cf666028bbf7"),
+    "unknot_r2": ("01319b19289e69b4", "08abc4b8bb990ed7"),
+    "unknot0": ("f656f55f01df5e76", None),
+    "unknot_pair": ("a45917c9ea0628a4", None),
+}
+
+
+def test_functor_json_is_pinned(pd_corpus):
+    """The string form of the Khovanov functor (ids, element order and
+    face matchings), full and reduced, on every PD fixture."""
+    def sha(sf):
+        text = json.dumps(functor_to_json(sf), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert set(FUNCTOR_JSON_SHA) == set(pd_corpus)
+    for name, (full, reduced) in FUNCTOR_JSON_SHA.items():
+        pd = pd_corpus[name]
+        assert sha(kh.build_khovanov_functor(pd)) == full, name
+        assert (sha(kh.reduced_functor(pd, 1)) if 1 in pd.arcs() else None) == reduced, name
+
+
 # -- the functor and its totalization ------------------------------------------------
 
 def test_build_unknot0(pd_corpus):
@@ -332,11 +418,11 @@ def test_build_unknot0(pd_corpus):
 def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
         pd_corpus, monkeypatch):
     """A table (plain or reduced) and ``kh verify`` resolve every vertex
-    once, make one generator set per vertex, build the functor data once,
-    and list every face's composites twice: once for its matching and once
-    in the coherence pass."""
+    once, make one generator set per vertex and build the functor data
+    once.  A table lists every face's composites once, in the coherence
+    pass on positions; ``kh verify`` lists them once more, in the string
+    ``validate_coherence`` of the unvalidated data."""
     from click.testing import CliRunner
-    from cubeburnside import functor
     from cubeburnside.cli import main
 
     calls = collections.Counter()
@@ -355,15 +441,15 @@ def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
                         counted("face composites", functor._face_composites))
     pd = pd_corpus["fig8"]
     once = {"resolve": 2 ** pd.n, "generator sets": 2 ** pd.n, "build": 1,
-            "face composites": 2 * len(cube.faces2(pd.n))}
-    runs = [lambda: kh.kh_table(pd),
-            lambda: kh.kh_table(pd, reduced=True, basepoint=1),
-            lambda: CliRunner().invoke(main, ["kh", "verify", "fig8"],
-                                       catch_exceptions=False)]
-    for run in runs:
+            "face composites": len(cube.faces2(pd.n))}
+    runs = [(lambda: kh.kh_table(pd), 1),
+            (lambda: kh.kh_table(pd, reduced=True, basepoint=1), 1),
+            (lambda: CliRunner().invoke(main, ["kh", "verify", "fig8"],
+                                        catch_exceptions=False), 2)]
+    for run, passes in runs:
         calls.clear()
         run()
-        assert calls == once
+        assert calls == {**once, "face composites": passes * once["face composites"]}
 
 
 def test_corpus_functors_coherent(small_corpus):
@@ -609,8 +695,9 @@ def test_kh_table_split_rejects_an_edge_between_gradings(pd_corpus, monkeypatch)
 
 
 def test_kh_table_validates_matchings_once(monkeypatch):
-    """An unreduced table on the closure of (σ1σ2⁻¹)^4 builds one matching
-    per face, in the build, and its one split builds no face data."""
+    """An unreduced table on the closure of (σ1σ2⁻¹)^4 checks its matchings
+    on positions and writes none: it constructs no ``BijectionOver``, and
+    its one split builds no face data."""
     pd = kh.braid_closure_pd([1, -2] * 4, 3)
     calls = collections.Counter()
     splits = []
@@ -628,7 +715,7 @@ def test_kh_table_validates_matchings_once(monkeypatch):
     monkeypatch.setattr(burnside.BijectionOver, "__post_init__", counted_post_init)
     kh.kh_table(pd)
     monkeypatch.undo()
-    assert calls == {"BijectionOver": len(cube.faces2(pd.n))}
+    assert calls == {}
     assert len(splits) == 1 and len(splits[0]) == 10
     assert not any(part.has_matchings for part in splits[0].values())
 
