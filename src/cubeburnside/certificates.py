@@ -15,23 +15,36 @@ from .functor import (NaturalTransformation, StableFunctor,
 from .totalization import is_quasi_iso, tot_nat_trans
 
 
+def _check_direction(direction) -> None:
+    if direction not in ("forward", "reverse"):
+        raise InputError(f"step direction must be 'forward' or 'reverse', not {direction!r}")
+
+
 @dataclass(frozen=True)
 class NatTransStep:
     """direction "forward": the transformation runs from the left functor to
-    the right one; "reverse": from right to left."""
+    the right one; "reverse": from right to left.  Any other direction
+    raises ``InputError``."""
 
     eta: NaturalTransformation
     direction: str = "forward"
+
+    def __post_init__(self):
+        _check_direction(self.direction)
 
 
 @dataclass(frozen=True)
 class FaceStep:
     """direction "forward": the right functor is the extension of the left
     one along ``iota`` (its shift drops by the weight); "reverse": the left
-    functor is the extension of the right one."""
+    functor is the extension of the right one.  Any other direction raises
+    ``InputError``."""
 
     iota: FaceInclusion
     direction: str = "forward"
+
+    def __post_init__(self):
+        _check_direction(self.direction)
 
 
 Step = Union[NatTransStep, FaceStep]

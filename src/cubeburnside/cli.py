@@ -17,9 +17,9 @@ from .certificates import verify_certificate
 from .corpus import (load_certificate, load_delta, load_functor, load_golden,
                      load_pd)
 from .errors import InputError, InternalInvariantError, SearchCapExceeded
-from .functor import (StableFunctor, enumerate_matchings, find_natural_isomorphism,
-                      product, validate_c0, validate_coherence)
-from .khovanov import DiagramCube, generator_gradings, kh_table
+from .functor import (enumerate_matchings, find_natural_isomorphism, product, validate_c0,
+                      validate_coherence)
+from .khovanov import build_khovanov_functor, generator_gradings, kh_table
 from .simplicial import delta_functor, simplicial_homology
 from .totalization import HomologyGroup, homology_nontrivial, tot
 
@@ -111,11 +111,11 @@ def kh_homology(diagram, reduced, basepoint, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def kh_verify(diagram, as_json):
     """Check the square condition, coherence, d²=0 and quantum grading
-    preservation for a diagram's functor."""
+    preservation for a diagram's functor.  The build checks coherence on
+    positions first and exits 3 where it fails."""
     def go():
         pd = load_pd(diagram)
-        dc = DiagramCube(pd)
-        sf = StableFunctor(dc.functor_data(), -dc.n_minus)
+        sf = build_khovanov_functor(pd)
         checks, failures = _structure_checks(sf.functor)
         try:
             tot(sf)

@@ -8,20 +8,20 @@ cardinality condition on squares and the hexagon condition on 3-faces,
 which together let composites be reconstructed consistently along any
 maximal chain.
 
-Nothing derived is kept on the data.  Validation is one pass on element
-positions: a vertex is an int bitmask, and an edge (mask, k) is read as two
-int sequences, the source and the target position of each element.
-``validate_coherence`` indexes string data into positions as the pass goes,
-keeping the one check that reads ids: a stored matching's endpoints are the
-stored composites.  The Khovanov build hands the same pass positions it
-made itself.  Each face's two composites are listed once, as (x, y)
-element-position pairs, by ``_face_composites``, and every square check
-reads those pairs: fiber sizes, and the matching as a position image that
-must be a bijection keeping every element's fiber.  Each matching is
-oriented once per pass into a small int table on step pairs; a hexagon
-lists its triples straight from the edges and looks each one up in its six
-faces' tables (``_hexagon_commutes``, the one hexagon kernel), with no
-composite ids built or split.
+Nothing derived is kept on the data.  Coherence is one pass on element
+positions, ``_coherence_pass``: a vertex is an int bitmask, and an edge
+(mask, k) is read as two int sequences, the source and the target position
+of each element.  The square pass lists each face's composites once, as
+(x, y) element-position pairs (``_face_composites``), checks their fiber
+sizes and takes the face's matching as a position image that must be a
+bijection keeping every element's fiber.  Each matching is oriented once
+into a small int table on step pairs, and the hexagons look their triples
+up in these tables (``_hexagon_commutes``), with no composite ids built or
+split.  Only the source of a face's image differs: ``validate_coherence``
+reads a stored matching through its ids (the one check that reads ids),
+the Khovanov build names its forced or ladybug matching, and
+``forced_matchings`` (squares only) takes the forced rule
+``_forced_image`` and writes each matching as ``compose`` builds it.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
 vertices, edges and stored matchings puts each element into its part,
@@ -431,9 +431,11 @@ def _square_pass(n: int, edges, labels, image_of=None):
         ka, kb = _fiber_keys(sides[0], pa), _fiber_keys(sides[1], pb)
         if sorted(ka) != sorted(kb):
             top, bottom = labels[t], labels[t ^ 1 << i ^ 1 << j]
-            c0.append(_c0_failure(v, i, j, *(
-                {(top[x], bottom[z]): c for (x, z), c in collections.Counter(keys).items()}
-                for keys in (ka, kb))))
+            fa, fb = ({(top[x], bottom[z]): c for (x, z), c in collections.Counter(keys).items()}
+                      for keys in (ka, kb))
+            diff = {k: (fa.get(k, 0), fb.get(k, 0))
+                    for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
+            c0.append(f"face {_face_key(Face2.from_top(v, i, j))}: fiber sizes differ {diff}")
         if c0 or image_of is None:
             continue
         image = image_of(v, t, i, j, sides, pa, pb, ka, kb)
@@ -443,13 +445,6 @@ def _square_pass(n: int, edges, labels, image_of=None):
         else:
             tables[t, i, j] = table
     return c0, failures, tables
-
-
-def _c0_failure(v: Vertex, i: int, j: int, fa: dict, fb: dict) -> str:
-    """Why the square's two composites differ in some fiber size."""
-    diff = {k: (fa.get(k, 0), fb.get(k, 0))
-            for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
-    return f"face {_face_key(Face2.from_top(v, i, j))}: fiber sizes differ {diff}"
 
 
 def _hexagon_swaps(t: int, coords: tuple[int, int, int]):
@@ -469,9 +464,9 @@ def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
     """Whether the six swaps around the 3-face (t, coords) compose to the
     identity on every element of its first chain's composite; ``tables``
     holds the oriented tables of (at least) its six faces.  This is the one
-    hexagon kernel: ``validate_coherence``, the Khovanov build and
-    ``enumerate_matchings`` call it.  The swaps alternate between steps
-    (0, 1) and (1, 2), so they are applied in three rounds of two."""
+    hexagon kernel: ``_coherence_pass`` and ``enumerate_matchings`` call
+    it.  The swaps alternate between steps (0, 1) and (1, 2), so they are
+    applied in three rounds of two."""
     swaps = [_swap(at, tables[top, min(p, q), max(p, q)], p < q,
                    len(edges[top, p][0]), len(edges[top, q][0]))[1:]
              for at, top, p, q in _hexagon_swaps(t, coords)]
@@ -491,11 +486,19 @@ def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
     return True
 
 
-def _hexagon_failures(n: int, edges, tables) -> list[str]:
-    """The 3-faces, in ``cube.faces3`` order, whose hexagon does not commute."""
-    return [f"3-face at {cube.bits(v)} coords {tuple(c + 1 for c in coords)}: "
-            "hexagon does not commute"
-            for v, t, coords in _tops(n, 3) if not _hexagon_commutes(t, coords, edges, tables)]
+def _coherence_pass(n: int, edges, labels, image_of):
+    """The square pass (``_square_pass``) and then, if it passed, every
+    hexagon, in ``cube.faces3`` order: the fiber-size failures, the
+    matching or hexagon failures and the oriented tables.  This is the one
+    coherence check; ``validate_coherence`` and the Khovanov build call
+    it."""
+    c0, failures, tables = _square_pass(n, edges, labels, image_of)
+    if not (c0 or failures):
+        failures = [f"3-face at {cube.bits(v)} coords {tuple(c + 1 for c in coords)}: "
+                    "hexagon does not commute"
+                    for v, t, coords in _tops(n, 3)
+                    if not _hexagon_commutes(t, coords, edges, tables)]
+    return c0, failures, tables
 
 
 def validate_c0(f: CubeFunctorData) -> ValidationReport:
@@ -527,11 +530,8 @@ def validate_coherence(f: CubeFunctorData) -> ValidationReport:
     def image_of(v, t, i, j, sides, pa, pb, ka, kb):
         return _matching_image(matchings[t, i, j], _sides(corrs, t, i, j), pa, pb)
 
-    c0, failures, tables = _square_pass(f.n, edges, labels, image_of)
-    if c0 or failures:
-        return ValidationReport(False, tuple(c0 or failures), not c0)
-    failures = _hexagon_failures(f.n, edges, tables)
-    return ValidationReport(not failures, tuple(failures), True)
+    c0, failures, _ = _coherence_pass(f.n, edges, labels, image_of)
+    return ValidationReport(not (c0 or failures), tuple(c0 or failures), not c0)
 
 
 # -- exhaustive matching search ---------------------------------------------
@@ -540,10 +540,7 @@ def _face_candidates(f: CubeFunctorData, face: Face2,
                      pinned: Mapping[str, str] | None,
                      max_per_face: int) -> list[BijectionOver]:
     ca, cb = f.square(face)
-    fa = ca.fibers()
-    fb = cb.fibers()
-    if {k: len(v) for k, v in fa.items()} != {k: len(v) for k, v in fb.items()}:
-        raise InputError("composite fibers do not match; run validate_c0 first")
+    fa, fb = ca.fibers(), cb.fibers()
     if pinned:
         ids_a, ids_b = set(ca.ids()), set(cb.ids())
         for s, t in pinned.items():
@@ -574,28 +571,33 @@ def _face_candidates(f: CubeFunctorData, face: Face2,
     return out
 
 
+# caps on the exhaustive searches: faces of ``enumerate_matchings``, search
+# nodes of ``find_natural_isomorphism``
+MAX_SEARCH_FACES = 64
+MAX_ISO_NODES = 2_000_000
+
+
 def enumerate_matchings(f: CubeFunctorData,
                         pinned: Mapping[Face2, Mapping[str, str]] | None = None,
                         max_per_face: int = factorial(10),
-                        max_faces: int = 64,
                         ) -> list[dict[Face2, dict[str, str]]]:
     """All globally coherent 2-face matching assignments for data that has
-    vertices and edges (matchings, if any, are ignored).
+    vertices and edges (matchings, if any, are ignored), with at most
+    ``MAX_SEARCH_FACES`` faces and ``max_per_face`` bijections a face.
 
     ``pinned`` optionally constrains some faces by partial id mappings.
     """
     faces = cube.faces2(f.n)
-    if len(faces) > max_faces:
-        raise SearchCapExceeded(f"{len(faces)} faces exceeds cap {max_faces}")
-    report = validate_c0(f)
-    if not report:
-        raise InputError("condition on composite cardinalities fails: " +
-                         "; ".join(report.failures))
+    if len(faces) > MAX_SEARCH_FACES:
+        raise SearchCapExceeded(f"{len(faces)} faces exceeds cap {MAX_SEARCH_FACES}")
+    corrs, edges, labels = _indexed(f)
+    c0, _, _ = _square_pass(f.n, edges, labels)
+    if c0:
+        raise InputError("condition on composite cardinalities fails: " + "; ".join(c0))
     candidates = {face: _face_candidates(f, face, (pinned or {}).get(face), max_per_face)
                   for face in faces}
     # each candidate is oriented once; faces are (top mask, i, j) as in the
     # coherence pass, listed in the order of ``faces``
-    corrs, edges, _ = _indexed(f)
     keys = [(t, i, j) for _, t, (i, j) in _tops(f.n, 2)]
     tables = [[_face_table(c, face, _sides(corrs, *key), _sides(edges, *key))
                for c in candidates[face]] for face, key in zip(faces, keys)]
@@ -637,32 +639,34 @@ def with_matchings(f: CubeFunctorData,
     return CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, fm)
 
 
+def _forced_image(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[int] | None:
+    """The forced matching of a face whose two composites have fiber keys
+    ka and kb (of equal fiber sizes): element p of one goes to the one
+    element of its fiber in the other, as a position image; None when some
+    fiber has several elements.  This is the one forced rule: the square
+    pass of ``forced_matchings`` and of the Khovanov build reads it."""
+    where = {key: q for q, key in enumerate(kb)}
+    return [where[key] for key in ka] if len(where) == len(kb) else None
+
+
 def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
-    """Attach the unique fiberwise matchings; error on any ambiguous fiber."""
-    fm = {}
-    for face in cube.faces2(f.n):
-        ca, cb = f.square(face)
-        try:
-            fm[face] = BijectionOver.of(ca, cb, _forced_mapping(ca, cb))
-        except InputError as exc:
-            raise InputError(f"face {_face_key(face)}: {exc}") from exc
+    """Attach the unique fiberwise matchings, found by the square pass on
+    positions (``_forced_image``) and written as ``compose`` builds the
+    composites.  ``InputError`` naming the first failing face where two
+    composites differ in a fiber size or, failing that, where a fiber has
+    several elements.  Hexagons are not checked."""
+    corrs, edges, labels = _indexed(f)
+
+    def image_of(v, t, i, j, sides, pa, pb, ka, kb):
+        image = _forced_image(ka, kb)
+        return "ambiguous fiber" if image is None else image
+
+    c0, failures, tables = _square_pass(f.n, edges, labels, image_of)
+    if c0 or failures:
+        raise InputError((c0 or failures)[0])
+    fm = {Face2.from_top(v, i, j): _written_matching(tables[t, i, j], _sides(corrs, t, i, j))
+          for v, t, (i, j) in _tops(f.n, 2)}
     return CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, fm)
-
-
-def _forced_mapping(ca: Correspondence, cb: Correspondence) -> dict[str, str]:
-    """The unique fiberwise bijection of a square's two composites;
-    InputError when a fiber's sizes differ or a fiber has several elements."""
-    fa, fb = ca.fibers(), cb.fibers()
-    mapping = {}
-    for key, elems in fa.items():
-        others = fb.get(key, [])
-        if len(elems) != len(others):
-            raise InputError(f"fiber sizes differ at {key}")
-        if len(elems) > 1:
-            raise InputError(f"ambiguous fiber {key}")
-        if elems:
-            mapping[elems[0].id] = others[0].id
-    return mapping
 
 
 # -- coproduct, product, face inclusions -------------------------------------
@@ -1018,13 +1022,13 @@ class NaturalTransformation:
 
 def build_nat_trans(f: CubeFunctorData, g: CubeFunctorData,
                     components: Mapping[Vertex, Correspondence],
-                    mixed_matchings: Mapping[Edge, Mapping[str, str]] | None = None,
+                    mixed_matchings: Mapping[Edge, Mapping[str, str]],
                     ) -> NaturalTransformation:
     """Assemble and validate the ambient functor of a transformation f -> g.
 
-    ``mixed_matchings`` maps each n-cube edge (u, v) to the matching from the
-    composite g(u>v)∘component(u) to component(v)∘f(u>v); omitted entries are
-    derived when every fiber is forced.
+    ``mixed_matchings`` maps every n-cube edge (u, v) to the matching from
+    the composite g(u>v)∘component(u) to component(v)∘f(u>v); a missing
+    edge raises ``InputError``.
     """
     if f.n != g.n:
         raise InputError("transformation requires equal cube dimensions")
@@ -1057,10 +1061,11 @@ def build_nat_trans(f: CubeFunctorData, g: CubeFunctorData,
             # mixed square: mid_a = (0, u), mid_b = (1, v)
             u, v = face.top[1:], face.bottom[1:]
             ca, cb = probe.square(face)
-            given = (mixed_matchings or {}).get((u, v))
+            given = mixed_matchings.get((u, v))
             try:
-                mapping = dict(given) if given is not None else _forced_mapping(ca, cb)
-                fm[face] = BijectionOver.of(ca, cb, mapping)
+                if given is None:
+                    raise InputError("no matching given")
+                fm[face] = BijectionOver.of(ca, cb, dict(given))
             except ValueError as exc:
                 raise InputError(f"mixed square over edge {cube.bits(u)}>"
                                  f"{cube.bits(v)}: {exc}") from exc
@@ -1206,10 +1211,9 @@ def _face_commutes(f: CubeFunctorData, g: CubeFunctorData,
     return True
 
 
-def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
-                             max_nodes: int = 2_000_000):
-    """Bounded exhaustive search for (sigma, tau) making f and g naturally
-    isomorphic; returns the pair or None."""
+def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
+    """Exhaustive search, of at most ``MAX_ISO_NODES`` nodes, for (sigma,
+    tau) making f and g naturally isomorphic; returns the pair or None."""
     if f.n != g.n or f.has_matchings != g.has_matchings:
         return None
     n = f.n
@@ -1226,7 +1230,7 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
     def bump():
         nonlocal nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > MAX_ISO_NODES:
             raise SearchCapExceeded("natural isomorphism search exceeded node cap")
 
     incident = {v: [] for v in verts}

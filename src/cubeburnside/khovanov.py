@@ -8,11 +8,13 @@ The functor is built on generator positions: generator p of a vertex with
 k circles labels circle c x_- exactly when bit k - 1 - c of p is set, the
 ``itertools.product`` order of its labels.  Edges come from bit operations
 on positions, and each face's matching is a position image: forced on
-one-element fibers, and on two-element fibers the ladybug transfer of
-middle labels, a map of positions.  The coherence pass of ``functor``
+one-element fibers (``functor._forced_image``, the rule of
+``forced_matchings``), and on two-element fibers the ladybug transfer of
+middle labels, a map of positions.  The one coherence pass of ``functor``
 checks fiber sizes, every matching and every hexagon on these positions
 before any string id is written; the face matchings are then written only
-when asked for (``matchings``), and ``kh_table`` does not ask.
+when asked for (``matchings``), and ``kh_table`` does not ask.  There is
+one build: ``cubeb kh verify`` reads it too.
 
 Conventions (fixed; mirroring a diagram exchanges them):
   * Crossing tuples (a,b,c,d) list arcs counterclockwise from the incoming
@@ -34,8 +36,8 @@ from . import cube
 from .burnside import CorrElem, Correspondence, FiniteSet
 from .cube import Face2, Vertex
 from .errors import InputError, InternalInvariantError
-from .functor import (CubeFunctorData, StableFunctor, _hexagon_failures, _mask,
-                      _square_pass, _tops, _written_matching, quotient_functor_data,
+from .functor import (CubeFunctorData, StableFunctor, _coherence_pass, _forced_image,
+                      _mask, _sides, _tops, _written_matching, quotient_functor_data,
                       restrict_parts)
 from .linalg import Matrix
 from .totalization import ChainComplex, dualize, homology_nontrivial, tot
@@ -390,61 +392,30 @@ class DiagramCube:
         return Correspondence(gen_u, gen_v, tuple([
             CorrElem(f"{xs[a]}>{ys[b]}", xs[a], ys[b]) for a, b in zip(*positions)]))
 
-    def _checked_squares(self):
-        """Every edge on positions, keyed (u, v) and (mask, k), and each
-        face's matching as an oriented table, from the square pass: fiber
-        sizes, the matchings ``matching_image`` names and their 2-morphism
-        check.  ``InternalInvariantError`` on any failure."""
-        n = self.pd.n
-        mask = {v: _mask(v) for v in cube.vertices(n)}
-        positions = {(u, v): self._edge_positions(u, v) for (u, v) in cube.edges(n)}
-        edges = {(mask[u], (mask[u] ^ mask[v]).bit_length() - 1): p
-                 for (u, v), p in positions.items()}
-        labels = {m: self.generators(v).elements for v, m in mask.items()}
-        c0, failures, tables = _square_pass(n, edges, labels, self.matching_image)
-        if c0 or failures:
-            raise InternalInvariantError(
-                "diagram functor fails coherence: " + "; ".join((c0 or failures)[:3]))
-        return positions, edges, tables
-
-    def _written(self, positions, tables: dict | None) -> CubeFunctorData:
-        """The functor data with string ids: generator sets, the edges of
-        ``positions`` through ``CubeFunctorData.build``, and the face
-        matchings of ``tables`` unless it is None."""
-        n = self.pd.n
-        vs = {v: self.generators(v) for v in cube.vertices(n)}
-        ec = {(u, v): self._labelled(u, v, p) for (u, v), p in positions.items()}
-        data = CubeFunctorData.build(n, vs, ec, None)
-        if tables is None:
-            return data
-        fm = {}
-        for v, t, (i, j) in _tops(n, 2):
-            face = Face2.from_top(v, i, j)
-            fm[face] = _written_matching(tables[t, i, j], (
-                (ec[face.top, face.mid_a], ec[face.mid_a, face.bottom]),
-                (ec[face.top, face.mid_b], ec[face.mid_b, face.bottom])))
-        return CubeFunctorData(n, data.vertex_sets, data.edge_corrs, fm)
-
-    def functor_data(self) -> CubeFunctorData:
-        """Generators per vertex, Frobenius edge correspondences and square
-        matchings (forced or ladybug), with the squares checked on
-        positions but the hexagons not (``InternalInvariantError`` where a
-        square has no matching)."""
-        positions, _, tables = self._checked_squares()
-        return self._written(positions, tables)
-
     def stable_functor(self, matchings: bool = True) -> StableFunctor:
         """The functor data shifted by minus the negative crossing count.
         Coherence (fiber sizes, matchings, every hexagon) is checked on
-        positions before any string is written; face matchings are written
-        only when ``matchings`` is true."""
-        positions, edges, tables = self._checked_squares()
-        failures = _hexagon_failures(self.pd.n, edges, tables)
-        if failures:
+        positions, by ``_coherence_pass``, before any string is written
+        (``InternalInvariantError`` on a failure); face matchings are
+        written only when ``matchings`` is true."""
+        n = self.pd.n
+        key = {(u, v): (_mask(u), cube.edge_coordinate(u, v)) for (u, v) in cube.edges(n)}
+        edges = {k: self._edge_positions(*e) for e, k in key.items()}
+        labels = {_mask(v): self.generators(v).elements for v in cube.vertices(n)}
+        c0, failures, tables = _coherence_pass(n, edges, labels, self.matching_image)
+        if c0 or failures:
             raise InternalInvariantError(
-                "diagram functor fails coherence: " + "; ".join(failures[:3]))
-        return StableFunctor(self._written(positions, tables if matchings else None),
-                             -self.n_minus)
+                "diagram functor fails coherence: " + "; ".join((c0 or failures)[:3]))
+        vs = {v: self.generators(v) for v in cube.vertices(n)}
+        ec = {e: self._labelled(*e, edges[k]) for e, k in key.items()}
+        data = CubeFunctorData.build(n, vs, ec, None)
+        if matchings:
+            corrs = {k: ec[e] for e, k in key.items()}
+            fm = {Face2.from_top(v, i, j): _written_matching(tables[t, i, j],
+                                                             _sides(corrs, t, i, j))
+                  for v, t, (i, j) in _tops(n, 2)}
+            data = CubeFunctorData(n, data.vertex_sets, data.edge_corrs, fm)
+        return StableFunctor(data, -self.n_minus)
 
     # -- square matchings -------------------------------------------------
 
@@ -456,9 +427,9 @@ class DiagramCube:
         one-element fiber is forced; the two-element fibers are paired by
         the face's ladybug transfer of middle labels (``detect_ladybug``
         once per face)."""
-        where = {key: q for q, key in enumerate(kb)}
-        if len(where) == len(kb):
-            return [where[key] for key in ka]
+        forced = _forced_image(ka, kb)
+        if forced is not None:
+            return forced
         fibers: dict[tuple[int, int], list[int]] = {}
         for q, key in enumerate(kb):
             fibers.setdefault(key, []).append(q)

@@ -21,6 +21,10 @@ class Simplex:
     id: str
     verts: tuple[int, ...]  # 1-based vertex numbers, ordered, distinct
 
+    def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InputError(f"simplex id must be a string, not {self.id!r}")
+
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.verts)
@@ -69,8 +73,10 @@ class DeltaComplex:
     def from_json(obj: dict) -> "DeltaComplex":
         try:
             n = cube.json_int(obj["n_vertices"], "n_vertices")
-            simplices = tuple(Simplex(str(s["id"]), tuple(cube.json_int(v, "vertex")
-                                                          for v in s["verts"]))
+            if not isinstance(obj["simplices"], list):
+                raise ValueError("simplices must be an array")
+            simplices = tuple(Simplex(s["id"], tuple(cube.json_int(v, "vertex")
+                                                     for v in s["verts"]))
                               for s in obj["simplices"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed delta complex: {exc}") from exc

@@ -82,6 +82,18 @@ def test_certificate_json_round_trip():
         certificate_from_json(obj)
 
 
+@pytest.mark.parametrize("direction", ["sideways", 7, None])
+def test_step_direction_is_forward_or_reverse(projective, direction):
+    with pytest.raises(InputError, match="direction"):
+        FaceStep(FaceInclusion.identity(1), direction)
+    with pytest.raises(InputError, match="direction"):
+        NatTransStep(FX.wedge_certificate().steps[1].eta, direction)
+    obj = certificate_to_json(FX.wedge_certificate())
+    obj["steps"][0]["direction"] = direction
+    with pytest.raises(InputError, match="direction"):
+        certificate_from_json(obj)
+
+
 def test_chain_length_mismatch(projective):
     with pytest.raises(InputError):
         EquivalenceCertificate((StableFunctor(projective, 0),),

@@ -87,6 +87,8 @@ def test_input_errors_exit_2(runner, tmp_path):
     next(iter(int_id["edges"].values()))[0]["id"] = 5
     unordered = bundled("delta/sphere2.json")
     next(s for s in unordered["simplices"] if s["id"] == "s1_2_3")["verts"] = [2, 3, 1]
+    int_simplex_id = bundled("delta/sphere2.json")
+    int_simplex_id["simplices"][0]["id"] = 5
     trefoil_loops = bundled("pd/trefoil_pos.json")
     trefoil_loops["free_loops"] = 14
 
@@ -132,6 +134,9 @@ def test_input_errors_exit_2(runner, tmp_path):
         ["functor", "check", write("face_mapping.json", wedge)],
         ["functor", "check", write("int_id.json", int_id)],
         ["delta", "homology", write("unordered.json", unordered)],
+        # simplices must be an array and a simplex id a string
+        ["delta", "homology", write("delta_object.json", {"n_vertices": 3, "simplices": {}})],
+        ["delta", "homology", write("delta_int_id.json", int_simplex_id)],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "loop:7"],
@@ -219,6 +224,19 @@ def test_functor_certificate(runner, tmp_path):
     res2 = invoke(runner, ["functor", "certificate", str(bad)])
     assert res2.exit_code == 1
     assert "FAIL" in res2.output
+
+
+@pytest.mark.parametrize("direction", ["sideways", 7, None])
+def test_certificate_step_direction_is_checked(runner, tmp_path, direction):
+    # step 0 of wedge_split with an unknown direction is an input error
+    cert = json.loads((corpus_dir() / "certificates" / "wedge_split.json")
+                      .read_text(encoding="utf-8"))
+    cert["steps"][0]["direction"] = direction
+    path = tmp_path / "direction.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    res = invoke(runner, ["functor", "certificate", str(path), "--json"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "direction" in res.stderr
 
 
 def test_delta_homology(runner):

@@ -130,17 +130,18 @@ def test_enumerate_matchings_interval(projective):
     assert len(res) == 1 and res[0] == {}
 
 
-def test_search_caps():
+def test_search_caps(monkeypatch):
+    from cubeburnside import functor
     from cubeburnside.errors import SearchCapExceeded
-    me = FX.multiple_extension_square()
+    # the 5-cube has 80 faces, above the face cap of 64
+    with pytest.raises(SearchCapExceeded, match="80 faces"):
+        enumerate_matchings(empty_functor(5))
     with pytest.raises(SearchCapExceeded):
-        enumerate_matchings(me, max_faces=0)
-    with pytest.raises(SearchCapExceeded):
-        enumerate_matchings(me, max_per_face=2)
+        enumerate_matchings(FX.multiple_extension_square(), max_per_face=2)
+    monkeypatch.setattr(functor, "MAX_ISO_NODES", 1)
     with pytest.raises(SearchCapExceeded):
         find_natural_isomorphism(FX.projective_functor(),
-                                 FX.projective_functor("x", "y", ("w1", "w2")),
-                                 max_nodes=1)
+                                 FX.projective_functor("x", "y", ("w1", "w2")))
 
 
 def test_enumerate_matchings_agrees_with_naive_filter():
@@ -342,6 +343,13 @@ def test_build_nat_trans_identity(projective):
     assert is_quasi_iso(tot_nat_trans(eta))
 
 
+def test_build_nat_trans_needs_every_mixed_square(projective):
+    comps = {v: identity_correspondence(projective.vset(v))
+             for v in cube.vertices(1)}
+    with pytest.raises(InputError, match="mixed square over edge 1>0: no matching given"):
+        build_nat_trans(projective, projective, comps, {})
+
+
 def test_build_nat_trans_rejects_incoherent(projective):
     comps = {v: identity_correspondence(projective.vset(v))
              for v in cube.vertices(1)}
@@ -460,6 +468,22 @@ def test_forced_matchings_rejects_ambiguity(projective):
     pp = product(projective, projective)
     with pytest.raises(InputError):
         forced_matchings(CubeFunctorData(pp.n, pp.vertex_sets, pp.edge_corrs, None))
+
+
+def test_forced_matchings_rejects_unequal_fiber_sizes():
+    # one path of the square doubles its first edge: fiber sizes 1 and 2
+    sets = {v: FiniteSet((f"p{cube.bits(v)}",)) for v in cube.vertices(2)}
+
+    def edge(u, v, ids):
+        return Correspondence.of(sets[u], sets[v], [(x, *sets[u], *sets[v]) for x in ids])
+
+    data = CubeFunctorData.build(2, sets, {
+        ((1, 1), (0, 1)): edge((1, 1), (0, 1), ["a"]),
+        ((0, 1), (0, 0)): edge((0, 1), (0, 0), ["b"]),
+        ((1, 1), (1, 0)): edge((1, 1), (1, 0), ["c1", "c2"]),
+        ((1, 0), (0, 0)): edge((1, 0), (0, 0), ["d"])})
+    with pytest.raises(InputError, match=r"face 11>00 via 01\|10: fiber sizes differ"):
+        forced_matchings(data)
 
 
 def _canonical_chain(u, v):

@@ -230,7 +230,7 @@ def test_detect_ladybug_absent_cases(pd_corpus):
 def test_ladybug_found_in_corpus(pd_corpus):
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    data = dc.functor_data()
+    data = dc.stable_functor().functor
     found = 0
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
@@ -251,7 +251,7 @@ def test_ladybug_found_in_corpus(pd_corpus):
 def test_ladybug_numbering_does_not_matter(pd_corpus):
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    data = dc.functor_data()
+    data = dc.stable_functor().functor
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
         for key, elems in ca.fibers().items():
@@ -273,7 +273,7 @@ def test_ladybug_involution(pd_corpus):
     # swapping the roles of the two middles inverts the transfer of labels
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    data = dc.functor_data()
+    data = dc.stable_functor().functor
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
         for key, elems in ca.fibers().items():
@@ -309,7 +309,7 @@ def test_face_matching_is_two_morphism_corpus(small_corpus):
 def test_flipping_ladybug_breaks_coherence(pd_corpus):
     pd = pd_corpus["unknot_ladybug"]
     dc = kh.DiagramCube(pd)
-    full = dc.functor_data()
+    full = dc.stable_functor().functor
     assert validate_coherence(full).ok
     for face in cube.faces2(pd.n):
         ca = composite_along_chain(full, (face.top, face.mid_a, face.bottom))
@@ -359,6 +359,17 @@ def test_flipped_ladybug_fails_the_build(pd_corpus, monkeypatch, build, matching
     _flip_one_ladybug(monkeypatch)
     with pytest.raises(InternalInvariantError, match="hexagon does not commute"):
         build(pd_corpus["unknot_ladybug"], matchings)
+
+
+def test_flipped_ladybug_fails_kh_verify(pd_corpus, monkeypatch):
+    # kh verify reads the checked build, so a hexagon failure exits 3
+    from click.testing import CliRunner
+    from cubeburnside.cli import main
+    _flip_one_ladybug(monkeypatch)
+    res = CliRunner().invoke(main, ["kh", "verify", "unknot_ladybug", "--json"],
+                             catch_exceptions=False)
+    assert res.exit_code == 3 and res.stdout == ""
+    assert "hexagon does not commute" in res.stderr
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -840,7 +851,7 @@ def test_braid_closure_sweep():
         kh.build_khovanov_functor(pd)  # raises if any square or hexagon fails
         assert kh.kh_table(pd) == kh.kh_table_direct(pd), w
         dc = kh.DiagramCube(pd)
-        data = dc.functor_data()
+        data = dc.stable_functor().functor
         for face in cube.faces2(pd.n):
             ca = composite_along_chain(data, (face.top, face.mid_a, face.bottom))
             lady += sum(1 for v in ca.fibers().values() if len(v) == 2)
