@@ -34,6 +34,8 @@ def invocations() -> list[list[str]]:
         runs.append(["kh", "homology", name, "--json", "--reduced", "--basepoint", "1"])
         runs.append(["kh", "verify", name, "--json"])
     runs += [["functor", "check", name, "--json"] for name in list_fixtures("functors")]
+    runs += [["functor", "search-matchings", name, "--json"]
+             for name in list_fixtures("functors")]
     runs += [["functor", "certificate", name, "--json"]
              for name in list_fixtures("certificates")]
     runs += [["delta", "homology", name, "--json"] for name in list_fixtures("delta")]
