@@ -18,10 +18,13 @@ bijection keeping every element's fiber.  Each matching is oriented once
 into a small int table on step pairs, and the hexagons look their triples
 up in these tables (``_hexagon_commutes``), with no composite ids built or
 split.  Only the source of a face's image differs: ``validate_coherence``
-reads a stored matching through its ids (the one check that reads ids),
-the Khovanov build names its forced or ladybug matching, and
-``forced_matchings`` (squares only) takes the forced rule
-``_forced_image`` and writes each matching as ``compose`` builds it.
+reads a stored matching through its ids, the Khovanov build names its
+forced or ladybug matching, and ``forced_matchings`` (squares only) takes
+the forced rule ``_forced_image``; it writes each nonempty matching as
+``compose`` builds it, and faces with empty composites share one empty
+matching per (top set, bottom set).  ``enumerate_matchings`` searches on
+positions too: a face's candidates are its fiber-keeping position images,
+each tabled once, and ids are written only for the completions.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
 vertices, edges and stored matchings puts each element into its part,
@@ -36,7 +39,7 @@ import itertools
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import cube
@@ -55,7 +58,7 @@ from .burnside import (
     split_composite_id,
 )
 from .cube import Face2, FaceInclusion, Vertex
-from .errors import InputError, SearchCapExceeded
+from .errors import InputError, InternalInvariantError, SearchCapExceeded
 
 Edge = tuple[Vertex, Vertex]
 
@@ -241,8 +244,10 @@ def _face_composites(side_a: tuple[_Positions, _Positions],
     """A face's two composites, one per side (its first and second edge,
     through ``mid_a`` and through ``mid_b``, on positions), as (x, y)
     element-position pairs in ``compose``'s order.  This is the one place
-    that lists a face's composites for the coherence pass, and so for
-    ``validate_coherence``, the Khovanov build and ``enumerate_matchings``."""
+    that lists a face's composites: for the square pass (and so for
+    ``validate_coherence``, ``forced_matchings`` and the Khovanov build),
+    for ``enumerate_matchings``' candidates and for
+    ``reconstruct_two_morphism``."""
     (xa, ya), (xb, yb) = side_a, side_b
     return _step_pairs(xa[1], ya[0]), _step_pairs(xb[1], yb[0])
 
@@ -275,6 +280,8 @@ def _table(sides, pa: list[tuple[int, int]], pb: list[tuple[int, int]],
     if (not len(image) == k == len(pb) or None in image
             or sorted(image) != list(range(k)) or [kb[q] for q in image] != ka):
         return _NOT_TWO_MORPHISM
+    if not k:
+        return array("H")
     nxa, nxb = len(sides[0][0][0]), len(sides[1][0][0])
     codes_a = [j * nxa + i for i, j in pa]
     codes_b = [j * nxb + i for i, j in pb]
@@ -320,20 +327,6 @@ def _is_composite(c: Correspondence, x: Correspondence, y: Correspondence,
         if e.s != xe.s or e.t != ye.t or e.id != f"{ye.id}{COMPOSE_SEP}{xe.id}":
             return False
     return True
-
-
-def _face_table(m: BijectionOver, face: Face2, sides, positions) -> array:
-    """The matching m of ``face`` as an oriented table; ``InputError`` if
-    it is not a 2-morphism of the face composites.  ``sides`` and
-    ``positions`` are the face's (first, second) edges through ``mid_a``
-    and ``mid_b``, as correspondences and on positions."""
-    pa, pb = _face_composites(*positions)
-    image = _matching_image(m, sides, pa, pb)
-    table = image if isinstance(image, str) else _table(
-        positions, pa, pb, _fiber_keys(positions[0], pa), _fiber_keys(positions[1], pb), image)
-    if isinstance(table, str):
-        raise InputError(f"face {_face_key(face)}: {table}")
-    return table
 
 
 def _written_matching(table: array, sides) -> BijectionOver:
@@ -397,7 +390,13 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
         i, j = cube.edge_coordinate(top, mid), cube.edge_coordinate(mid, bottom)
         face = Face2.from_top(top, min(i, j), max(i, j))
         key = (_mask(top), min(i, j), max(i, j))
-        table = _face_table(f.matching(face), face, _sides(corrs, *key), _sides(edges, *key))
+        positions = _sides(edges, *key)
+        pa, pb = _face_composites(*positions)
+        image = _matching_image(f.matching(face), _sides(corrs, *key), pa, pb)
+        table = image if isinstance(image, str) else _table(
+            positions, pa, pb, _fiber_keys(positions[0], pa), _fiber_keys(positions[1], pb), image)
+        if isinstance(table, str):
+            raise InputError(f"face {_face_key(face)}: {table}")
         # mid_a clears the lower-indexed coordinate first
         swaps.append(_swap(idx - 1, table, i < j, len(edges[key[0], i][0]),
                            len(edges[key[0], j][0])))
@@ -536,41 +535,6 @@ def validate_coherence(f: CubeFunctorData) -> ValidationReport:
 
 # -- exhaustive matching search ---------------------------------------------
 
-def _face_candidates(f: CubeFunctorData, face: Face2,
-                     pinned: Mapping[str, str] | None,
-                     max_per_face: int) -> list[BijectionOver]:
-    ca, cb = f.square(face)
-    fa, fb = ca.fibers(), cb.fibers()
-    if pinned:
-        ids_a, ids_b = set(ca.ids()), set(cb.ids())
-        for s, t in pinned.items():
-            if s not in ids_a or t not in ids_b:
-                raise InputError(f"pinned pair {s!r}->{t!r} not in face {_face_key(face)}")
-    count = 1
-    for k in fa:
-        count *= factorial(len(fa[k]))
-    if count > max_per_face:
-        raise SearchCapExceeded(f"face {_face_key(face)} admits {count} bijections")
-    per_fiber = []
-    for key in sorted(fa):
-        srcs = [e.id for e in fa[key]]
-        tgts = [e.id for e in fb[key]]
-        opts = []
-        for perm in itertools.permutations(tgts):
-            m = dict(zip(srcs, perm))
-            if pinned and any(m[s] != t for s, t in pinned.items() if s in m):
-                continue
-            opts.append(m)
-        per_fiber.append(opts)
-    out = []
-    for combo in itertools.product(*per_fiber):
-        m = {}
-        for part in combo:
-            m.update(part)
-        out.append(BijectionOver.of(ca, cb, m))
-    return out
-
-
 # caps on the exhaustive searches: faces of ``enumerate_matchings``, search
 # nodes of ``find_natural_isomorphism``
 MAX_SEARCH_FACES = 64
@@ -586,7 +550,10 @@ def enumerate_matchings(f: CubeFunctorData,
     ``MAX_SEARCH_FACES`` faces and ``max_per_face`` bijections a face.
 
     ``pinned`` optionally constrains some faces by partial id mappings.
-    """
+
+    The search runs on positions: candidates are position images
+    (``_fiber_images``), each checked and oriented by ``_table``.  Ids are
+    read only to translate the pins and to write the completions."""
     faces = cube.faces2(f.n)
     if len(faces) > MAX_SEARCH_FACES:
         raise SearchCapExceeded(f"{len(faces)} faces exceeds cap {MAX_SEARCH_FACES}")
@@ -594,13 +561,29 @@ def enumerate_matchings(f: CubeFunctorData,
     c0, _, _ = _square_pass(f.n, edges, labels)
     if c0:
         raise InputError("condition on composite cardinalities fails: " + "; ".join(c0))
-    candidates = {face: _face_candidates(f, face, (pinned or {}).get(face), max_per_face)
-                  for face in faces}
-    # each candidate is oriented once; faces are (top mask, i, j) as in the
-    # coherence pass, listed in the order of ``faces``
+    # faces are (top mask, i, j) as in the coherence pass, in the order of ``faces``
     keys = [(t, i, j) for _, t, (i, j) in _tops(f.n, 2)]
-    tables = [[_face_table(c, face, _sides(corrs, *key), _sides(edges, *key))
-               for c in candidates[face]] for face, key in zip(faces, keys)]
+    ids, candidates = [], []
+    for face, (t, i, j) in zip(faces, keys):
+        sides = _sides(edges, t, i, j)
+        pa, pb = _face_composites(*sides)
+        ka, kb = _fiber_keys(sides[0], pa), _fiber_keys(sides[1], pb)
+        ida, idb = ([f"{y.elements[q].id}{COMPOSE_SEP}{x.elements[p].id}" for p, q in steps]
+                    for (x, y), steps in zip(_sides(corrs, t, i, j), (pa, pb)))
+        pins = {}
+        for s, d in ((pinned or {}).get(face) or {}).items():
+            if s not in ida or d not in idb:
+                raise InputError(f"pinned pair {s!r}->{d!r} not in face {_face_key(face)}")
+            pins[ida.index(s)] = idb.index(d)
+        cands = []
+        for image in _fiber_images(face, ka, kb, labels[t], labels[t ^ 1 << i ^ 1 << j],
+                                   pins, max_per_face):
+            table = _table(sides, pa, pb, ka, kb, image)
+            if isinstance(table, str):
+                raise InternalInvariantError(f"face {_face_key(face)}: {table}")
+            cands.append((image, table))
+        ids.append((ida, idb))
+        candidates.append(cands)
     # 3-faces become checkable once their last (in assignment order) 2-face is set
     face_pos = {key: n for n, key in enumerate(keys)}
     ready_at: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
@@ -610,24 +593,51 @@ def enumerate_matchings(f: CubeFunctorData,
         ready_at.setdefault(last, []).append((t, coords))
 
     results: list[dict[Face2, dict[str, str]]] = []
-    assignment: dict[Face2, BijectionOver] = {}
+    images: list[list[int]] = []
     chosen: dict[tuple[int, int, int], array] = {}
 
     def rec(n: int) -> None:
         if n == len(faces):
-            results.append({face: b.as_dict() for face, b in assignment.items()})
+            results.append({face: dict(sorted(zip(ida, (idb[q] for q in image))))
+                            for face, (ida, idb), image in zip(faces, ids, images)})
             return
-        face = faces[n]
-        for cand, cand_table in zip(candidates[face], tables[n]):
-            assignment[face] = cand
-            chosen[keys[n]] = cand_table
+        for image, table in candidates[n]:
+            images.append(image)
+            chosen[keys[n]] = table
             if all(_hexagon_commutes(t, coords, edges, chosen)
                    for t, coords in ready_at.get(n, [])):
                 rec(n + 1)
-        assignment.pop(face, None)
+            images.pop()
 
     rec(0)
     return results
+
+
+def _fiber_images(face: Face2, ka: list[tuple[int, int]], kb: list[tuple[int, int]],
+                  top: Sequence[str], bottom: Sequence[str], pins: Mapping[int, int],
+                  max_per_face: int) -> Iterable[list[int]]:
+    """Every image p -> q of the composites of ``face``, with fiber keys ka
+    and kb, that keeps fibers and the pins p -> pins[p]: per fiber, the
+    permutations of its elements in kb, fibers ordered by their (source,
+    target) ids, named by ``top`` and ``bottom``.  ``SearchCapExceeded``
+    when, pins aside, there are more than ``max_per_face``."""
+    fibers = {key: ([], []) for key in ka}
+    for side, keys in enumerate((ka, kb)):
+        for p, key in enumerate(keys):
+            fibers[key][side].append(p)
+    count = prod(factorial(len(ps)) for ps, _ in fibers.values())
+    if count > max_per_face:
+        raise SearchCapExceeded(f"face {_face_key(face)} admits {count} bijections")
+    order = sorted(fibers, key=lambda key: (top[key[0]], bottom[key[1]]))
+    per_fiber = [[perm for perm in itertools.permutations(fibers[key][1])
+                  if all(pins.get(p, q) == q for p, q in zip(fibers[key][0], perm))]
+                 for key in order]
+    positions = [p for key in order for p in fibers[key][0]]
+    for combo in itertools.product(*per_fiber):
+        image = [0] * len(ka)
+        for p, q in zip(positions, itertools.chain(*combo)):
+            image[p] = q
+        yield image
 
 
 def with_matchings(f: CubeFunctorData,
@@ -643,8 +653,9 @@ def _forced_image(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[
     """The forced matching of a face whose two composites have fiber keys
     ka and kb (of equal fiber sizes): element p of one goes to the one
     element of its fiber in the other, as a position image; None when some
-    fiber has several elements.  This is the one forced rule: the square
-    pass of ``forced_matchings`` and of the Khovanov build reads it."""
+    fiber has several elements, and [] when the composites are empty.  This
+    is the one forced rule: the square pass of ``forced_matchings`` and of
+    the Khovanov build reads it."""
     where = {key: q for q, key in enumerate(kb)}
     return [where[key] for key in ka] if len(where) == len(kb) else None
 
@@ -652,7 +663,8 @@ def _forced_image(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[
 def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
     """Attach the unique fiberwise matchings, found by the square pass on
     positions (``_forced_image``) and written as ``compose`` builds the
-    composites.  ``InputError`` naming the first failing face where two
+    composites; a face with empty composites takes the one empty matching
+    of its (top set, bottom set).  ``InputError`` naming the first failing face where two
     composites differ in a fiber size or, failing that, where a fiber has
     several elements.  Hexagons are not checked."""
     corrs, edges, labels = _indexed(f)
@@ -664,8 +676,18 @@ def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
     c0, failures, tables = _square_pass(f.n, edges, labels, image_of)
     if c0 or failures:
         raise InputError((c0 or failures)[0])
-    fm = {Face2.from_top(v, i, j): _written_matching(tables[t, i, j], _sides(corrs, t, i, j))
-          for v, t, (i, j) in _tops(f.n, 2)}
+    fm = {}
+    empty: dict[tuple[tuple[str, ...], tuple[str, ...]], BijectionOver] = {}
+    for v, t, (i, j) in _tops(f.n, 2):
+        face, table = Face2.from_top(v, i, j), tables[t, i, j]
+        if table:
+            fm[face] = _written_matching(table, _sides(corrs, t, i, j))
+            continue
+        ends = (labels[t], labels[t ^ 1 << i ^ 1 << j])
+        if ends not in empty:
+            c = Correspondence(f.vset(face.top), f.vset(face.bottom), ())
+            empty[ends] = BijectionOver(c, c, ())
+        fm[face] = empty[ends]
     return CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, fm)
 
 
@@ -706,28 +728,21 @@ def _pair_id(a: str, b: str) -> str:
 def product(f1: CubeFunctorData, f2: CubeFunctorData) -> CubeFunctorData:
     """Product functor on the concatenated cube; edges act on one factor and
     identically on the other, so the two kinds of mixed-square composites are
-    matched by recombining the same pair of factor elements."""
-    n1, n2 = f1.n, f2.n
-    n = n1 + n2
-
-    def vset(w: Vertex) -> FiniteSet:
-        a, b = w[:n1], w[n1:]
-        return FiniteSet(tuple(_pair_id(x, y) for x in f1.vset(a) for y in f2.vset(b)))
-
-    vs = {w: vset(w) for w in cube.vertices(n)}
+    matched by recombining the same pair of factor elements.  Each face's
+    matching is built from the factor elements it pairs; no pair id is
+    parsed back."""
+    n1, n = f1.n, f1.n + f2.n
+    vs = {w: FiniteSet(tuple(_pair_id(x, y) for x in f1.vset(w[:n1]) for y in f2.vset(w[n1:])))
+          for w in cube.vertices(n)}
     ec: dict[Edge, Correspondence] = {}
     for (u, v) in cube.edges(n):
-        k = cube.edge_coordinate(u, v)
         u1, u2, v1, v2 = u[:n1], u[n1:], v[:n1], v[n1:]
-        elems = []
-        if k < n1:
-            for e in f1.edge(u1, v1).elements:
-                for y in f2.vset(u2):
-                    elems.append(CorrElem(_pair_id(e.id, y), _pair_id(e.s, y), _pair_id(e.t, y)))
+        if cube.edge_coordinate(u, v) < n1:
+            elems = [CorrElem(_pair_id(e.id, y), _pair_id(e.s, y), _pair_id(e.t, y))
+                     for e in f1.edge(u1, v1).elements for y in f2.vset(u2)]
         else:
-            for x in f1.vset(u1):
-                for e in f2.edge(u2, v2).elements:
-                    elems.append(CorrElem(_pair_id(x, e.id), _pair_id(x, e.s), _pair_id(x, e.t)))
+            elems = [CorrElem(_pair_id(x, e.id), _pair_id(x, e.s), _pair_id(x, e.t))
+                     for x in f1.vset(u1) for e in f2.edge(u2, v2).elements]
         ec[(u, v)] = Correspondence(vs[u], vs[v], tuple(elems))
 
     fm = None
@@ -737,52 +752,34 @@ def product(f1: CubeFunctorData, f2: CubeFunctorData) -> CubeFunctorData:
         for face in cube.faces2(n):
             i = cube.edge_coordinate(face.top, face.mid_a)
             j = cube.edge_coordinate(face.top, face.mid_b)
-            ca, cb = probe.square(face)
-            mapping: dict[str, str] = {}
+            top1, top2 = face.top[:n1], face.top[n1:]
+            bottom1, bottom2 = face.bottom[:n1], face.bottom[n1:]
             if j < n1:
-                inner = Face2.from_top(face.top[:n1], i, j)
-                m1 = f1.matching(inner).as_dict()
-                for e in ca.elements:
-                    ys, xs = split_composite_id(e.id)
-                    y1, w = _split_pair(ys)
-                    x1, w2 = _split_pair(xs)
-                    yd, xd = split_composite_id(m1[join_composite_id([y1, x1])])
-                    mapping[e.id] = join_composite_id([_pair_id(yd, w), _pair_id(xd, w2)])
+                # both steps act on F1, on the same F2(top) element w
+                m1 = f1.matching(Face2.from_top(top1, i, j)).mapping
+                mapping = {_pair_steps(a, w, False): _pair_steps(b, w, False)
+                           for a, b in m1 for w in f2.vset(top2)}
             elif i >= n1:
-                inner = Face2.from_top(face.top[n1:], i - n1, j - n1)
-                m2 = f2.matching(inner).as_dict()
-                for e in ca.elements:
-                    ys, xs = split_composite_id(e.id)
-                    w, y2 = _split_pair(ys)
-                    w2, x2 = _split_pair(xs)
-                    yd, xd = split_composite_id(m2[join_composite_id([y2, x2])])
-                    mapping[e.id] = join_composite_id([_pair_id(w, yd), _pair_id(w2, xd)])
+                m2 = f2.matching(Face2.from_top(top2, i - n1, j - n1)).mapping
+                mapping = {_pair_steps(a, w, True): _pair_steps(b, w, True)
+                           for a, b in m2 for w in f1.vset(top1)}
             else:
-                # one coordinate in each factor: recombine (e1, e2)
-                for e in ca.elements:
-                    ys, xs = split_composite_id(e.id)
-                    z, e2 = _split_pair(ys)     # (F1(mid) element, F2 edge element)
-                    e1, w = _split_pair(xs)     # (F1 edge element, F2(top) element)
-                    x1 = f1.edge(face.top[:n1], face.mid_a[:n1]).by_id(e1)
-                    e2el = f2.edge(face.top[n1:], face.bottom[n1:]).by_id(e2)
-                    mapping[e.id] = join_composite_id(
-                        [_pair_id(e1, e2el.t), _pair_id(x1.s, e2)])
-            fm[face] = BijectionOver.of(ca, cb, mapping)
+                # one coordinate in each factor: both composites are the pairs
+                # (e1, e2) of an F1 edge element and an F2 edge element
+                mapping = {join_composite_id([_pair_id(e1.t, e2.id), _pair_id(e1.id, e2.s)]):
+                           join_composite_id([_pair_id(e1.id, e2.t), _pair_id(e1.s, e2.id)])
+                           for e1 in f1.edge(top1, bottom1).elements
+                           for e2 in f2.edge(top2, bottom2).elements}
+            fm[face] = BijectionOver.of(*probe.square(face), mapping)
     return CubeFunctorData(n, vs, ec, fm)
 
 
-def _split_pair(pid: str) -> tuple[str, str]:
-    if not (pid.startswith("(") and pid.endswith(")")):
-        raise ValueError(f"not a pair id: {pid!r}")
-    depth = 0
-    for k, ch in enumerate(pid):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 1:
-            return pid[1:k], pid[k + 1:-1]
-    raise ValueError(f"not a pair id: {pid!r}")
+def _pair_steps(eid: str, w: str, w_first: bool) -> str:
+    """The product's composite id of a factor composite ``eid`` whose every
+    step is paired with the other factor's element w.  Only the composite
+    id is split: its separator cannot occur in an atomic id."""
+    return join_composite_id(_pair_id(w, x) if w_first else _pair_id(x, w)
+                             for x in split_composite_id(eid))
 
 
 def slice_functor(f: CubeFunctorData, iota: FaceInclusion) -> CubeFunctorData:

@@ -1,15 +1,20 @@
 import pytest
 
 from cubeburnside import cube, fixtures as FX
-from cubeburnside.burnside import Correspondence
+from cubeburnside.burnside import Correspondence, FiniteSet
 from cubeburnside.certificates import (EquivalenceCertificate, FaceStep,
                                        NatTransStep, certificate_from_json,
                                        certificate_to_json, verify_certificate)
 from cubeburnside.cube import FaceInclusion
 from cubeburnside.errors import InputError
-from cubeburnside.functor import (StableFunctor, build_nat_trans, coproduct,
+from cubeburnside.functor import (CubeFunctorData, StableFunctor,
+                                  build_nat_trans, coproduct,
                                   extend_along_face_inclusion,
-                                  find_natural_isomorphism)
+                                  find_natural_isomorphism,
+                                  identity_transformation, quotient_functor,
+                                  sub_inclusion_transformation)
+from cubeburnside.totalization import (homology_nontrivial, is_quasi_iso, tot,
+                                       tot_nat_trans)
 
 
 def test_empty_certificate(projective):
@@ -42,10 +47,14 @@ def test_corrupted_shift_fails():
     assert not rep.steps[1].ok
 
 
-def test_zero_transformation_fails_quasi_iso(projective):
+def _zero_transformation(projective):
     comps = {v: Correspondence(projective.vset(v), projective.vset(v), ())
              for v in cube.vertices(1)}
-    eta = build_nat_trans(projective, projective, comps, {((1,), (0,)): {}})
+    return build_nat_trans(projective, projective, comps, {((1,), (0,)): {}})
+
+
+def test_zero_transformation_fails_quasi_iso(projective):
+    eta = _zero_transformation(projective)
     cert = EquivalenceCertificate(
         (StableFunctor(projective, 0), StableFunctor(projective, 0)),
         (NatTransStep(eta, "forward"),))
@@ -98,3 +107,40 @@ def test_chain_length_mismatch(projective):
     with pytest.raises(InputError):
         EquivalenceCertificate((StableFunctor(projective, 0),),
                                (FaceStep(FaceInclusion.identity(1), "forward"),))
+
+
+def _transformations(projective, wedge_cube):
+    """The transformations of the mapping cone criterion (the identity, the
+    first wedge inclusion and a projection), the two wedge inclusions of the
+    wedge certificate criterion, and two that are not quasi-isomorphisms:
+    the zero transformation and the projection of the interval onto its
+    empty quotient."""
+    acyc = CubeFunctorData.build(
+        1, {(1,): FiniteSet(("x",)), (0,): FiniteSet(("y",))},
+        {((1,), (0,)): Correspondence.of(FiniteSet(("x",)), FiniteSet(("y",)),
+                                         [("w", "x", "y")])}, {})
+    supports = ({((1, 1, 0), "p3"), ((1, 0, 0), "p4"), ((0, 1, 0), "p1"), ((0, 0, 0), "p2")},
+                {((0, 1, 1), "p5"), ((0, 1, 0), "p1"), ((0, 0, 1), "p6"), ((0, 0, 0), "p2")})
+    return {
+        "identity": (identity_transformation(projective), True),
+        "projection": (quotient_functor(coproduct(projective, acyc),
+                                        {((1,), "l·e"), ((0,), "l·f")})[1], True),
+        "wedge-left": (sub_inclusion_transformation(wedge_cube, supports[0])[1], True),
+        "wedge-right": (sub_inclusion_transformation(wedge_cube, supports[1])[1], True),
+        "zero": (_zero_transformation(projective), False),
+        "empty-quotient": (quotient_functor(projective, set())[1], False),
+    }
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_quasi_iso_is_acyclic_ambient_totalization(projective, wedge_cube, shift):
+    """The nat step's route: the totalization of a transformation's ambient
+    is the mapping cone of the chain map it induces, so the map is a
+    quasi-isomorphism exactly when that totalization is acyclic."""
+    for name, (eta, quasi_iso) in _transformations(projective, wedge_cube).items():
+        assert is_quasi_iso(tot_nat_trans(eta, shift)) == quasi_iso, name
+        assert (not homology_nontrivial(tot(StableFunctor(eta.ambient, shift)))) == quasi_iso, name
+        cert = EquivalenceCertificate(
+            (StableFunctor(eta.source_functor(), shift), StableFunctor(eta.target_functor(), shift)),
+            (NatTransStep(eta),))
+        assert verify_certificate(cert).ok == quasi_iso, name

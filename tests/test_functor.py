@@ -148,12 +148,24 @@ def test_enumerate_matchings_agrees_with_naive_filter():
     # the pruned backtracking finds exactly the assignments that pass a full
     # coherence validation over all per-face candidates
     import itertools as it
-    from cubeburnside.functor import _face_candidates
+
+    def candidates(data, face, pinned):
+        """Every fiber-preserving bijection of the face composites that
+        keeps the pins, enumerated on ids."""
+        ca, cb = data.square(face)
+        fa, fb = ca.fibers(), cb.fibers()
+        per_fiber = []
+        for key in sorted(fa):
+            srcs = [e.id for e in fa[key]]
+            opts = [dict(zip(srcs, perm)) for perm in it.permutations(e.id for e in fb[key])]
+            per_fiber.append([m for m in opts
+                              if all(m.get(s, t) == t for s, t in (pinned or {}).items())])
+        return [BijectionOver.of(ca, cb, {s: t for part in combo for s, t in part.items()})
+                for combo in it.product(*per_fiber)]
 
     def naive(data, pinned=None):
         faces = cube.faces2(data.n)
-        cands = {f: _face_candidates(data, f, (pinned or {}).get(f), 10**9)
-                 for f in faces}
+        cands = {f: candidates(data, f, (pinned or {}).get(f)) for f in faces}
         out = []
         for combo in it.product(*(cands[f] for f in faces)):
             fm = dict(zip(faces, combo))
@@ -170,6 +182,44 @@ def test_enumerate_matchings_agrees_with_naive_filter():
     key = lambda m: sorted((repr(f), tuple(sorted(d.items()))) for f, d in m.items())
     assert sorted(map(key, naive(wc, pin))) == \
         sorted(map(key, enumerate_matchings(wc, pinned=pin)))
+
+
+def test_search_and_forced_matchings_build_no_bijection_per_candidate(monkeypatch):
+    """The search lists each face's composites at most twice (the fiber
+    size check and its own pass) and builds no ``BijectionOver``; the
+    forced matchings of the torus build one per face with nonempty
+    composites and one per distinct (top set, bottom set) of the rest."""
+    from cubeburnside import corpus, functor, simplicial
+    searched = {name: corpus.load_functor(name).functor for name in ("square_free", "wedge_cube")}
+    torus = simplicial.delta_functor(FX.delta_torus()).functor
+    bare_torus = CubeFunctorData.build(torus.n, torus.vertex_sets, torus.edge_corrs, None)
+    calls = {"composites": 0, "bijections": 0}
+    composites, post_init = functor._face_composites, BijectionOver.__post_init__
+
+    def count_composites(*args):
+        calls["composites"] += 1
+        return composites(*args)
+
+    def count_bijections(self):
+        calls["bijections"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(functor, "_face_composites", count_composites)
+    monkeypatch.setattr(BijectionOver, "__post_init__", count_bijections)
+    for name, f in searched.items():
+        calls.update(composites=0, bijections=0)
+        assert enumerate_matchings(f)
+        assert calls["bijections"] == 0, name
+        assert calls["composites"] <= 2 * len(cube.faces2(f.n)), name
+    calls.update(bijections=0)
+    forced = forced_matchings(bare_torus)
+    built = calls["bijections"]
+    nonempty = [m for m in forced.face_matchings.values() if m.src.elements]
+    empty_ends = {(m.src.source_set, m.src.target_set)
+                  for m in forced.face_matchings.values() if not m.src.elements}
+    assert forced == torus
+    assert (len(forced.face_matchings), len(nonempty), len(empty_ends)) == (672, 42, 64)
+    assert built == len(nonempty) + len(empty_ends) == 106
 
 
 def test_wedge_cube_unique_up_to_isomorphism():
@@ -211,6 +261,20 @@ def test_product_examples(projective):
     pp = product(projective, FX.projective_functor("x", "y", ("w1", "w2")))
     assert find_natural_isomorphism(FX.smash_square(), pp) is not None
     tot(pp)  # differential squares to zero with the sign convention
+
+
+@pytest.mark.parametrize("comma_first", [True, False])
+def test_product_of_ids_with_commas(comma_first):
+    """Pair ids are never parsed back: a factor id with a comma gives a
+    coherent product, naturally isomorphic to the one with plain ids."""
+    comma = FX.projective_functor("e", "f", ("u,1", "u2"))
+    plain = FX.projective_functor("e", "f", ("u1", "u2"))
+    # a square factor puts faces inside one factor as well as across both
+    for other in (FX.projective_functor("x", "y", ("v1", "v2")), FX.smash_square()):
+        pair = (lambda a: (a, other)) if comma_first else (lambda a: (other, a))
+        prod_comma, prod_plain = product(*pair(comma)), product(*pair(plain))
+        assert validate_coherence(prod_comma).ok
+        assert find_natural_isomorphism(prod_comma, prod_plain) is not None
 
 
 def test_product_totalization_is_tensor(projective):
