@@ -1,11 +1,8 @@
 """Stable-equivalence certificates: chains of shifted functors connected by
 quasi-isomorphism-inducing transformations and face-inclusion extensions,
-with a step-by-step verifier.
-
-A nat step checks that the transformation's ambient functor is coherent
-and that its totalization at the step's shift, the mapping cone of the
-induced chain map, is acyclic: exactly when that map is a
-quasi-isomorphism.  Its d∘d = 0 check covers the chain-map condition."""
+with a step-by-step verifier.  A nat step checks that the transformation's
+ambient functor is coherent and that its totalization, the mapping cone of
+the induced chain map, is acyclic."""
 
 from __future__ import annotations
 
@@ -101,7 +98,10 @@ def _check_nat(i: int, left: StableFunctor, right: StableFunctor,
 def _check_face(i: int, left: StableFunctor, right: StableFunctor,
                 step: FaceStep) -> StepReport:
     iota = step.iota
-    small, big = (left, right) if step.direction == "forward" else (right, left)
+    if step.direction == "forward":
+        small, big = left, right
+    else:
+        small, big = right, left
     if iota.n != small.functor.n or iota.N != big.functor.n:
         return StepReport(i, "face", False, "face inclusion dimensions do not match")
     if big.shift != small.shift - iota.weight:
@@ -115,16 +115,19 @@ def verify_certificate(cert: EquivalenceCertificate) -> CertificateReport:
     reports = []
     for i, step in enumerate(cert.steps):
         left, right = cert.chain[i], cert.chain[i + 1]
-        check = _check_nat if isinstance(step, NatTransStep) else _check_face
-        reports.append(check(i, left, right, step))
+        if isinstance(step, NatTransStep):
+            reports.append(_check_nat(i, left, right, step))
+        else:
+            reports.append(_check_face(i, left, right, step))
     return CertificateReport(all(r.ok for r in reports), tuple(reports))
 
 
 # -- JSON -----------------------------------------------------------------------
 
 def certificate_to_json(cert: EquivalenceCertificate) -> dict:
-    out = {"schema_version": 1, "chain": [functor_to_json(sf) for sf in cert.chain],
-           "steps": []}
+    out = {"schema_version": 1, "chain": [], "steps": []}
+    for sf in cert.chain:
+        out["chain"].append(functor_to_json(sf))
     for step in cert.steps:
         if isinstance(step, NatTransStep):
             out["steps"].append({"kind": "nat", "direction": step.direction,

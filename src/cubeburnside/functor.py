@@ -39,6 +39,7 @@ import itertools
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, prod
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -243,11 +244,9 @@ def _face_composites(side_a: tuple[_Positions, _Positions],
                      ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """A face's two composites, one per side (its first and second edge,
     through ``mid_a`` and through ``mid_b``, on positions), as (x, y)
-    element-position pairs in ``compose``'s order.  This is the one place
-    that lists a face's composites: for the square pass (and so for
-    ``validate_coherence``, ``forced_matchings`` and the Khovanov build),
-    for ``enumerate_matchings``' candidates and for
-    ``reconstruct_two_morphism``."""
+    element-position pairs in ``compose``'s order.  The one place that lists
+    them: for the square pass, the candidates of ``enumerate_matchings`` and
+    the tables of ``reconstruct_two_morphism``."""
     (xa, ya), (xb, yb) = side_a, side_b
     return _step_pairs(xa[1], ya[0]), _step_pairs(xb[1], yb[0])
 
@@ -550,10 +549,7 @@ def enumerate_matchings(f: CubeFunctorData,
     ``MAX_SEARCH_FACES`` faces and ``max_per_face`` bijections a face.
 
     ``pinned`` optionally constrains some faces by partial id mappings.
-
-    The search runs on positions: candidates are position images
-    (``_fiber_images``), each checked and oriented by ``_table``.  Ids are
-    read only to translate the pins and to write the completions."""
+    """
     faces = cube.faces2(f.n)
     if len(faces) > MAX_SEARCH_FACES:
         raise SearchCapExceeded(f"{len(faces)} faces exceeds cap {MAX_SEARCH_FACES}")
@@ -676,18 +672,15 @@ def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
     c0, failures, tables = _square_pass(f.n, edges, labels, image_of)
     if c0 or failures:
         raise InputError((c0 or failures)[0])
-    fm = {}
-    empty: dict[tuple[tuple[str, ...], tuple[str, ...]], BijectionOver] = {}
-    for v, t, (i, j) in _tops(f.n, 2):
-        face, table = Face2.from_top(v, i, j), tables[t, i, j]
-        if table:
-            fm[face] = _written_matching(table, _sides(corrs, t, i, j))
-            continue
-        ends = (labels[t], labels[t ^ 1 << i ^ 1 << j])
-        if ends not in empty:
-            c = Correspondence(f.vset(face.top), f.vset(face.bottom), ())
-            empty[ends] = BijectionOver(c, c, ())
-        fm[face] = empty[ends]
+
+    @cache
+    def empty(top: tuple[str, ...], bottom: tuple[str, ...]) -> BijectionOver:
+        c = Correspondence(FiniteSet(top), FiniteSet(bottom), ())
+        return BijectionOver(c, c, ())
+
+    fm = {Face2.from_top(v, i, j): _written_matching(tables[t, i, j], _sides(corrs, t, i, j))
+          if tables[t, i, j] else empty(labels[t], labels[t ^ 1 << i ^ 1 << j])
+          for v, t, (i, j) in _tops(f.n, 2)}
     return CubeFunctorData(f.n, f.vertex_sets, f.edge_corrs, fm)
 
 
@@ -728,21 +721,28 @@ def _pair_id(a: str, b: str) -> str:
 def product(f1: CubeFunctorData, f2: CubeFunctorData) -> CubeFunctorData:
     """Product functor on the concatenated cube; edges act on one factor and
     identically on the other, so the two kinds of mixed-square composites are
-    matched by recombining the same pair of factor elements.  Each face's
-    matching is built from the factor elements it pairs; no pair id is
-    parsed back."""
-    n1, n = f1.n, f1.n + f2.n
-    vs = {w: FiniteSet(tuple(_pair_id(x, y) for x in f1.vset(w[:n1]) for y in f2.vset(w[n1:])))
-          for w in cube.vertices(n)}
+    matched by recombining the same pair of factor elements."""
+    n1, n2 = f1.n, f2.n
+    n = n1 + n2
+
+    def vset(w: Vertex) -> FiniteSet:
+        a, b = w[:n1], w[n1:]
+        return FiniteSet(tuple(_pair_id(x, y) for x in f1.vset(a) for y in f2.vset(b)))
+
+    vs = {w: vset(w) for w in cube.vertices(n)}
     ec: dict[Edge, Correspondence] = {}
     for (u, v) in cube.edges(n):
+        k = cube.edge_coordinate(u, v)
         u1, u2, v1, v2 = u[:n1], u[n1:], v[:n1], v[n1:]
-        if cube.edge_coordinate(u, v) < n1:
-            elems = [CorrElem(_pair_id(e.id, y), _pair_id(e.s, y), _pair_id(e.t, y))
-                     for e in f1.edge(u1, v1).elements for y in f2.vset(u2)]
+        elems = []
+        if k < n1:
+            for e in f1.edge(u1, v1).elements:
+                for y in f2.vset(u2):
+                    elems.append(CorrElem(_pair_id(e.id, y), _pair_id(e.s, y), _pair_id(e.t, y)))
         else:
-            elems = [CorrElem(_pair_id(x, e.id), _pair_id(x, e.s), _pair_id(x, e.t))
-                     for x in f1.vset(u1) for e in f2.edge(u2, v2).elements]
+            for x in f1.vset(u1):
+                for e in f2.edge(u2, v2).elements:
+                    elems.append(CorrElem(_pair_id(x, e.id), _pair_id(x, e.s), _pair_id(x, e.t)))
         ec[(u, v)] = Correspondence(vs[u], vs[v], tuple(elems))
 
     fm = None
@@ -753,7 +753,6 @@ def product(f1: CubeFunctorData, f2: CubeFunctorData) -> CubeFunctorData:
             i = cube.edge_coordinate(face.top, face.mid_a)
             j = cube.edge_coordinate(face.top, face.mid_b)
             top1, top2 = face.top[:n1], face.top[n1:]
-            bottom1, bottom2 = face.bottom[:n1], face.bottom[n1:]
             if j < n1:
                 # both steps act on F1, on the same F2(top) element w
                 m1 = f1.matching(Face2.from_top(top1, i, j)).mapping
@@ -764,12 +763,11 @@ def product(f1: CubeFunctorData, f2: CubeFunctorData) -> CubeFunctorData:
                 mapping = {_pair_steps(a, w, True): _pair_steps(b, w, True)
                            for a, b in m2 for w in f1.vset(top1)}
             else:
-                # one coordinate in each factor: both composites are the pairs
-                # (e1, e2) of an F1 edge element and an F2 edge element
+                # one coordinate in each factor: composites are the pairs (e1, e2)
                 mapping = {join_composite_id([_pair_id(e1.t, e2.id), _pair_id(e1.id, e2.s)]):
                            join_composite_id([_pair_id(e1.id, e2.t), _pair_id(e1.s, e2.id)])
-                           for e1 in f1.edge(top1, bottom1).elements
-                           for e2 in f2.edge(top2, bottom2).elements}
+                           for e1 in f1.edge(top1, face.bottom[:n1]).elements
+                           for e2 in f2.edge(top2, face.bottom[n1:]).elements}
             fm[face] = BijectionOver.of(*probe.square(face), mapping)
     return CubeFunctorData(n, vs, ec, fm)
 

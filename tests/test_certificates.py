@@ -140,7 +140,7 @@ def test_quasi_iso_is_acyclic_ambient_totalization(projective, wedge_cube, shift
     for name, (eta, quasi_iso) in _transformations(projective, wedge_cube).items():
         assert is_quasi_iso(tot_nat_trans(eta, shift)) == quasi_iso, name
         assert (not homology_nontrivial(tot(StableFunctor(eta.ambient, shift)))) == quasi_iso, name
-        cert = EquivalenceCertificate(
-            (StableFunctor(eta.source_functor(), shift), StableFunctor(eta.target_functor(), shift)),
-            (NatTransStep(eta),))
+        ends = (StableFunctor(eta.source_functor(), shift),
+                StableFunctor(eta.target_functor(), shift))
+        cert = EquivalenceCertificate(ends, (NatTransStep(eta),))
         assert verify_certificate(cert).ok == quasi_iso, name
