@@ -660,9 +660,9 @@ def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
     """Attach the unique fiberwise matchings, found by the square pass on
     positions (``_forced_image``) and written as ``compose`` builds the
     composites; a face with empty composites takes the one empty matching
-    of its (top set, bottom set).  ``InputError`` naming the first failing face where two
-    composites differ in a fiber size or, failing that, where a fiber has
-    several elements.  Hexagons are not checked."""
+    of its (top set, bottom set).  ``InputError`` naming the first failing
+    face where two composites differ in a fiber size or, failing that,
+    where a fiber has several elements.  Hexagons are not checked."""
     corrs, edges, labels = _indexed(f)
 
     def image_of(v, t, i, j, sides, pa, pb, ka, kb):
