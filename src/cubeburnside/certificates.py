@@ -83,9 +83,9 @@ def _check_nat(i: int, left: StableFunctor, right: StableFunctor,
     if left.shift != right.shift:
         return StepReport(i, "nat", False, "shifts differ")
     src, tgt = (left, right) if step.direction == "forward" else (right, left)
-    if step.eta.source_functor() != src.functor:
+    if not step.eta.is_side(1, src.functor):
         return StepReport(i, "nat", False, "transformation source does not match")
-    if step.eta.target_functor() != tgt.functor:
+    if not step.eta.is_side(0, tgt.functor):
         return StepReport(i, "nat", False, "transformation target does not match")
     rep = validate_coherence(step.eta.ambient)
     if not rep:

@@ -17,12 +17,15 @@ sizes and takes the face's matching as a position image that must be a
 bijection keeping every element's fiber.  Each matching is oriented once
 into a small int table on step pairs, and the hexagons look their triples
 up in these tables (``_hexagon_commutes``), with no composite ids built or
-split.  Only the source of a face's image differs: ``validate_coherence``
-reads a stored matching through its ids, the Khovanov build names its
-forced or ladybug matching, and ``forced_matchings`` (squares only) takes
-the forced rule ``_forced_image``; it writes each nonempty matching as
-``compose`` builds it, and faces with empty composites share one empty
-matching per (top set, bottom set).  ``enumerate_matchings`` searches on
+split.  A hexagon walks only the triples in (top, bottom) fibers of two or
+more (``_hexagon_walk``): every swap keeps that fiber, so a triple alone in
+its fiber comes back to itself.  Only the source of a face's image
+differs: ``validate_coherence`` reads a stored matching through its ids,
+the Khovanov build names its forced or ladybug matching, and
+``forced_matchings`` (squares only) takes the forced rule
+``_forced_image``; it writes each nonempty matching as ``compose`` builds
+it, and faces with empty composites share one empty matching per (top
+set, bottom set).  ``enumerate_matchings`` searches on
 positions too: a face's candidates are its fiber-keeping position images,
 each tabled once, and ids are written only for the completions.
 Sub and quotient functors and the split of a functor into parts (the
@@ -457,24 +460,51 @@ def _hexagon_swaps(t: int, coords: tuple[int, int, int]):
         yield (0, t, a, b) if n % 2 == 0 else (1, t ^ 1 << a, b, c)
 
 
-def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
-                      tables: Mapping[tuple[int, int, int], array]) -> bool:
-    """Whether the six swaps around the 3-face (t, coords) compose to the
-    identity on every element of its first chain's composite; ``tables``
-    holds the oriented tables of (at least) its six faces.  This is the one
-    hexagon kernel: ``_coherence_pass`` and ``enumerate_matchings`` call
-    it.  The swaps alternate between steps (0, 1) and (1, 2), so they are
-    applied in three rounds of two."""
-    swaps = [_swap(at, tables[top, min(p, q), max(p, q)], p < q,
-                   len(edges[top, p][0]), len(edges[top, q][0]))[1:]
-             for at, top, p, q in _hexagon_swaps(t, coords)]
-    rounds = [swaps[r] + swaps[r + 1] for r in (0, 2, 4)]
+def _hexagon_walk(t: int, coords: tuple[int, int, int], edges) -> list[tuple[int, int, int]]:
+    """The elements of the 3-face (t, coords)'s first chain composite that
+    its hexagon must walk, as (a, b, c) step positions in composite order:
+    those in a fiber over (top, bottom) of two or more elements.  The
+    composite is listed once, through ``_step_pairs``, and keyed by the
+    positions (x, w) of each element's top and bottom.
+
+    This walk is exact.  Each swap replaces two adjacent steps by two with
+    the same endpoints, through a table that the square pass checked keeps
+    its face's fibers; so it keeps an element's (x, w), the six swaps
+    compose to a permutation of each fiber, and on a fiber of one element
+    that is the identity, whatever the matchings."""
     i, j, k = coords
     e0, e1, e2 = edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]
     first = _step_pairs(e0[1], e1[0])
     e1t = e1[1]
-    for n, m in _step_pairs([e1t[y] for _, y in first], e2[0]):
-        (a0, b0), c0 = first[n], m
+    steps = _step_pairs([e1t[b] for _, b in first], e2[0])
+    xs, ws = e0[0], e2[1]
+    keys = [(xs[first[n][0]], ws[c]) for n, c in steps]
+    if len(set(keys)) == len(keys):
+        return []
+    count = collections.Counter(keys)
+    return [first[n] + (c,) for (n, c), key in zip(steps, keys) if count[key] > 1]
+
+
+def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
+                      tables: Mapping[tuple[int, int, int], array],
+                      walk: Sequence[tuple[int, int, int]]) -> bool:
+    """Whether the six swaps around the 3-face (t, coords) compose to the
+    identity on every element of its first chain's composite; ``tables``
+    holds the oriented tables of (at least) its six faces, and ``walk`` is
+    the face's ``_hexagon_walk``.  Only the walk's elements are carried
+    round: every other element is alone in its (top, bottom) fiber, which
+    each swap keeps, so it comes back to itself.  An empty walk commutes,
+    and no swap is built for it.  This is the one hexagon kernel:
+    ``_coherence_pass`` and ``enumerate_matchings`` call it.  The swaps
+    alternate between steps (0, 1) and (1, 2), so they are applied in three
+    rounds of two."""
+    if not walk:
+        return True
+    swaps = [_swap(at, tables[top, min(p, q), max(p, q)], p < q,
+                   len(edges[top, p][0]), len(edges[top, q][0]))[1:]
+             for at, top, p, q in _hexagon_swaps(t, coords)]
+    rounds = [swaps[r] + swaps[r + 1] for r in (0, 2, 4)]
+    for a0, b0, c0 in walk:
         a, b, c = a0, b0, c0
         for t0, l0, k0, i0, o0, t1, l1, k1, i1, o1 in rounds:
             b, a = divmod(t0[bisect_left(t0, b * i0 + a, l0, l0 + k0) + k0], o0)
@@ -489,13 +519,17 @@ def _coherence_pass(n: int, edges, labels, image_of):
     hexagon, in ``cube.faces3`` order: the fiber-size failures, the
     matching or hexagon failures and the oriented tables.  This is the one
     coherence check; ``validate_coherence`` and the Khovanov build call
-    it."""
+    it.  Every 3-face is visited, but its hexagon walks only the elements
+    in (top, bottom) fibers of two or more (``_hexagon_walk``): once the
+    square pass has passed, every swap keeps that fiber, so an element
+    alone in its fiber always comes back to itself."""
     c0, failures, tables = _square_pass(n, edges, labels, image_of)
     if not (c0 or failures):
         failures = [f"3-face at {cube.bits(v)} coords {tuple(c + 1 for c in coords)}: "
                     "hexagon does not commute"
                     for v, t, coords in _tops(n, 3)
-                    if not _hexagon_commutes(t, coords, edges, tables)]
+                    if not _hexagon_commutes(t, coords, edges, tables,
+                                             _hexagon_walk(t, coords, edges))]
     return c0, failures, tables
 
 
@@ -549,6 +583,12 @@ def enumerate_matchings(f: CubeFunctorData,
     ``MAX_SEARCH_FACES`` faces and ``max_per_face`` bijections a face.
 
     ``pinned`` optionally constrains some faces by partial id mappings.
+
+    Each 3-face's hexagon walk (``_hexagon_walk``) is listed once, before
+    the search, and a 3-face is checked only if its walk is nonempty.  The
+    rule is exact: every candidate keeps its face's fibers, so each swap
+    keeps an element's (top, bottom) fiber, and an element alone in its
+    fiber comes back to itself under any candidates.
     """
     faces = cube.faces2(f.n)
     if len(faces) > MAX_SEARCH_FACES:
@@ -580,13 +620,17 @@ def enumerate_matchings(f: CubeFunctorData,
             cands.append((image, table))
         ids.append((ida, idb))
         candidates.append(cands)
-    # 3-faces become checkable once their last (in assignment order) 2-face is set
+    # 3-faces become checkable once their last (in assignment order) 2-face
+    # is set; each one's walk is listed here, once, and a 3-face with an
+    # empty walk commutes whatever the candidates, so it is not checked
     face_pos = {key: n for n, key in enumerate(keys)}
-    ready_at: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
+    ready_at: dict[int, list[tuple[int, tuple[int, int, int], list]]] = {}
     for _, t, coords in _tops(f.n, 3):
-        last = max(face_pos[top, min(p, q), max(p, q)]
-                   for _, top, p, q in _hexagon_swaps(t, coords))
-        ready_at.setdefault(last, []).append((t, coords))
+        walk = _hexagon_walk(t, coords, edges)
+        if walk:
+            last = max(face_pos[top, min(p, q), max(p, q)]
+                       for _, top, p, q in _hexagon_swaps(t, coords))
+            ready_at.setdefault(last, []).append((t, coords, walk))
 
     results: list[dict[Face2, dict[str, str]]] = []
     images: list[list[int]] = []
@@ -600,8 +644,8 @@ def enumerate_matchings(f: CubeFunctorData,
         for image, table in candidates[n]:
             images.append(image)
             chosen[keys[n]] = table
-            if all(_hexagon_commutes(t, coords, edges, chosen)
-                   for t, coords in ready_at.get(n, [])):
+            if all(_hexagon_commutes(t, coords, edges, chosen, walk)
+                   for t, coords, walk in ready_at.get(n, [])):
                 rec(n + 1)
             images.pop()
 
@@ -780,23 +824,50 @@ def _pair_steps(eid: str, w: str, w_first: bool) -> str:
                              for x in split_composite_id(eid))
 
 
-def slice_functor(f: CubeFunctorData, iota: FaceInclusion) -> CubeFunctorData:
-    """Pull back along a face inclusion (no support requirement)."""
+def _slice_items(f: CubeFunctorData, iota: FaceInclusion):
+    """The vertex sets, edges and matchings (None without matchings) of f
+    pulled back along iota, as lazy (key, value) pairs in ``cube`` order,
+    each looked up in f through iota."""
     if iota.N != f.n:
         raise InputError("dimension mismatch")
-    n = iota.n
-    vs = {v: f.vset(iota.apply(v)) for v in cube.vertices(n)}
-    ec = {(u, v): f.edge(iota.apply(u), iota.apply(v)) for (u, v) in cube.edges(n)}
-    fm = None
-    if f.has_matchings:
-        fm = {}
-        for face in cube.faces2(n):
-            i = cube.edge_coordinate(face.top, face.mid_a)
-            j = cube.edge_coordinate(face.top, face.mid_b)
-            big = Face2.spanning(iota.apply(face.top), iota.apply(face.mid_a),
-                                 iota.apply(face.mid_b), iota.apply(face.bottom))
-            fm[face] = f.matching_via(big, iota.apply(face.mid_a))
-    return CubeFunctorData(n, vs, ec, fm)
+    at = {v: iota.apply(v) for v in cube.vertices(iota.n)}
+
+    def matching(face: Face2) -> BijectionOver:
+        big = Face2(at[face.top], at[face.mid_a], at[face.mid_b], at[face.bottom])
+        m = f.face_matchings.get(big)
+        if m is None:  # iota reverses the order of the face's two coordinates
+            m = f.matching(Face2(big.top, big.mid_b, big.mid_a, big.bottom)).inverse()
+        return m
+
+    return (((v, f.vset(w)) for v, w in at.items()),
+            (((u, v), f.edge(at[u], at[v])) for u, v in cube.edges(iota.n)),
+            ((face, matching(face)) for face in cube.faces2(iota.n)) if f.has_matchings else None)
+
+
+def slice_functor(f: CubeFunctorData, iota: FaceInclusion) -> CubeFunctorData:
+    """Pull back along a face inclusion (no support requirement)."""
+    vs, ec, fm = _slice_items(f, iota)
+    return CubeFunctorData(iota.n, dict(vs), dict(ec), None if fm is None else dict(fm))
+
+
+def is_slice(f: CubeFunctorData, iota: FaceInclusion, g: CubeFunctorData) -> bool:
+    """Whether ``slice_functor(f, iota) == g``, decided in place: g's vertex
+    sets, edges and matchings are compared with f's, looked up through
+    iota, and no slice is built."""
+    items = _slice_items(f, iota)
+    if g.n != iota.n or (items[2] is None) != (g.face_matchings is None):
+        return False
+    for pairs, values in zip(items, (g.vertex_sets, g.edge_corrs, g.face_matchings)):
+        if pairs is None:
+            continue
+        count = 0
+        for key, value in pairs:
+            if values.get(key) != value:
+                return False
+            count += 1
+        if count != len(values):
+            return False
+    return True
 
 
 def extend_along_face_inclusion(f: CubeFunctorData, iota: FaceInclusion) -> CubeFunctorData:
@@ -1010,6 +1081,11 @@ class NaturalTransformation:
 
     def target_functor(self) -> CubeFunctorData:
         return slice_functor(self.ambient, self._side(0))
+
+    def is_side(self, bit: int, g: CubeFunctorData) -> bool:
+        """Whether g is the source (bit 1) or the target (bit 0), compared
+        in place (``is_slice``)."""
+        return is_slice(self.ambient, self._side(bit), g)
 
     def component(self, v: Vertex) -> Correspondence:
         return self.ambient.edge((1,) + v, (0,) + v)
@@ -1354,13 +1430,13 @@ def functor_from_json(obj: dict) -> StableFunctor:
         if n < 0:
             raise ValueError(f"negative cube dimension {n}")
         shift = cube.json_int(obj.get("shift", 0), "shift")
-        vs = {cube.vertex_from_bits(k): FiniteSet(tuple(v))
-              for k, v in _json_object(obj, "vertices").items()}
+        vertices, edges, faces = (_json_object(obj, key) for key in ("vertices", "edges", "faces"))
+        vs = {cube.vertex_from_bits(k): FiniteSet(tuple(v)) for k, v in vertices.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed functor data: {exc}") from exc
     cube.check_dim(n, "cube dimension")
     ec = {}
-    for key, elems in _json_object(obj, "edges").items():
+    for key, elems in edges.items():
         try:
             us, vsx = key.split(">")
             u, v = cube.vertex_from_bits(us), cube.vertex_from_bits(vsx)
@@ -1373,7 +1449,7 @@ def functor_from_json(obj: dict) -> StableFunctor:
     if "faces" in obj:
         data = CubeFunctorData.build(n, vs, ec, None)
         fm = {}
-        for key, mapping in _json_object(obj, "faces").items():
+        for key, mapping in faces.items():
             try:
                 face, flipped = _face_from_key(key)
                 ca, cb = data.square(face)
@@ -1388,10 +1464,11 @@ def functor_from_json(obj: dict) -> StableFunctor:
 
 
 def _json_object(obj: dict, key: str) -> dict:
-    """``obj[key]``, absent meaning empty, which must be a JSON object."""
+    """``obj[key]``, absent meaning empty, which must be a JSON object
+    (``TypeError`` if not, which ``functor_from_json`` reports)."""
     value = obj.get(key, {})
     if not isinstance(value, dict):
-        raise InputError(f"malformed functor data: {key!r} must be an object")
+        raise TypeError(f"{key!r} must be an object")
     return value
 
 

@@ -63,6 +63,24 @@ def test_zero_transformation_fails_quasi_iso(projective):
     assert "quasi" in rep.steps[0].detail
 
 
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_nat_step_names_the_end_that_does_not_match(projective, direction):
+    """A nat step whose transformation's source, or else its target, is not
+    the chain's functor on that side says which; the source is checked
+    first."""
+    eta = identity_transformation(projective)
+    other = FX.projective_functor("e", "f", ("v1", "v2"))
+    first = "source" if direction == "forward" else "target"
+    second = "target" if direction == "forward" else "source"
+    for ends, end in (((other, projective), first), ((projective, other), second),
+                      ((other, other), "source")):
+        cert = EquivalenceCertificate(tuple(StableFunctor(g, 0) for g in ends),
+                                      (NatTransStep(eta, direction),))
+        rep = verify_certificate(cert)
+        assert not rep.ok
+        assert rep.steps[0].detail == f"transformation {end} does not match"
+
+
 def test_face_step_direction_and_weight(projective):
     iota = FaceInclusion(1, 2, (1, 0), (1,))
     ext = extend_along_face_inclusion(projective, iota)

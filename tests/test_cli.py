@@ -155,6 +155,15 @@ def test_input_errors_exit_2(runner, tmp_path):
         assert invoke(runner, args).exit_code == 2, args
 
 
+@pytest.mark.parametrize("key", ["vertices", "edges", "faces"])
+def test_functor_check_non_object_part_exits_2(runner, tmp_path, key):
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps({"n": 1, key: [1]}))
+    res = invoke(runner, ["functor", "check", str(path), "--json"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"input error: malformed functor data: {key!r} must be an object\n"
+
+
 def test_functor_check(runner):
     res = invoke(runner, ["functor", "check", "wedge_cube"])
     assert res.exit_code == 0

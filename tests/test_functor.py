@@ -18,11 +18,12 @@ from cubeburnside.functor import (CubeFunctorData, NaturalTransformation,
                                   find_natural_isomorphism, forced_matchings,
                                   functor_from_json, functor_to_json,
                                   identity_transformation,
-                                  is_natural_isomorphism, one_point_functor,
+                                  is_natural_isomorphism, is_slice, one_point_functor,
                                   product, quotient_functor,
                                   quotient_functor_data,
                                   reconstruct_two_morphism,
-                                  restrict_along_face_inclusion, sub_functor,
+                                  restrict_along_face_inclusion, slice_functor,
+                                  sub_functor,
                                   sub_inclusion_transformation,
                                   validate_c0, validate_coherence,
                                   with_matchings, glue_along_top)
@@ -516,6 +517,36 @@ def test_functor_json_reversed_face_key():
     flipped_key = f"{top_bot} via {mb}|{ma}"
     obj["faces"] = {flipped_key: {v: k for k, v in mapping.items()}}
     assert functor_from_json(obj).functor == g
+
+
+def test_is_side_agrees_with_the_built_slice(projective, wedge_cube):
+    """``is_side`` decides, in place, what comparing with the sliced side
+    decides: on functors that differ in dimension, vertex sets, edges,
+    matchings only (the 16 wedge cube completions), or in having none."""
+    partial = FX.wedge_cube_partial()
+    completions = [with_matchings(partial, c) for c in FX.wedge_cube_completions()]
+    support = {((1, 1, 0), "p3"), ((1, 0, 0), "p4"), ((0, 1, 0), "p1"), ((0, 0, 0), "p2")}
+    transformations = [identity_transformation(completions[0]),
+                       identity_transformation(completions[5]),
+                       sub_inclusion_transformation(wedge_cube, support)[1],
+                       identity_transformation(projective)]
+    others = completions + [partial, wedge_cube, projective, empty_functor(3)]
+    verdicts = set()
+    for eta in transformations:
+        for bit, side in ((1, eta.source_functor()), (0, eta.target_functor())):
+            for g in others + [eta.source_functor(), eta.target_functor()]:
+                verdict = eta.is_side(bit, g)
+                assert verdict == (side == g)
+                verdicts.add((verdict, g.vertex_sets == side.vertex_sets))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    # inclusions that reverse the order of some coordinates read a face's
+    # matching through its inverse
+    for iota in (FaceInclusion(3, 3, (0, 0, 0), (2, 0, 1)), FaceInclusion(2, 3, (0, 1, 0), (2, 0))):
+        sliced = [slice_functor(f, iota) for f in completions[:4]]
+        for f in completions[:4]:
+            assert [is_slice(f, iota, g) for g in sliced] == [g == slice_functor(f, iota)
+                                                             for g in sliced]
+        assert {is_slice(completions[0], iota, g) for g in sliced} == {True, False}
 
 
 def test_functor_json_rejects_bad_data(projective):

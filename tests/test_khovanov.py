@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubeburnside import cube, fixtures as FX
+from cubeburnside import corpus, cube, fixtures as FX
 from cubeburnside import burnside, functor, khovanov as kh
 from cubeburnside.burnside import linearize
 from cubeburnside.errors import InputError, InternalInvariantError
@@ -378,6 +378,77 @@ def test_flipped_ladybug_fails_kh_table(pd_corpus, monkeypatch, reduced):
     _flip_one_ladybug(monkeypatch)
     with pytest.raises(InternalInvariantError, match="hexagon does not commute"):
         kh.kh_table(pd_corpus["unknot_ladybug"], reduced=reduced, basepoint=1)
+
+
+def _walk_reference(edges, t, coords):
+    """The elements of the 3-face's first chain composite, listed by
+    ``_chain_steps``, that share their (top, bottom) endpoints with another
+    element; and the composite's size."""
+    i, j, k = coords
+    chain = [edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]]
+    steps = functor._chain_steps(chain)
+    keys = [(chain[0][0][a], chain[2][1][c]) for a, _, c in steps]
+    count = collections.Counter(keys)
+    return [st for st, key in zip(steps, keys) if count[key] > 1], len(steps)
+
+
+def _khovanov_edges(pd):
+    dc = kh.DiagramCube(pd)
+    return pd.n, {(functor._mask(u), cube.edge_coordinate(u, v)): dc._edge_positions(u, v)
+                  for (u, v) in cube.edges(pd.n)}
+
+
+def _mixed_edges():
+    """The wedge cube beside the trefoil's functor: one 3-face whose
+    composite has a fiber of four elements and five fibers of one."""
+    f = coproduct(corpus.load_functor("wedge_cube").functor,
+                  kh.build_khovanov_functor(corpus.load_pd("trefoil_pos")).functor)
+    return f.n, functor._indexed(f)[1]
+
+
+@pytest.mark.parametrize("edges_of, counts", [
+    (lambda pds: _khovanov_edges(kh.braid_closure_pd([1, -2] * 4, 3)), (0, 11_112, 0, 1_792)),
+    (lambda pds: _khovanov_edges(kh.braid_closure_pd([1, 2] * 4, 3)), (2_160, 7_920, 816, 1_792)),
+    (lambda pds: _khovanov_edges(pds["unknot_ladybug"]), (2, 2, 1, 1)),
+    (lambda pds: _khovanov_edges(kh.braid_closure_pd([1, -2, 3, 1, -2, 3, 2], 4)),
+     (332, 3_063, 125, 560)),
+    (lambda pds: _mixed_edges(), (4, 9, 1, 1)),
+], ids=["(s1 s2^-1)^4", "T(3,4)", "unknot_ladybug", "s1 s2^-1 s3 s1 s2^-1 s3 s2",
+        "wedge_cube + trefoil_pos"])
+def test_hexagon_walks_only_fibers_of_two_or_more(pd_corpus, edges_of, counts):
+    """Summed over every 3-face of the Khovanov edge positions (and of one
+    functor whose 3-face mixes fiber sizes): the walked elements, the
+    3-step composite elements, the 3-faces with a nonempty walk and all
+    3-faces.  Each walk is the composite's elements in (top, bottom)
+    fibers of two or more, in composite order."""
+    n, edges = edges_of(pd_corpus)
+    walked = elements = faces_walked = faces = 0
+    for _, t, coords in functor._tops(n, 3):
+        walk = functor._hexagon_walk(t, coords, edges)
+        reference, size = _walk_reference(edges, t, coords)
+        assert walk == reference, (t, coords)
+        walked, elements = walked + len(walk), elements + size
+        faces_walked, faces = faces_walked + bool(walk), faces + 1
+    assert (walked, elements, faces_walked, faces) == counts
+
+
+def test_search_checks_no_hexagon_without_a_walk(monkeypatch):
+    """The bare trefoil_kink functor has no fiber of two or more in any
+    3-step composite, so its search calls the hexagon kernel 0 times and
+    still finds its one completion, the build's forced matchings."""
+    kink = kh.build_khovanov_functor(corpus.load_pd("trefoil_kink")).functor
+    bare = CubeFunctorData.build(kink.n, kink.vertex_sets, kink.edge_corrs, None)
+    calls = []
+    kernel = functor._hexagon_commutes
+
+    def counted(*args):
+        calls.append(args[:2])
+        return kernel(*args)
+
+    monkeypatch.setattr(functor, "_hexagon_commutes", counted)
+    assert functor.enumerate_matchings(bare) == [
+        {face: dict(m.mapping) for face, m in kink.face_matchings.items()}]
+    assert calls == []
 
 
 # sha256 of the canonical JSON of the full and (at arc 1) the reduced functor
