@@ -7,6 +7,11 @@ top morphism first ("y∘x" for the pair (y, x)).  Because string joining is
 associative, iterated composites are independent of association order both
 in ids and in (source, target) data.  Atomic element ids must not contain
 the separator.
+
+The records are slotted dataclasses, as is every record of the library:
+there is one ``CorrElem`` per edge element and one ``FiniteSet`` per
+vertex and part, so a per-instance ``__dict__`` would cost memory on every
+element of a functor.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .linalg import Matrix
 COMPOSE_SEP = "∘"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteSet:
     """Ordered finite set of distinct string identifiers.  ``_members``
     is the same elements as a set, kept from the duplicate check for
@@ -50,14 +55,14 @@ class FiniteSet:
 EMPTY_SET = FiniteSet(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrElem:
     id: str
     s: str
     t: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Correspondence:
     """A span: elements with a source in ``source_set`` and target in
     ``target_set``."""
@@ -145,7 +150,7 @@ def join_composite_id(parts: Iterable[str]) -> str:
     return COMPOSE_SEP.join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BijectionOver:
     """A 2-morphism: a bijection of parallel correspondences commuting with
     the source and target maps."""

@@ -22,7 +22,7 @@ def _check_direction(direction) -> None:
         raise InputError(f"step direction must be 'forward' or 'reverse', not {direction!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatTransStep:
     """direction "forward": the transformation runs from the left functor to
     the right one; "reverse": from right to left.  Any other direction
@@ -35,7 +35,7 @@ class NatTransStep:
         _check_direction(self.direction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceStep:
     """direction "forward": the right functor is the extension of the left
     one along ``iota`` (its shift drops by the weight); "reverse": the left
@@ -52,7 +52,7 @@ class FaceStep:
 Step = Union[NatTransStep, FaceStep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceCertificate:
     chain: tuple[StableFunctor, ...]
     steps: tuple[Step, ...]
@@ -62,7 +62,7 @@ class EquivalenceCertificate:
             raise InputError("certificate needs one more functor than steps")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepReport:
     index: int
     kind: str
@@ -70,7 +70,7 @@ class StepReport:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateReport:
     ok: bool
     steps: tuple[StepReport, ...]

@@ -102,7 +102,7 @@ def clear_coordinate(u: Vertex, k: int) -> Vertex:
     return u[:k] + (0,) + u[k + 1:]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Face2:
     """Two-dimensional face in canonical orientation.
 
@@ -140,7 +140,7 @@ def faces2(n: int) -> list[Face2]:
     return out
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Face3:
     """Three-dimensional face: top vertex plus its three changed coordinates."""
 
@@ -246,7 +246,7 @@ def all_swap_paths(c1: Chain, c2: Chain) -> Iterator[list[tuple[int, Chain]]]:
     yield from rec(c1, frozenset({c1}), [])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceInclusion:
     """Grading-respecting injection of {0,1}^n onto a sub-face of {0,1}^N.
 

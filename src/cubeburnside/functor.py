@@ -32,7 +32,10 @@ Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
 vertices, edges and stored matchings puts each element into its part,
 filtering the matchings instead of composing the restricted edges again,
-and corners empty in a part share one empty value.
+and corners empty in a part share one empty value.  It reads the parts as
+one {label: part} map per vertex, the form ``generator_gradings`` returns,
+with no index keyed by (vertex, label); the index of kept edge elements by
+id is built only when there are matchings to filter.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .errors import InputError, InternalInvariantError, SearchCapExceeded
 Edge = tuple[Vertex, Vertex]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """A verdict with its failures, and whether the pass found every
     square's two composites of equal fiber sizes."""
@@ -80,7 +83,7 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True)
 class CubeFunctorData:
     """Values on all vertices, edges, and (optionally) 2-faces of {0,1}^n.
 
@@ -165,7 +168,7 @@ class CubeFunctorData:
         return [(v, x) for v in cube.vertices(self.n) for x in self.vset(v)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StableFunctor:
     functor: CubeFunctorData
     shift: int = 0
@@ -912,28 +915,38 @@ def restrict_along_face_inclusion(f: CubeFunctorData, iota: FaceInclusion) -> Cu
 
 # -- sub and quotient functors ------------------------------------------------
 
-SupportSet = set[tuple[Vertex, str]]
-
-
 def _leaves(u: Vertex, v: Vertex, e: CorrElem) -> str:
     return (f"edge {cube.bits(u)}>{cube.bits(v)} element {e.id} leaves "
             f"the subset at {e.t}")
 
 
-def _closed_under_targets(f: CubeFunctorData, s: SupportSet) -> str | None:
+def _by_vertex(s: Iterable[tuple[Vertex, str]]) -> dict[Vertex, set[str]]:
+    """A support set of generators (v, x) as each vertex's set of labels."""
+    out: dict[Vertex, set[str]] = {}
+    for v, x in s:
+        out.setdefault(v, set()).add(x)
+    return out
+
+
+def _closed_under_targets(f: CubeFunctorData, s: Mapping[Vertex, set[str]]) -> str | None:
+    """A witness edge element from a generator of ``s`` (labels by vertex)
+    to one outside it, or None when ``s`` spans a subcomplex."""
     for (u, v) in cube.edges(f.n):
-        for e in f.edge(u, v).elements:
-            if (u, e.s) in s and (v, e.t) not in s:
-                return _leaves(u, v, e)
+        su, sv = s.get(u, ()), s.get(v, ())
+        if su:
+            for e in f.edge(u, v).elements:
+                if e.s in su and e.t not in sv:
+                    return _leaves(u, v, e)
     return None
 
 
-def restrict_parts(f: CubeFunctorData, part_of: Mapping[tuple[Vertex, str], Hashable],
+def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Hashable]],
                    parts: Sequence[Hashable]) -> dict[Hashable, CubeFunctorData]:
     """The restrictions of f to the parts of its generators, from one pass
     over the vertices, the edges and the stored face matchings.
 
-    ``part_of`` sends a generator (v, x) to its part, one of ``parts``;
+    ``part_of`` sends each vertex v to a map from labels x of v to parts,
+    one of ``parts``, so that generator (v, x) goes to ``part_of[v][x]``;
     generators it does not name are dropped, and so is every edge element
     with an end in no part.  An edge element joining two different parts
     raises ``InputError``.  Within one call a vertex, an edge or a face
@@ -942,16 +955,19 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[tuple[Vertex, str], Hash
     Face composites are filtered from the stored matchings, not composed
     again, so each matching's endpoints must be the face composites
     ``f.square(face)``, as every constructor here builds them; where the
-    kept ones are not, ``InputError`` is raised.  Restricted matchings are
-    validated as they are built."""
+    kept ones are not, ``InputError`` is raised.  The index of kept edge
+    elements by id, which the filter reads, is built only for data with
+    matchings.  Restricted matchings are validated as they are built."""
     empty_corr = Correspondence(EMPTY_SET, EMPTY_SET, ())
     no_vertices = dict.fromkeys(f.vertex_sets, EMPTY_SET)
     vs = {p: no_vertices.copy() for p in parts}
     present: dict[Vertex, set[Hashable]] = {}
+    unnamed: Mapping[str, Hashable] = {}
     for v, xs in f.vertex_sets.items():
+        labels = part_of.get(v, unnamed)
         groups: dict[Hashable, list[str]] = {}
         for x in xs:
-            p = part_of.get((v, x))
+            p = labels.get(x)
             if p is not None:
                 groups.setdefault(p, []).append(x)
         for p, kept_xs in groups.items():
@@ -960,21 +976,24 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[tuple[Vertex, str], Hash
 
     no_edges = dict.fromkeys(f.edge_corrs, empty_corr)
     ec = {p: no_edges.copy() for p in parts}
-    kept: dict[Edge, dict[str, tuple[CorrElem, Hashable]]] = {}
+    kept: dict[Edge, dict[str, tuple[CorrElem, Hashable]]] | None = \
+        {} if f.has_matchings else None
     for (u, v), corr in f.edge_corrs.items():
         out: dict[Hashable, list[CorrElem]] = {p: [] for p in present[u] | present[v]}
-        kept[(u, v)] = kept_es = {}
+        at_u, at_v = part_of.get(u, unnamed), part_of.get(v, unnamed)
+        kept_es = None if kept is None else kept.setdefault((u, v), {})
         for e in corr.elements:
-            p, q = part_of.get((u, e.s)), part_of.get((v, e.t))
+            p, q = at_u.get(e.s), at_v.get(e.t)
             if p is None or q is None:
                 continue
             if p != q:
                 raise InputError("subset does not span a subcomplex: " + _leaves(u, v, e))
             out[p].append(e)
-            kept_es[e.id] = (e, p)
+            if kept_es is not None:
+                kept_es[e.id] = (e, p)
         for p, es in out.items():
             ec[p][(u, v)] = Correspondence(vs[p][u], vs[p][v], tuple(es))
-    if not f.has_matchings:
+    if kept is None:
         return {p: CubeFunctorData(f.n, vs[p], ec[p]) for p in parts}
 
     fanout = {e: collections.Counter(x.s for x, _ in ks.values()) for e, ks in kept.items()}
@@ -1033,22 +1052,27 @@ def sub_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]]) -> CubeFunc
     edge targets: ``restrict_parts`` with one part, after the closure check.
     Its face composites are filtered from the stored matchings, which must
     therefore be the face composites (``InputError`` where they are not)."""
-    ss = set(s)
+    ss = _by_vertex(s)
     witness = _closed_under_targets(f, ss)
     if witness is not None:
         raise InputError("subset does not span a subcomplex: " + witness)
-    return restrict_parts(f, dict.fromkeys(ss, 0), (0,))[0]
+    return _one_part(f, ss)
 
 
 def quotient_functor_data(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
                           ) -> CubeFunctorData:
     """Restriction to a subset whose complement spans a subcomplex."""
-    ss = set(s)
-    comp = {(v, x) for v in cube.vertices(f.n) for x in f.vset(v)} - ss
+    ss = _by_vertex(s)
+    comp = {v: {x for x in xs if x not in ss.get(v, ())} for v, xs in f.vertex_sets.items()}
     witness = _closed_under_targets(f, comp)
     if witness is not None:
         raise InputError("complement does not span a subcomplex: " + witness)
-    return restrict_parts(f, dict.fromkeys(ss, 0), (0,))[0]
+    return _one_part(f, ss)
+
+
+def _one_part(f: CubeFunctorData, s: Mapping[Vertex, set[str]]) -> CubeFunctorData:
+    """``restrict_parts`` with the one part ``s`` (labels by vertex)."""
+    return restrict_parts(f, {v: dict.fromkeys(xs, 0) for v, xs in s.items()}, (0,))[0]
 
 
 def quotient_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
@@ -1061,7 +1085,7 @@ def quotient_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
 
 # -- natural transformations ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NaturalTransformation:
     """A functor on the (n+1)-cube whose restriction to the 1-side is the
     source and to the 0-side the target."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -53,7 +54,7 @@ _LATER = {0: {frozenset({0, 3}): 0, frozenset({1, 2}): 2},
 PLUS, MINUS = "+", "-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PDCode:
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
@@ -134,7 +135,9 @@ def _components(pd: PDCode) -> list[list[int]]:
     return [sorted(v) for v in sorted(comps.values())]
 
 
-def validate_pd(pd: PDCode) -> None:
+def validate_pd(pd: PDCode) -> tuple[int, ...]:
+    """Refuse a diagram whose arcs, components or orientation are
+    inconsistent; returns its crossing signs (``per_crossing_signs``)."""
     if pd.free_loops < 0:
         raise InputError("free_loops must be nonnegative")
     occ = _occurrences(pd)
@@ -144,7 +147,7 @@ def validate_pd(pd: PDCode) -> None:
     for comp in _components(pd):
         if comp != list(range(comp[0], comp[0] + len(comp))):
             raise InputError(f"component arcs {comp} are not consecutively numbered")
-    crossing_signs(pd)  # validates orientation relations
+    return per_crossing_signs(pd)  # validates orientation relations
 
 
 def _succ_table(pd: PDCode) -> dict[int, int]:
@@ -211,7 +214,7 @@ def crossing_signs(pd: PDCode) -> tuple[int, int]:
 
 # -- resolutions ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CirclePassage:
     crossing: int
     slot_in: int
@@ -222,7 +225,7 @@ class CirclePassage:
         return frozenset({self.slot_in, self.slot_out})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedCircle:
     """A circle of a resolution: either a free loop or a cyclic walk
     alternating crossing passages and arcs (arc ``walk_arcs[t]`` follows
@@ -239,7 +242,7 @@ class ResolvedCircle:
         return (0, min(self.arcs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedDiagram:
     vertex: Vertex
     circles: tuple[ResolvedCircle, ...]
@@ -257,16 +260,24 @@ class ResolvedDiagram:
         raise KeyError(k)
 
 
-def resolve(pd: PDCode, v: Vertex) -> ResolvedDiagram:
-    """Trace the circles of the resolution selected by v."""
-    if len(v) != pd.n:
-        raise InputError("vertex length must equal the crossing count")
-    occ = _occurrences(pd)
-    other: dict[tuple[int, int], tuple[int, int]] = {}
-    for places in occ.values():
+def _slot_partners(pd: PDCode) -> dict[Occurrence, Occurrence]:
+    """Each occurrence of an arc mapped to the arc's other occurrence."""
+    other: dict[Occurrence, Occurrence] = {}
+    for places in _occurrences(pd).values():
         (p1, p2) = places
         other[p1] = p2
         other[p2] = p1
+    return other
+
+
+def resolve(pd: PDCode, v: Vertex,
+            partners: Mapping[Occurrence, Occurrence] | None = None) -> ResolvedDiagram:
+    """Trace the circles of the resolution selected by v.  ``partners`` is
+    pd's ``_slot_partners``, built here when not given: ``DiagramCube``
+    builds it once for all its vertices."""
+    if len(v) != pd.n:
+        raise InputError("vertex length must equal the crossing count")
+    other = _slot_partners(pd) if partners is None else partners
     visited: set[tuple[int, int]] = set()
     circles = []
     for ci in range(pd.n):
@@ -306,9 +317,9 @@ class DiagramCube:
     generator positions."""
 
     def __init__(self, pd: PDCode):
-        validate_pd(pd)
         self.pd = pd
-        self.signs = per_crossing_signs(pd)
+        self.signs = validate_pd(pd)
+        self._partners = _slot_partners(pd)
         self.n_plus = sum(1 for s in self.signs if s > 0)
         self.n_minus = sum(1 for s in self.signs if s < 0)
         self._resolved: dict[Vertex, ResolvedDiagram] = {}
@@ -316,13 +327,13 @@ class DiagramCube:
 
     def resolved(self, v: Vertex) -> ResolvedDiagram:
         if v not in self._resolved:
-            self._resolved[v] = resolve(self.pd, v)
+            self._resolved[v] = resolve(self.pd, v, self._partners)
         return self._resolved[v]
 
     def generators(self, v: Vertex) -> FiniteSet:
         if v not in self._generators:
             k = len(self.resolved(v).circles)
-            self._generators[v] = FiniteSet(tuple("".join(ls) for ls in
+            self._generators[v] = FiniteSet(tuple(sys.intern("".join(ls)) for ls in
                                                   itertools.product((PLUS, MINUS), repeat=k)))
         return self._generators[v]
 
@@ -386,11 +397,14 @@ class DiagramCube:
 
     def _labelled(self, u: Vertex, v: Vertex, positions) -> Correspondence:
         """The edge u -> v of ``positions``, its element "x>y" running from
-        x at u to y at v."""
+        x at u to y at v.  Labels and ids are interned: a diagram's edges
+        repeat a few hundred ids (914 distinct among the 118,074 elements
+        of the closure of (σ1σ2⁻¹)^5σ1), so each is stored once."""
         gen_u, gen_v = self.generators(u), self.generators(v)
         xs, ys = gen_u.elements, gen_v.elements
         return Correspondence(gen_u, gen_v, tuple([
-            CorrElem(f"{xs[a]}>{ys[b]}", xs[a], ys[b]) for a, b in zip(*positions)]))
+            CorrElem(sys.intern(f"{xs[a]}>{ys[b]}"), xs[a], ys[b])
+            for a, b in zip(*positions)]))
 
     def stable_functor(self, matchings: bool = True) -> StableFunctor:
         """The functor data shifted by minus the negative crossing count.
@@ -406,6 +420,8 @@ class DiagramCube:
         if c0 or failures:
             raise InternalInvariantError(
                 "diagram functor fails coherence: " + "; ".join((c0 or failures)[:3]))
+        if not matchings:
+            tables = None  # only written matchings read them; free them before the strings
         vs = {v: self.generators(v) for v in cube.vertices(n)}
         ec = {e: self._labelled(*e, edges[k]) for e, k in key.items()}
         data = CubeFunctorData.build(n, vs, ec, None)
@@ -570,7 +586,7 @@ def _bit_images(c: int, moves: list[tuple[int, int]]) -> list[int]:
     return images
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LadybugData:
     face: Face2
     bottom_circle: int                     # index in the bottom resolution
@@ -643,9 +659,9 @@ def split_by_quantum(pd: PDCode, sf: StableFunctor,
     without face matchings splits into parts without them.  Every edge
     element must join two generators of one grading (``InputError``
     otherwise), so each part is closed both ways."""
-    part_of = {(v, x): j for v, grades in generator_gradings(pd, sf.functor, reduced).items()
-               for x, j in grades.items()}
-    parts = restrict_parts(sf.functor, part_of, sorted(set(part_of.values())))
+    grades = generator_gradings(pd, sf.functor, reduced)
+    parts = restrict_parts(sf.functor, grades,
+                           sorted({j for labels in grades.values() for j in labels.values()}))
     return {j: StableFunctor(part, sf.shift) for j, part in parts.items()}
 
 
@@ -841,8 +857,10 @@ def kh_table(pd: PDCode, reduced: bool = False, basepoint=None) -> list[dict]:
         sf = reduced_functor(pd, basepoint, matchings=False)
     else:
         sf = build_khovanov_functor(pd, matchings=False)
+    parts = split_by_quantum(pd, sf, reduced=reduced)
+    del sf  # the parts hold all that the complexes need
     rows = [{"i": -d, "j": j, "rank": h.free_rank, "torsion": list(h.torsion)}
-            for j, part in split_by_quantum(pd, sf, reduced=reduced).items()
+            for j, part in parts.items()
             for d, h in homology_nontrivial(dualize(tot(part))).items()]
     rows.sort(key=lambda r: (r["j"], r["i"]))
     return rows

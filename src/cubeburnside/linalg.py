@@ -25,7 +25,7 @@ from math import gcd
 from typing import Iterable, Mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Integer matrix; ``columns[j]`` maps each row of a nonzero entry of
     column j to that entry.  Build it with ``from_columns`` (or the

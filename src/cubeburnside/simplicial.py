@@ -16,7 +16,7 @@ from .linalg import Matrix
 from .totalization import ChainComplex, HomologyGroup, homology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Simplex:
     id: str
     verts: tuple[int, ...]  # 1-based vertex numbers, ordered, distinct
@@ -34,7 +34,7 @@ class Simplex:
         return len(self.verts) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaComplex:
     n_vertices: int
     simplices: tuple[Simplex, ...]

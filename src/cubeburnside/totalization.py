@@ -18,7 +18,7 @@ from .functor import CubeFunctorData, NaturalTransformation, StableFunctor
 from .linalg import Matrix, invariant_factors, sparse_product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainComplex:
     """Per-degree ordered bases and differentials d: C_d -> C_{d-1}.
 
@@ -66,7 +66,7 @@ class ChainComplex:
         return Matrix.zero(self.dim(d - 1), self.dim(d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainMap:
     source: ChainComplex
     target: ChainComplex
@@ -100,7 +100,7 @@ class ChainMap:
         return Matrix.zero(self.target.dim(d), self.source.dim(d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomologyGroup:
     degree: int
     free_rank: int
@@ -169,31 +169,39 @@ def tot(sf: StableFunctor | CubeFunctorData) -> ChainComplex:
     if isinstance(sf, CubeFunctorData):
         sf = StableFunctor(sf, 0)
     f, r = sf.functor, sf.shift
+    verts = cube.vertices(f.n)
+    # one walk over the vertices: each one's basis offset in its degree and
+    # the position of each of its labels
     basis: dict[int, list[str]] = {}
-    index: dict[tuple[Vertex, str], int] = {}
-    for v in cube.vertices(f.n):
-        d = cube.grading(v) + r
-        for x in f.vset(v):
-            basis.setdefault(d, [])
-            index[(v, x)] = len(basis[d])
-            basis[d].append(tot_label(v, x))
-    diffs: dict[int, Matrix] = {}
-    for d in list(basis):
-        if d - 1 not in basis:
+    at: dict[Vertex, tuple[int, dict[str, int]]] = {}
+    for v in verts:
+        xs = f.vset(v).elements
+        if xs:
+            b, prefix = basis.setdefault(sum(v) + r, []), cube.bits(v) + "|"
+            at[v] = (len(b), {x: k for k, x in enumerate(xs)})
+            b.extend([prefix + x for x in xs])
+    cols = {d: [{} for _ in b] for d, b in basis.items() if d - 1 in basis}
+    # one walk over the edges, each from u down to v in coordinate k, signed
+    # by the parity of the 1s of u before k and the shift
+    for u in verts:
+        d_cols = cols.get(sum(u) + r)
+        if d_cols is None or u not in at:
             continue
-        cols: list[dict[int, int]] = [{} for _ in basis[d]]
-        for u in cube.vertices(f.n):
-            if cube.grading(u) + r != d:
+        (off_u, pos_u), ones = at[u], 0
+        for k, bit in enumerate(u):
+            if not bit:
                 continue
-            for k in range(f.n):
-                if u[k] != 1:
-                    continue
-                v = cube.clear_coordinate(u, k)
-                sign = -1 if (cube.sign_assignment(u, v) + r) % 2 else 1
-                for e in f.edge(u, v).elements:
-                    col, i = cols[index[(u, e.s)]], index[(v, e.t)]
+            v = u[:k] + (0,) + u[k + 1:]
+            sign = -1 if (ones + r) % 2 else 1
+            ones += 1
+            es = f.edge_corrs[(u, v)].elements
+            if es:
+                off_v, pos_v = at[v]
+                for e in es:
+                    col, i = d_cols[off_u + pos_u[e.s]], off_v + pos_v[e.t]
                     col[i] = col.get(i, 0) + sign
-        diffs[d] = Matrix.from_columns(len(basis[d - 1]), len(basis[d]), cols)
+    diffs = {d: Matrix.from_columns(len(basis[d - 1]), len(basis[d]), c)
+             for d, c in cols.items()}
     try:
         return ChainComplex.build({d: tuple(b) for d, b in basis.items()}, diffs)
     except InternalInvariantError as exc:
@@ -345,7 +353,7 @@ def complexes_equal_under(c1: ChainComplex, c2: ChainComplex,
 
 # -- face inclusion shift isomorphism ----------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignTwist:
     """A mod-2 vertex assignment solving the edge equation
     t_u + t_v = |iota| + s_{u,v} + s_{iota u, iota v}."""

@@ -196,3 +196,27 @@ def test_bijection_composition_and_inverse():
     assert swap.inverse().as_dict() == swap.as_dict()
     with pytest.raises(ValueError):
         BijectionOver.of(x, x, {"e1": "e1"})
+
+
+def test_records_are_slotted():
+    """Every dataclass of the library keeps its fields in slots, with no
+    per-instance ``__dict__``: there is one record per set element, edge
+    element and face, so the saving is per element."""
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import cubeburnside
+
+    records = {}
+    for info in pkgutil.iter_modules(cubeburnside.__path__):
+        mod = importlib.import_module(f"cubeburnside.{info.name}")
+        for name, obj in vars(mod).items():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == mod.__name__):
+                records[f"{info.name}.{name}"] = obj
+    assert {"burnside.FiniteSet", "burnside.CorrElem", "burnside.Correspondence",
+            "burnside.BijectionOver", "cube.Face2", "khovanov.ResolvedCircle"} <= set(records)
+    unslotted = sorted(name for name, cls in records.items() if "__slots__" not in vars(cls))
+    assert unslotted == []
+    assert not hasattr(FiniteSet(("a",)), "__dict__")

@@ -534,6 +534,41 @@ def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
         assert calls == {**once, "face composites": passes * once["face composites"]}
 
 
+def test_equal_ids_and_labels_are_one_string():
+    """The closure of (σ1σ2⁻¹)^4 has 6,408 edge elements with 208 distinct
+    ids; each id and each generator label is stored once, not per edge or
+    per vertex."""
+    pd = kh.braid_closure_pd([1, -2] * 4, 3)
+    f = kh.build_khovanov_functor(pd, matchings=False).functor
+    ids = [e.id for c in f.edge_corrs.values() for e in c.elements]
+    labels = [x for s in f.vertex_sets.values() for x in s]
+    assert (len(ids), len(set(ids)), len({id(x) for x in ids})) == (6408, 208, 208)
+    assert len({id(x) for x in labels}) == len(set(labels))
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_diagram_tables_are_built_once_per_cube(pd_corpus, monkeypatch, reduced):
+    """A table lists the arc occurrences and reads the crossing signs as
+    often on ``fig8`` (16 vertices) as on ``trefoil_pos`` (8): the slot
+    partners are built once per ``DiagramCube``, not once per resolution."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_occurrences", "per_crossing_signs"):
+        monkeypatch.setattr(kh, name, counted(name, getattr(kh, name)))
+    counts = []
+    for name in ("trefoil_pos", "fig8"):
+        calls.clear()
+        kh.kh_table(pd_corpus[name], reduced=reduced, basepoint=1 if reduced else None)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"_occurrences": 4 + reduced, "per_crossing_signs": 2}
+
+
 def test_corpus_functors_coherent(small_corpus):
     for name, pd in small_corpus.items():
         sf = kh.build_khovanov_functor(pd)  # validates on construction
@@ -774,6 +809,28 @@ def test_kh_table_split_rejects_an_edge_between_gradings(pd_corpus, monkeypatch)
     monkeypatch.setattr(kh, "generator_gradings", moved)
     with pytest.raises(InputError, match="subset does not span a subcomplex: .* leaves"):
         kh.kh_table(pd_corpus["trefoil_pos"])
+
+
+@pytest.mark.parametrize("matchings", [True, False])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_split_edges_run_between_their_parts_sets(pd_corpus, reduced, matchings):
+    """Every edge of every part runs from that part's set at its source to
+    its set at its target, also where the part has no edge element but
+    generators at a corner: only an edge with neither corner in the part
+    takes the shared empty value."""
+    pd = pd_corpus["trefoil_fig8"]
+    sf = (kh.reduced_functor(pd, 1, matchings) if reduced
+          else kh.build_khovanov_functor(pd, matchings))
+    parts = kh.split_by_quantum(pd, sf, reduced=reduced)
+    empty_between_generators = 0
+    for j, part in parts.items():
+        f = part.functor
+        assert f.has_matchings == matchings
+        for (u, v), corr in f.edge_corrs.items():
+            assert (corr.source_set, corr.target_set) == (f.vset(u), f.vset(v)), (j, u, v)
+            if not corr.elements and (len(f.vset(u)) or len(f.vset(v))):
+                empty_between_generators += 1
+    assert empty_between_generators > 0
 
 
 def test_kh_table_validates_matchings_once(monkeypatch):
