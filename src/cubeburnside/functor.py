@@ -19,8 +19,17 @@ into a small int table on step pairs, and the hexagons look their triples
 up in these tables (``_hexagon_commutes``), with no composite ids built or
 split.  A hexagon walks only the triples in (top, bottom) fibers of two or
 more (``_hexagon_walk``): every swap keeps that fiber, so a triple alone in
-its fiber comes back to itself.  Only the source of a face's image
-differs: ``validate_coherence`` reads a stored matching through its ids,
+its fiber comes back to itself.  Equal work is done once: faces whose
+four side edges are the same objects share their composites, fiber keys
+and fiber-size verdict, and a table per image; a hexagon's walk is listed
+once per first chain, and its verdict found once per (walk, six tables).
+Each is a function of its key, so the sharing is exact; the image is part
+of a table's key, since ladybug images differ between faces with equal
+sides.  Equal edges are one object where they are made: ``_indexed``
+shares one position pair per equal positions, and the Khovanov build one
+per local configuration.  The memos key on object identity and live only
+through one pass.  Only the source of a face's image differs:
+``validate_coherence`` reads a stored matching through its ids,
 the Khovanov build names its forced or ladybug matching, and
 ``forced_matchings`` (squares only) takes the forced rule
 ``_forced_image``; it writes each nonempty matching as ``compose`` builds
@@ -215,18 +224,21 @@ def _mask(v: Vertex) -> int:
 
 def _indexed(f: CubeFunctorData):
     """f's edges keyed (mask, k), as correspondences and on positions, and
-    each vertex's elements keyed by mask.  An edge whose endpoint sets are
-    not its vertices' sets is refused, as ``CubeFunctorData.build`` does."""
+    each vertex's elements keyed by mask.  Edges with equal positions share
+    one position pair, so the coherence pass checks their squares and
+    hexagons once.  An edge whose endpoint sets are not its vertices' sets
+    is refused, as ``CubeFunctorData.build`` does."""
     mask = {v: _mask(v) for v in f.vertex_sets}
     pos = {v: {x: p for p, x in enumerate(s.elements)} for v, s in f.vertex_sets.items()}
-    corrs, edges = {}, {}
+    corrs, edges, interned = {}, {}, {}
     for (u, v), c in f.edge_corrs.items():
         if c.source_set != f.vertex_sets[u] or c.target_set != f.vertex_sets[v]:
             raise InputError(f"edge {u}>{v} endpoint sets do not match")
         key = (mask[u], (mask[u] ^ mask[v]).bit_length() - 1)
         corrs[key] = c
         pu, pv = pos[u], pos[v]
-        edges[key] = ([pu[e.s] for e in c.elements], [pv[e.t] for e in c.elements])
+        pair = (tuple([pu[e.s] for e in c.elements]), tuple([pv[e.t] for e in c.elements]))
+        edges[key] = interned.setdefault(pair, pair)
     labels = {mask[v]: s.elements for v, s in f.vertex_sets.items()}
     return corrs, edges, labels
 
@@ -425,15 +437,29 @@ def _square_pass(n: int, edges, labels, image_of=None):
     Returns the fiber-size failures, the matching failures and each face's
     oriented table.  After a fiber-size failure no matching is read, since
     a report then lists only those.  ``labels[mask]`` names a vertex's
-    positions in messages."""
+    positions in messages.
+
+    Faces whose four side edges are the same objects share their work: the
+    composites, fiber keys and fiber-size verdict are listed once per such
+    side key, and a table is built once per (side key, image).  Each is a
+    function of its key alone, so sharing it is exact.  ``image_of`` is
+    still called for every face: a ladybug image depends on the face, not
+    only on its sides.  The memos key on the identity of the edge objects,
+    which ``edges`` holds through the pass, and end with it."""
     c0: list[str] = []
     failures: list[str] = []
     tables: dict[tuple[int, int, int], array] = {}
+    squares: dict[tuple[int, int, int, int], tuple] = {}
     for v, t, (i, j) in _tops(n, 2):
         sides = _sides(edges, t, i, j)
-        pa, pb = _face_composites(*sides)
-        ka, kb = _fiber_keys(sides[0], pa), _fiber_keys(sides[1], pb)
-        if sorted(ka) != sorted(kb):
+        key = (id(sides[0][0]), id(sides[0][1]), id(sides[1][0]), id(sides[1][1]))
+        square = squares.get(key)
+        if square is None:
+            pa, pb = _face_composites(*sides)
+            ka, kb = _fiber_keys(sides[0], pa), _fiber_keys(sides[1], pb)
+            square = squares[key] = (pa, pb, ka, kb, sorted(ka) == sorted(kb), {})
+        pa, pb, ka, kb, equal, made = square
+        if not equal:
             top, bottom = labels[t], labels[t ^ 1 << i ^ 1 << j]
             fa, fb = ({(top[x], bottom[z]): c for (x, z), c in collections.Counter(keys).items()}
                       for keys in (ka, kb))
@@ -443,7 +469,13 @@ def _square_pass(n: int, edges, labels, image_of=None):
         if c0 or image_of is None:
             continue
         image = image_of(v, t, i, j, sides, pa, pb, ka, kb)
-        table = image if isinstance(image, str) else _table(sides, pa, pb, ka, kb, image)
+        if isinstance(image, str):
+            table = image
+        else:
+            image = tuple(image)
+            table = made.get(image)
+            if table is None:
+                table = made[image] = _table(sides, pa, pb, ka, kb, image)
         if isinstance(table, str):
             failures.append(f"face {_face_key(Face2.from_top(v, i, j))}: {table}")
         else:
@@ -463,6 +495,13 @@ def _hexagon_swaps(t: int, coords: tuple[int, int, int]):
         yield (0, t, a, b) if n % 2 == 0 else (1, t ^ 1 << a, b, c)
 
 
+def _first_chain(t: int, coords: tuple[int, int, int], edges) -> tuple:
+    """The three edges of the 3-face (t, coords)'s first chain, which
+    clears its coordinates in increasing order."""
+    i, j, k = coords
+    return edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]
+
+
 def _hexagon_walk(t: int, coords: tuple[int, int, int], edges) -> list[tuple[int, int, int]]:
     """The elements of the 3-face (t, coords)'s first chain composite that
     its hexagon must walk, as (a, b, c) step positions in composite order:
@@ -475,8 +514,7 @@ def _hexagon_walk(t: int, coords: tuple[int, int, int], edges) -> list[tuple[int
     its face's fibers; so it keeps an element's (x, w), the six swaps
     compose to a permutation of each fiber, and on a fiber of one element
     that is the identity, whatever the matchings."""
-    i, j, k = coords
-    e0, e1, e2 = edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]
+    e0, e1, e2 = _first_chain(t, coords, edges)
     first = _step_pairs(e0[1], e1[0])
     e1t = e1[1]
     steps = _step_pairs([e1t[b] for _, b in first], e2[0])
@@ -486,6 +524,26 @@ def _hexagon_walk(t: int, coords: tuple[int, int, int], edges) -> list[tuple[int
         return []
     count = collections.Counter(keys)
     return [first[n] + (c,) for (n, c), key in zip(steps, keys) if count[key] > 1]
+
+
+def _walks(n: int, edges):
+    """(vertex, top mask, coordinates, hexagon walk) of every 3-face, in
+    ``cube.faces3`` order.  The walk (``_hexagon_walk``) reads only the
+    face's first chain, so it is listed once per first chain (its three
+    edge objects) and shared by every 3-face with that chain."""
+    walks: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for v, t, coords in _tops(n, 3):
+        chain = tuple(map(id, _first_chain(t, coords, edges)))
+        if chain not in walks:
+            walks[chain] = _hexagon_walk(t, coords, edges)
+        yield v, t, coords, walks[chain]
+
+
+def _hexagon_tables(t: int, coords: tuple[int, int, int],
+                    tables: Mapping[tuple[int, int, int], array]) -> list[array]:
+    """The oriented tables of the six swaps around the 3-face (t, coords),
+    in ``_hexagon_swaps`` order."""
+    return [tables[top, min(p, q), max(p, q)] for _, top, p, q in _hexagon_swaps(t, coords)]
 
 
 def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
@@ -503,9 +561,9 @@ def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
     rounds of two."""
     if not walk:
         return True
-    swaps = [_swap(at, tables[top, min(p, q), max(p, q)], p < q,
-                   len(edges[top, p][0]), len(edges[top, q][0]))[1:]
-             for at, top, p, q in _hexagon_swaps(t, coords)]
+    swaps = [_swap(at, table, p < q, len(edges[top, p][0]), len(edges[top, q][0]))[1:]
+             for (at, top, p, q), table in zip(_hexagon_swaps(t, coords),
+                                               _hexagon_tables(t, coords, tables))]
     rounds = [swaps[r] + swaps[r + 1] for r in (0, 2, 4)]
     for a0, b0, c0 in walk:
         a, b, c = a0, b0, c0
@@ -525,14 +583,29 @@ def _coherence_pass(n: int, edges, labels, image_of):
     it.  Every 3-face is visited, but its hexagon walks only the elements
     in (top, bottom) fibers of two or more (``_hexagon_walk``): once the
     square pass has passed, every swap keeps that fiber, so an element
-    alone in its fiber always comes back to itself."""
+    alone in its fiber always comes back to itself.
+
+    Equal work is done once.  The walk is listed once per first chain (its
+    three edge objects, ``_walks``), and the verdict computed once per
+    (walk, six tables).  Both are functions of their keys: the walk reads
+    only its chain, and a table object is shared only by faces with the
+    same side edges (``_square_pass``), so it fixes every edge a swap
+    reads.  The memos key on object identity, and the objects live through
+    the pass."""
     c0, failures, tables = _square_pass(n, edges, labels, image_of)
-    if not (c0 or failures):
-        failures = [f"3-face at {cube.bits(v)} coords {tuple(c + 1 for c in coords)}: "
-                    "hexagon does not commute"
-                    for v, t, coords in _tops(n, 3)
-                    if not _hexagon_commutes(t, coords, edges, tables,
-                                             _hexagon_walk(t, coords, edges))]
+    if c0 or failures:
+        return c0, failures, tables
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for v, t, coords, walk in _walks(n, edges):
+        if not walk:
+            continue
+        key = (id(walk), *map(id, _hexagon_tables(t, coords, tables)))
+        commutes = verdicts.get(key)
+        if commutes is None:
+            commutes = verdicts[key] = _hexagon_commutes(t, coords, edges, tables, walk)
+        if not commutes:
+            failures.append(f"3-face at {cube.bits(v)} coords {tuple(c + 1 for c in coords)}: "
+                            "hexagon does not commute")
     return c0, failures, tables
 
 
@@ -587,11 +660,11 @@ def enumerate_matchings(f: CubeFunctorData,
 
     ``pinned`` optionally constrains some faces by partial id mappings.
 
-    Each 3-face's hexagon walk (``_hexagon_walk``) is listed once, before
-    the search, and a 3-face is checked only if its walk is nonempty.  The
-    rule is exact: every candidate keeps its face's fibers, so each swap
-    keeps an element's (top, bottom) fiber, and an element alone in its
-    fiber comes back to itself under any candidates.
+    Each 3-face's hexagon walk is listed before the search, once per
+    first chain (``_walks``), and a 3-face is checked only if its walk is
+    nonempty.  The rule is exact: every candidate keeps its face's fibers,
+    so each swap keeps an element's (top, bottom) fiber, and an element
+    alone in its fiber comes back to itself under any candidates.
     """
     faces = cube.faces2(f.n)
     if len(faces) > MAX_SEARCH_FACES:
@@ -624,12 +697,11 @@ def enumerate_matchings(f: CubeFunctorData,
         ids.append((ida, idb))
         candidates.append(cands)
     # 3-faces become checkable once their last (in assignment order) 2-face
-    # is set; each one's walk is listed here, once, and a 3-face with an
-    # empty walk commutes whatever the candidates, so it is not checked
+    # is set; the walks are listed here, once per first chain, and a 3-face
+    # with an empty walk commutes whatever the candidates, so it is not checked
     face_pos = {key: n for n, key in enumerate(keys)}
     ready_at: dict[int, list[tuple[int, tuple[int, int, int], list]]] = {}
-    for _, t, coords in _tops(f.n, 3):
-        walk = _hexagon_walk(t, coords, edges)
+    for _, t, coords, walk in _walks(f.n, edges):
         if walk:
             last = max(face_pos[top, min(p, q), max(p, q)]
                        for _, top, p, q in _hexagon_swaps(t, coords))
@@ -698,9 +770,26 @@ def _forced_image(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[
     element of its fiber in the other, as a position image; None when some
     fiber has several elements, and [] when the composites are empty.  This
     is the one forced rule: the square pass of ``forced_matchings`` and of
-    the Khovanov build reads it."""
+    the Khovanov build reads it, through ``_forced_rule``."""
     where = {key: q for q, key in enumerate(kb)}
     return [where[key] for key in ka] if len(where) == len(kb) else None
+
+
+def _forced_rule():
+    """``_forced_image`` for an ``image_of``, found once per pair of fiber
+    key lists and returned as one shared tuple: the square pass hands the
+    same two lists to every face with the same four sides.  Each entry
+    keeps the lists it is keyed on, so no id is reused while the rule
+    lives."""
+    known: dict[int, tuple] = {}
+
+    def forced(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> tuple[int, ...] | None:
+        entry = known.get(id(ka))
+        if entry is None or entry[1] is not kb:
+            image = _forced_image(ka, kb)
+            entry = known[id(ka)] = (ka, kb, None if image is None else tuple(image))
+        return entry[2]
+    return forced
 
 
 def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
@@ -711,9 +800,10 @@ def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
     face where two composites differ in a fiber size or, failing that,
     where a fiber has several elements.  Hexagons are not checked."""
     corrs, edges, labels = _indexed(f)
+    forced = _forced_rule()
 
     def image_of(v, t, i, j, sides, pa, pb, ka, kb):
-        image = _forced_image(ka, kb)
+        image = forced(ka, kb)
         return "ambiguous fiber" if image is None else image
 
     c0, failures, tables = _square_pass(f.n, edges, labels, image_of)

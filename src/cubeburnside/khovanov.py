@@ -37,7 +37,7 @@ from . import cube
 from .burnside import CorrElem, Correspondence, FiniteSet
 from .cube import Face2, Vertex
 from .errors import InputError, InternalInvariantError
-from .functor import (CubeFunctorData, StableFunctor, _coherence_pass, _forced_image,
+from .functor import (CubeFunctorData, StableFunctor, _coherence_pass, _forced_rule,
                       _mask, _sides, _tops, _written_matching, quotient_functor_data,
                       restrict_parts)
 from .linalg import Matrix
@@ -314,7 +314,17 @@ _DELTA_TABLE = {PLUS: [(PLUS, MINUS), (MINUS, PLUS)], MINUS: [(MINUS, MINUS)]}
 class DiagramCube:
     """Cached resolutions, generators and circle transitions of one diagram,
     and the stable functor they assemble into, built and checked on
-    generator positions."""
+    generator positions.
+
+    Equal things are one object.  Vertices with equal circle counts share
+    one generator set, and edges with equal local configurations (circle
+    counts, the changed crossing's circles and the moves of the untouched
+    circles: all that ``_edge_positions`` reads) one position pair, whose
+    elements are labelled once (``_labelled``).  So the coherence pass,
+    whose memos key on these objects' identity, checks each distinct
+    square and hexagon once.  The caches live as long as the cube, which
+    each build makes anew; the resolutions are released after the
+    coherence pass, the last reader of them in a build."""
 
     def __init__(self, pd: PDCode):
         self.pd = pd
@@ -323,7 +333,11 @@ class DiagramCube:
         self.n_plus = sum(1 for s in self.signs if s > 0)
         self.n_minus = sum(1 for s in self.signs if s < 0)
         self._resolved: dict[Vertex, ResolvedDiagram] = {}
-        self._generators: dict[Vertex, FiniteSet] = {}
+        self._circles: dict[Vertex, tuple] = {}
+        self._generators: dict[int, FiniteSet] = {}
+        self._edges: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._elements: dict[tuple[int, int, int], tuple] = {}
+        self._forced = _forced_rule()
 
     def resolved(self, v: Vertex) -> ResolvedDiagram:
         if v not in self._resolved:
@@ -331,11 +345,12 @@ class DiagramCube:
         return self._resolved[v]
 
     def generators(self, v: Vertex) -> FiniteSet:
-        if v not in self._generators:
-            k = len(self.resolved(v).circles)
-            self._generators[v] = FiniteSet(tuple(sys.intern("".join(ls)) for ls in
+        """The generators of v, one ``FiniteSet`` per circle count."""
+        k = len(self.resolved(v).circles)
+        if k not in self._generators:
+            self._generators[k] = FiniteSet(tuple("".join(ls) for ls in
                                                   itertools.product((PLUS, MINUS), repeat=k)))
-        return self._generators[v]
+        return self._generators[k]
 
     def circle_match(self, src: ResolvedDiagram, dst: ResolvedDiagram,
                      ) -> dict[int, int]:
@@ -351,22 +366,44 @@ class DiagramCube:
                 out[i] = j
         return out
 
-    def _edge_positions(self, u: Vertex, v: Vertex) -> tuple[list[int], list[int]]:
+    def _circle_tables(self, v: Vertex):
+        """v's circles as (the circles through each crossing, each circle's
+        (arcs, loop index), the index of each such key), once per vertex."""
+        if v not in self._circles:
+            through: list[list[int]] = [[] for _ in range(self.pd.n)]
+            keys = []
+            for ci, c in enumerate(self.resolved(v).circles):
+                for k in {p.crossing for p in c.passages}:
+                    through[k].append(ci)
+                keys.append((c.arcs, c.loop_index))
+            self._circles[v] = (tuple(map(tuple, through)), keys,
+                                {key: ci for ci, key in enumerate(keys)})
+        return self._circles[v]
+
+    def _edge_positions(self, u: Vertex, v: Vertex) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The edge u -> v on generator positions: the source (at u) and
         target (at v) position of each element.  Elements are the pairs
         (y at v, x at u) whose abelian-side coefficient is 1, by y and then
         in the order of the merge or split table.  Circle c of a vertex with
         k circles carries x_- exactly when bit k - 1 - c of a position is
         set (``generators`` order); circles away from the changed crossing
-        keep their labels."""
+        keep their labels.
+
+        The pair is a function of the edge's local configuration: the two
+        circle counts, the circles of v and of u through the changed
+        crossing, and where each untouched circle of v goes at u.  Edges
+        with equal configurations share one pair object."""
         k = cube.edge_coordinate(u, v)
-        rv, ru = self.resolved(v), self.resolved(u)
-        cv, cu = len(rv.circles), len(ru.circles)
-        vk = [i for i, c in enumerate(rv.circles) if any(p.crossing == k for p in c.passages)]
-        uk = [i for i, c in enumerate(ru.circles) if any(p.crossing == k for p in c.passages)]
-        stable = self.circle_match(rv, ru)
-        rest = _bit_images(cv, [(cv - 1 - c, cu - 1 - stable[c]) for c in range(cv)
-                                if c not in vk])
+        through_v, keys_v, _ = self._circle_tables(v)
+        through_u, keys_u, index_u = self._circle_tables(u)
+        vk, uk = through_v[k], through_u[k]
+        cv, cu = len(keys_v), len(keys_u)
+        moves = tuple(index_u[key] for c, key in enumerate(keys_v) if c not in vk)
+        config = (cv, cu, vk, uk, moves)
+        if config in self._edges:
+            return self._edges[config]
+        rest = _bit_images(cv, [(cv - 1 - c, cu - 1 - m) for c, m in
+                                zip((c for c in range(cv) if c not in vk), moves)])
         s: list[int] = []
         t: list[int] = []
         if len(vk) == 2 and len(uk) == 1:
@@ -389,22 +426,30 @@ class DiagramCube:
                     t += (y, y)
         else:
             raise InternalInvariantError("resolution change is neither merge nor split")
-        return s, t
+        self._edges[config] = pair = (tuple(s), tuple(t))
+        return pair
 
     def edge_correspondence(self, u: Vertex, v: Vertex) -> Correspondence:
         """The edge u -> v with generator labels (``_edge_positions``)."""
-        return self._labelled(u, v, self._edge_positions(u, v))
+        return self._labelled(self.generators(u), self.generators(v),
+                              self._edge_positions(u, v))
 
-    def _labelled(self, u: Vertex, v: Vertex, positions) -> Correspondence:
-        """The edge u -> v of ``positions``, its element "x>y" running from
-        x at u to y at v.  Labels and ids are interned: a diagram's edges
-        repeat a few hundred ids (914 distinct among the 118,074 elements
-        of the closure of (σ1σ2⁻¹)^5σ1), so each is stored once."""
-        gen_u, gen_v = self.generators(u), self.generators(v)
-        xs, ys = gen_u.elements, gen_v.elements
-        return Correspondence(gen_u, gen_v, tuple([
-            CorrElem(sys.intern(f"{xs[a]}>{ys[b]}"), xs[a], ys[b])
-            for a, b in zip(*positions)]))
+    def _labelled(self, gen_u: FiniteSet, gen_v: FiniteSet, positions) -> Correspondence:
+        """The edge of ``positions`` from generators ``gen_u`` to ``gen_v``,
+        its element "x>y" running from x at u to y at v.  The elements are
+        written once per (position pair, generator sets), and shared by
+        every edge with these three objects; each ``Correspondence`` still
+        checks them.  Ids are interned: a diagram's edges repeat a few
+        hundred ids (914 distinct among the 118,074 elements of the closure
+        of (σ1σ2⁻¹)^5σ1), so each is stored once."""
+        key = (id(positions), id(gen_u), id(gen_v))
+        elements = self._elements.get(key)
+        if elements is None:
+            xs, ys = gen_u.elements, gen_v.elements
+            elements = self._elements[key] = tuple([
+                CorrElem(sys.intern(f"{xs[a]}>{ys[b]}"), xs[a], ys[b])
+                for a, b in zip(*positions)])
+        return Correspondence(gen_u, gen_v, elements)
 
     def stable_functor(self, matchings: bool = True) -> StableFunctor:
         """The functor data shifted by minus the negative crossing count.
@@ -413,17 +458,20 @@ class DiagramCube:
         (``InternalInvariantError`` on a failure); face matchings are
         written only when ``matchings`` is true."""
         n = self.pd.n
+        vs = {v: self.generators(v) for v in cube.vertices(n)}
         key = {(u, v): (_mask(u), cube.edge_coordinate(u, v)) for (u, v) in cube.edges(n)}
         edges = {k: self._edge_positions(*e) for e, k in key.items()}
-        labels = {_mask(v): self.generators(v).elements for v in cube.vertices(n)}
+        labels = {_mask(v): s.elements for v, s in vs.items()}
         c0, failures, tables = _coherence_pass(n, edges, labels, self.matching_image)
+        self._resolved.clear()
+        self._circles.clear()
+        self._forced = _forced_rule()
         if c0 or failures:
             raise InternalInvariantError(
                 "diagram functor fails coherence: " + "; ".join((c0 or failures)[:3]))
         if not matchings:
             tables = None  # only written matchings read them; free them before the strings
-        vs = {v: self.generators(v) for v in cube.vertices(n)}
-        ec = {e: self._labelled(*e, edges[k]) for e, k in key.items()}
+        ec = {e: self._labelled(vs[e[0]], vs[e[1]], edges[k]) for e, k in key.items()}
         data = CubeFunctorData.build(n, vs, ec, None)
         if matchings:
             corrs = {k: ec[e] for e, k in key.items()}
@@ -437,13 +485,15 @@ class DiagramCube:
 
     def matching_image(self, v: Vertex, t: int, i: int, j: int, sides,
                        pa: list[tuple[int, int]], pb: list[tuple[int, int]],
-                       ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[int]:
+                       ka: list[tuple[int, int]], kb: list[tuple[int, int]],
+                       ) -> Sequence[int]:
         """The matching of face (v, i, j) on positions, for the square
         pass: element pa[p] goes to pb[image[p]] in its fiber (ka, kb).  A
         one-element fiber is forced; the two-element fibers are paired by
         the face's ladybug transfer of middle labels (``detect_ladybug``
-        once per face)."""
-        forced = _forced_image(ka, kb)
+        once per face).  The forced image is found once per distinct
+        square (``functor._forced_rule``)."""
+        forced = self._forced(ka, kb)
         if forced is not None:
             return forced
         fibers: dict[tuple[int, int], list[int]] = {}
@@ -694,16 +744,13 @@ def reduced_functor(pd: PDCode, basepoint, matchings: bool = True) -> StableFunc
     with face matchings only when ``matchings`` is true.
 
     The discarded generators span a subcomplex of the totalization (the
-    restriction is quotient-style)."""
+    restriction is quotient-style).  The basepoint circles are read before
+    the build, which releases the resolutions."""
     dc = DiagramCube(pd)
     bp = checked_basepoint(pd, basepoint)
+    circle = {v: basepoint_circle(dc.resolved(v), bp) for v in cube.vertices(pd.n)}
     sf = dc.stable_functor(matchings)
-    s = set()
-    for v in cube.vertices(pd.n):
-        ci = basepoint_circle(dc.resolved(v), bp)
-        for g in sf.functor.vset(v):
-            if g[ci] == MINUS:
-                s.add((v, g))
+    s = {(v, g) for v, ci in circle.items() for g in sf.functor.vset(v) if g[ci] == MINUS}
     return StableFunctor(quotient_functor_data(sf.functor, s), sf.shift)
 
 

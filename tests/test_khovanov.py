@@ -500,10 +500,12 @@ def test_build_unknot0(pd_corpus):
 def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
         pd_corpus, monkeypatch):
     """A table (plain or reduced) and ``kh verify`` resolve every vertex
-    once, make one generator set per vertex and build the functor data
-    once.  A table lists every face's composites once, in the coherence
-    pass on positions; ``kh verify`` lists them once more, in the string
-    ``validate_coherence`` of the unvalidated data."""
+    once, make one generator set per circle count (3 on fig8's 16
+    vertices) and build the functor data once.  A table lists the
+    composites once per distinct side key, in the coherence pass on
+    positions: 10 of fig8's 24 faces have distinct sides.  ``kh verify``
+    lists them once more, in the string ``validate_coherence`` of the
+    unvalidated data, whose equal edges are one object too."""
     from click.testing import CliRunner
     from cubeburnside.cli import main
 
@@ -522,8 +524,8 @@ def test_each_vertex_resolved_once_each_square_composed_once_per_pass(
     monkeypatch.setattr(functor, "_face_composites",
                         counted("face composites", functor._face_composites))
     pd = pd_corpus["fig8"]
-    once = {"resolve": 2 ** pd.n, "generator sets": 2 ** pd.n, "build": 1,
-            "face composites": len(cube.faces2(pd.n))}
+    assert (len(cube.faces2(pd.n)), len(cube.vertices(pd.n))) == (24, 16)
+    once = {"resolve": 2 ** pd.n, "generator sets": 3, "build": 1, "face composites": 10}
     runs = [(lambda: kh.kh_table(pd), 1),
             (lambda: kh.kh_table(pd, reduced=True, basepoint=1), 1),
             (lambda: CliRunner().invoke(main, ["kh", "verify", "fig8"],
@@ -544,6 +546,23 @@ def test_equal_ids_and_labels_are_one_string():
     labels = [x for s in f.vertex_sets.values() for x in s]
     assert (len(ids), len(set(ids)), len({id(x) for x in ids})) == (6408, 208, 208)
     assert len({id(x) for x in labels}) == len(set(labels))
+
+
+@pytest.mark.parametrize("pd_of, sets", [(lambda pds: pds["fig8"], 3),
+                                         (lambda pds: kh.braid_closure_pd([1, -2] * 4, 3), 5)],
+                         ids=["fig8", "(s1 s2^-1)^4"])
+def test_equal_vertex_sets_and_edges_are_one_object(pd_corpus, pd_of, sets):
+    """Vertices with equal circle counts share one generator set (3 sets
+    for the 16 vertices of fig8, 5 for the 256 of the (σ1σ2⁻¹)^4 closure),
+    and edges with equal elements one element tuple.  The build releases
+    its resolutions once the coherence pass has read them."""
+    dc = kh.DiagramCube(pd_of(pd_corpus))
+    f = dc.stable_functor(matchings=False).functor
+    vertex_sets = list(f.vertex_sets.values())
+    assert len({s.elements for s in vertex_sets}) == len({id(s) for s in vertex_sets}) == sets
+    elements = [c.elements for c in f.edge_corrs.values()]
+    assert len(set(elements)) == len({id(es) for es in elements}) < len(elements)
+    assert not dc._resolved
 
 
 @pytest.mark.parametrize("reduced", [False, True])
