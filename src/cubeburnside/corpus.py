@@ -40,13 +40,17 @@ def list_fixtures(kind: str) -> list[str]:
     return sorted(p.stem for p in d.glob("*.json"))
 
 
-def _load_json(path: Path) -> dict:
+def _read(path: Path, json_only: bool = False) -> dict | str:
+    """A file's contents: its JSON when the text starts with "{" or when
+    ``json_only``, else the text.  A file that cannot be read or decoded as
+    UTF-8, or whose JSON does not parse (nested too deep, or holding an
+    integer too long to convert), raises ``InputError``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+        return json.loads(text) if json_only or text.lstrip().startswith("{") else text
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -54,17 +58,10 @@ def resolve_input(kind: str, name_or_path: str) -> dict | str:
     """File contents if the argument names a file, else the bundled fixture."""
     p = Path(name_or_path)
     if p.is_file():
-        text = p.read_text(encoding="utf-8")
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
-                return json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"malformed JSON in {p}: {exc}") from exc
-        return text
+        return _read(p)
     fp = fixture_path(kind, name_or_path)
     if fp.is_file():
-        return _load_json(fp)
+        return _read(fp, json_only=True)
     raise InputError(f"no such file and no bundled {kind} fixture: {name_or_path!r}")
 
 
@@ -95,4 +92,4 @@ def load_delta(name_or_path: str) -> DeltaComplex:
 
 
 def load_golden(name: str) -> dict:
-    return _load_json(fixture_path("golden", name))
+    return _read(fixture_path("golden", name), json_only=True)

@@ -39,12 +39,14 @@ positions too: a face's candidates are its fiber-keeping position images,
 each tabled once, and ids are written only for the completions.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
-vertices, edges and stored matchings puts each element into its part,
-filtering the matchings instead of composing the restricted edges again,
-and corners empty in a part share one empty value.  It reads the parts as
-one {label: part} map per vertex, the form ``generator_gradings`` returns,
-with no index keyed by (vertex, label); the index of kept edge elements by
-id is built only when there are matchings to filter.
+vertices and edges puts each element into its part, and corners empty in a
+part share one empty value.  It reads the parts as one {label: part} map
+per vertex, the form ``generator_gradings`` returns, with no index keyed by
+(vertex, label).  A stored matching sits on ``square(face)``, the
+composites of its face's own edges, and every restriction composes its own
+faces: a part's matching is the stored one on the ids of the part's
+``square(face)``.  ``reconstruct_two_morphism`` reads the stored matchings
+by the same rule (``_on_square``).
 """
 
 from __future__ import annotations
@@ -263,21 +265,9 @@ def _face_composites(side_a: tuple[_Positions, _Positions],
     """A face's two composites, one per side (its first and second edge,
     through ``mid_a`` and through ``mid_b``, on positions), as (x, y)
     element-position pairs in ``compose``'s order.  The one place that lists
-    them: for the square pass, the candidates of ``enumerate_matchings`` and
-    the tables of ``reconstruct_two_morphism``."""
+    them: for the square pass and the candidates of ``enumerate_matchings``."""
     (xa, ya), (xb, yb) = side_a, side_b
     return _step_pairs(xa[1], ya[0]), _step_pairs(xb[1], yb[0])
-
-
-def _chain_steps(chain: Sequence[_Positions]) -> list[tuple[int, ...]]:
-    """The elements of the composite along ``chain`` (edges in the order
-    they apply) as tuples of element positions, one per edge, in the order
-    of the iterated ``compose``: by the last edge's element, then by the
-    rest of the chain the same way."""
-    out = [(i,) for i in range(len(chain[0][0]))]
-    for x, y in zip(chain, chain[1:]):
-        out = [out[a] + (j,) for a, j in _step_pairs([x[1][s[-1]] for s in out], y[0])]
-    return out
 
 
 # A face's matching, oriented: a step pair (x, y) of one side is coded
@@ -319,7 +309,7 @@ def _matching_image(m: BijectionOver, sides, pa: list[tuple[int, int]],
     """A stored matching of a face with correspondence sides ``sides`` and
     composites pa and pb, as the position image that ``_table`` checks, or
     why it is not one: its endpoints are not the stored composites.  This
-    is the one check that reads ids."""
+    is the coherence pass's one check that reads ids."""
     (xa, ya), (xb, yb) = sides
     if not (_is_composite(m.src, xa, ya, pa) and _is_composite(m.dst, xb, yb, pb)):
         return "matching endpoints are not the stored composites"
@@ -360,69 +350,63 @@ def _written_matching(table: array, sides) -> BijectionOver:
                                        zip(src.elements, table[k:2 * k])})
 
 
-# a swap as applied to step tuples: position of its first step, table,
-# start of the table block it reads, block size, and the lengths of the
-# first step's span before and after the swap
-Swap = tuple[int, array, int, int, int, int]
+# a swap as applied to a pair of steps: table, start of the table block it
+# reads, block size, and the lengths of the first step's span before and
+# after the swap
+Swap = tuple[array, int, int, int, int]
 
 
-def _swap(at: int, table: array, via_mid_a: bool, nx_in: int, nx_out: int) -> Swap:
+def _swap(table: array, via_mid_a: bool, nx_in: int, nx_out: int) -> Swap:
     k = len(table) // 4
-    return at, table, 0 if via_mid_a else 2 * k, k, nx_in, nx_out
+    return table, 0 if via_mid_a else 2 * k, k, nx_in, nx_out
 
 
-def _apply(swaps: Iterable[Swap], steps: tuple[int, ...]) -> tuple[int, ...]:
-    """Carry a composite element, as its step positions from the top
-    vertex, across a sequence of swaps."""
-    s = list(steps)
-    for at, table, lo, k, nx_in, nx_out in swaps:
-        code = table[bisect_left(table, s[at + 1] * nx_in + s[at], lo, lo + k) + k]
-        s[at + 1], s[at] = divmod(code, nx_out)
-    return tuple(s)
-
-
-def _chain_positions(edges, chain: cube.Chain) -> list[_Positions]:
-    return [edges[_mask(a), cube.edge_coordinate(a, b)] for a, b in zip(chain, chain[1:])]
+def _on_square(f: CubeFunctorData, face: Face2) -> BijectionOver:
+    """f's stored matching of ``face``, which must sit on the face's own
+    composites ``f.square(face)``; ``InputError`` names the face where it
+    does not, or where the edges do not compose."""
+    m = f.matching(face)
+    try:
+        square = f.square(face)
+    except ValueError as exc:
+        raise InputError(f"face {_face_key(face)}: {exc}") from exc
+    if (m.src, m.dst) != square:
+        raise InputError(f"face {_face_key(face)}: matching endpoints are not "
+                         "the composites of its edges")
+    return m
 
 
 def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
                              swap_path: Sequence[tuple[int, cube.Chain]] | None = None,
                              ) -> BijectionOver:
     """The bijection of chain composites obtained by composing stored face
-    matchings along a swap path (the deterministic one unless given)."""
+    matchings along a swap path (the deterministic one unless given).
+
+    Each element of c1's composite is carried as its steps, one edge element
+    id per edge.  A swap at chain vertex ``mid`` replaces the two steps
+    through ``mid`` by their image under ``f.matching_via(face, mid)``; the
+    face's matching must sit on ``f.square(face)``, as for every
+    restriction (``InputError`` otherwise)."""
     if not f.has_matchings:
         raise InputError("functor has no face matchings")
     if swap_path is None:
         swap_path = cube.chain_swap_path(c1, c2)
     src = composite_along_chain(f, c1)
-    dst = composite_along_chain(f, c2)
-    if len(c1) == 1:
-        # chain of length 0: identity on the identity correspondence
-        return BijectionOver.of(src, dst, {e.id: e.id for e in src.elements})
-    corrs, edges, _ = _indexed(f)
-    swaps = []
+    steps = {e.id: list(split_composite_id(e.id)) for e in src.elements}
     chain = c1
     for idx, nxt in swap_path:
         top, mid, bottom = chain[idx - 1], chain[idx], chain[idx + 1]
         i, j = cube.edge_coordinate(top, mid), cube.edge_coordinate(mid, bottom)
         face = Face2.from_top(top, min(i, j), max(i, j))
-        key = (_mask(top), min(i, j), max(i, j))
-        positions = _sides(edges, *key)
-        pa, pb = _face_composites(*positions)
-        image = _matching_image(f.matching(face), _sides(corrs, *key), pa, pb)
-        table = image if isinstance(image, str) else _table(
-            positions, pa, pb, _fiber_keys(positions[0], pa), _fiber_keys(positions[1], pb), image)
-        if isinstance(table, str):
-            raise InputError(f"face {_face_key(face)}: {table}")
-        # mid_a clears the lower-indexed coordinate first
-        swaps.append(_swap(idx - 1, table, i < j, len(edges[key[0], i][0]),
-                           len(edges[key[0], j][0])))
+        _on_square(f, face)
+        image = f.matching_via(face, mid).as_dict()
+        # the steps are listed latest first: edge idx, then edge idx - 1
+        at = len(chain) - 2 - idx
+        for st in steps.values():
+            st[at:at + 2] = split_composite_id(image[join_composite_id(st[at:at + 2])])
         chain = nxt
-    dst_ids = {st: e.id for st, e in
-               zip(_chain_steps(_chain_positions(edges, c2)), dst.elements)}
-    mapping = {e.id: dst_ids[_apply(swaps, st)] for st, e in
-               zip(_chain_steps(_chain_positions(edges, c1)), src.elements)}
-    return BijectionOver.of(src, dst, mapping)
+    return BijectionOver.of(src, composite_along_chain(f, c2),
+                            {eid: join_composite_id(st) for eid, st in steps.items()})
 
 
 # -- validation -------------------------------------------------------------
@@ -484,15 +468,14 @@ def _square_pass(n: int, edges, labels, image_of=None):
 
 
 def _hexagon_swaps(t: int, coords: tuple[int, int, int]):
-    """The six swaps around the 3-face (t, coords), as (position of the
-    first swapped step, top of the swapped face, coordinate cleared first,
-    coordinate cleared second).  The six chains clear the coordinates in
-    turn in the orders below; each one swaps interior vertex 1, 2, 1, 2,
-    1, 2 of the one before, cyclically."""
+    """The six swaps around the 3-face (t, coords), as (top of the swapped
+    face, coordinate cleared first, coordinate cleared second).  The six
+    chains clear the coordinates in turn in the orders below; each one
+    swaps interior vertex 1, 2, 1, 2, 1, 2 of the one before, cyclically."""
     i, j, k = coords
     for n, (a, b, c) in enumerate(((i, j, k), (j, i, k), (j, k, i),
                                    (k, j, i), (k, i, j), (i, k, j))):
-        yield (0, t, a, b) if n % 2 == 0 else (1, t ^ 1 << a, b, c)
+        yield (t, a, b) if n % 2 == 0 else (t ^ 1 << a, b, c)
 
 
 def _first_chain(t: int, coords: tuple[int, int, int], edges) -> tuple:
@@ -543,7 +526,7 @@ def _hexagon_tables(t: int, coords: tuple[int, int, int],
                     tables: Mapping[tuple[int, int, int], array]) -> list[array]:
     """The oriented tables of the six swaps around the 3-face (t, coords),
     in ``_hexagon_swaps`` order."""
-    return [tables[top, min(p, q), max(p, q)] for _, top, p, q in _hexagon_swaps(t, coords)]
+    return [tables[top, min(p, q), max(p, q)] for top, p, q in _hexagon_swaps(t, coords)]
 
 
 def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
@@ -561,9 +544,9 @@ def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
     rounds of two."""
     if not walk:
         return True
-    swaps = [_swap(at, table, p < q, len(edges[top, p][0]), len(edges[top, q][0]))[1:]
-             for (at, top, p, q), table in zip(_hexagon_swaps(t, coords),
-                                               _hexagon_tables(t, coords, tables))]
+    swaps = [_swap(table, p < q, len(edges[top, p][0]), len(edges[top, q][0]))
+             for (top, p, q), table in zip(_hexagon_swaps(t, coords),
+                                            _hexagon_tables(t, coords, tables))]
     rounds = [swaps[r] + swaps[r + 1] for r in (0, 2, 4)]
     for a0, b0, c0 in walk:
         a, b, c = a0, b0, c0
@@ -704,7 +687,7 @@ def enumerate_matchings(f: CubeFunctorData,
     for _, t, coords, walk in _walks(f.n, edges):
         if walk:
             last = max(face_pos[top, min(p, q), max(p, q)]
-                       for _, top, p, q in _hexagon_swaps(t, coords))
+                       for top, p, q in _hexagon_swaps(t, coords))
             ready_at.setdefault(last, []).append((t, coords, walk))
 
     results: list[dict[Face2, dict[str, str]]] = []
@@ -1033,7 +1016,7 @@ def _closed_under_targets(f: CubeFunctorData, s: Mapping[Vertex, set[str]]) -> s
 def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Hashable]],
                    parts: Sequence[Hashable]) -> dict[Hashable, CubeFunctorData]:
     """The restrictions of f to the parts of its generators, from one pass
-    over the vertices, the edges and the stored face matchings.
+    over the vertices and the edges.
 
     ``part_of`` sends each vertex v to a map from labels x of v to parts,
     one of ``parts``, so that generator (v, x) goes to ``part_of[v][x]``;
@@ -1042,12 +1025,11 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Has
     raises ``InputError``.  Within one call a vertex, an edge or a face
     with no generator of a part at its corners gets one shared empty value.
 
-    Face composites are filtered from the stored matchings, not composed
-    again, so each matching's endpoints must be the face composites
-    ``f.square(face)``, as every constructor here builds them; where the
-    kept ones are not, ``InputError`` is raised.  The index of kept edge
-    elements by id, which the filter reads, is built only for data with
-    matchings.  Restricted matchings are validated as they are built."""
+    With face matchings, each stored matching must sit on its face's
+    composites ``f.square(face)`` (``InputError`` names the face where it
+    does not), and each part composes its own faces: a part's matching is
+    the stored one on the ids of the part's ``square(face)``, validated as
+    it is built."""
     empty_corr = Correspondence(EMPTY_SET, EMPTY_SET, ())
     no_vertices = dict.fromkeys(f.vertex_sets, EMPTY_SET)
     vs = {p: no_vertices.copy() for p in parts}
@@ -1066,12 +1048,9 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Has
 
     no_edges = dict.fromkeys(f.edge_corrs, empty_corr)
     ec = {p: no_edges.copy() for p in parts}
-    kept: dict[Edge, dict[str, tuple[CorrElem, Hashable]]] | None = \
-        {} if f.has_matchings else None
     for (u, v), corr in f.edge_corrs.items():
         out: dict[Hashable, list[CorrElem]] = {p: [] for p in present[u] | present[v]}
         at_u, at_v = part_of.get(u, unnamed), part_of.get(v, unnamed)
-        kept_es = None if kept is None else kept.setdefault((u, v), {})
         for e in corr.elements:
             p, q = at_u.get(e.s), at_v.get(e.t)
             if p is None or q is None:
@@ -1079,69 +1058,27 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Has
             if p != q:
                 raise InputError("subset does not span a subcomplex: " + _leaves(u, v, e))
             out[p].append(e)
-            if kept_es is not None:
-                kept_es[e.id] = (e, p)
         for p, es in out.items():
             ec[p][(u, v)] = Correspondence(vs[p][u], vs[p][v], tuple(es))
-    if kept is None:
-        return {p: CubeFunctorData(f.n, vs[p], ec[p]) for p in parts}
-
-    fanout = {e: collections.Counter(x.s for x, _ in ks.values()) for e, ks in kept.items()}
-
-    def restrict(face: Face2, c: Correspondence, mid: Vertex,
-                 ) -> dict[Hashable, list[CorrElem]]:
-        """The composites y∘x in ``c`` whose steps x and y are both kept, by
-        part, after checking that they are exactly the composites of the
-        kept steps along ``mid``."""
-        xs, ys = kept[(face.top, mid)], kept[(mid, face.bottom)]
-        out: dict[Hashable, list[CorrElem]] = {}
-        if not (xs and ys):
-            # no kept steps on one edge: no kept composites, and none expected
-            return out
-        bad = False
-        for e in c.elements:
-            ids = split_composite_id(e.id)
-            if len(ids) == 2 and ids[1] in xs and ids[0] in ys:
-                (x, p), (y, _) = xs[ids[1]], ys[ids[0]]
-                # x.t == y.s puts both steps in one part
-                bad = bad or x.t != y.s or (e.s, e.t) != (x.s, y.t)
-                out.setdefault(p, []).append(e)
-        ys_from = fanout[(mid, face.bottom)]
-        pairs: dict[Hashable, int] = {}
-        for x, p in xs.values():
-            if x.t in ys_from:
-                pairs[p] = pairs.get(p, 0) + ys_from[x.t]
-        if bad or {p: len(es) for p, es in out.items()} != pairs:
-            raise InputError(f"face {_face_key(face)}: matching endpoints are not "
-                             f"the composites along {cube.bits(mid)}")
-        return out
+    restricted = {p: CubeFunctorData(f.n, vs[p], ec[p]) for p in parts}
+    if not f.has_matchings:
+        return restricted
 
     no_faces = dict.fromkeys(f.face_matchings, BijectionOver(empty_corr, empty_corr, ()))
     fm = {p: no_faces.copy() for p in parts}
-    for face, m in f.face_matchings.items():
-        here = present[face.top] | present[face.bottom]
-        if not here:
-            continue
-        ca = restrict(face, m.src, face.mid_a)
-        cb = restrict(face, m.dst, face.mid_b)
-        part_of_src = {e.id: p for p, es in ca.items() for e in es}
-        mappings: dict[Hashable, dict[str, str]] = {p: {} for p in here}
-        for a, b in m.mapping:
-            if a in part_of_src:
-                mappings[part_of_src[a]][a] = b
-        for p in here:
-            top, bottom = vs[p][face.top], vs[p][face.bottom]
-            fm[p][face] = BijectionOver.of(Correspondence(top, bottom, tuple(ca.get(p, ()))),
-                                           Correspondence(top, bottom, tuple(cb.get(p, ()))),
-                                           mappings[p])
+    for face in f.face_matchings:
+        mapping = _on_square(f, face).as_dict()
+        for p in present[face.top] | present[face.bottom]:
+            ca, cb = restricted[p].square(face)
+            fm[p][face] = BijectionOver.of(ca, cb, {e.id: mapping[e.id] for e in ca.elements})
     return {p: CubeFunctorData(f.n, vs[p], ec[p], fm[p]) for p in parts}
 
 
 def sub_functor(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]]) -> CubeFunctorData:
     """Restriction to a subset of generators whose span is closed under all
     edge targets: ``restrict_parts`` with one part, after the closure check.
-    Its face composites are filtered from the stored matchings, which must
-    therefore be the face composites (``InputError`` where they are not)."""
+    Each stored matching must sit on its face's composites (``InputError``
+    where one does not)."""
     ss = _by_vertex(s)
     witness = _closed_under_targets(f, ss)
     if witness is not None:

@@ -97,7 +97,10 @@ def parse_pd(text_or_obj, free_loops: int = 0) -> PDCode:
         residue = _X_RE.sub("", inner).replace(",", "").strip()
         if residue:
             raise InputError(f"unparsed PD content: {residue!r}")
-        pd = PDCode(tuple(tuple(int(a) for a in t) for t in tuples), free_loops)
+        try:
+            pd = PDCode(tuple(tuple(int(a) for a in t) for t in tuples), free_loops)
+        except ValueError as exc:  # a label longer than int() converts
+            raise InputError(f"malformed PD data: {exc}") from exc
     # each crossing and each free loop at least doubles the work
     cube.check_dim(pd.n + pd.free_loops, "crossing plus free loop count")
     validate_pd(pd)

@@ -10,8 +10,8 @@ those of ``functor.ValidationReport``.
 from __future__ import annotations
 
 from cubeburnside import cube
-from cubeburnside.burnside import (compose, is_two_morphism, join_composite_id,
-                                   split_composite_id)
+from cubeburnside.burnside import (_step_pairs, compose, is_two_morphism,
+                                   join_composite_id, split_composite_id)
 from cubeburnside.cube import Face2, Face3
 from cubeburnside.functor import CubeFunctorData, ValidationReport
 
@@ -97,3 +97,14 @@ def validate_c0(f: CubeFunctorData) -> ValidationReport:
                 if (msg := _c0_failure(face, *_square(f, face))) is not None]
     return ValidationReport(not failures, tuple(failures), not failures)
 
+
+def chain_steps(chain) -> list[tuple[int, ...]]:
+    """The elements of the composite along ``chain`` (edges on positions, as
+    (source positions, target positions), in the order they apply) as
+    tuples of element positions, one per edge, in the order of the iterated
+    ``compose``: by the last edge's element, then by the rest of the chain
+    the same way."""
+    out = [(i,) for i in range(len(chain[0][0]))]
+    for x, y in zip(chain, chain[1:]):
+        out = [out[a] + (j,) for a, j in _step_pairs([x[1][s[-1]] for s in out], y[0])]
+    return out

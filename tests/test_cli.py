@@ -151,8 +151,32 @@ def test_input_errors_exit_2(runner, tmp_path):
     ]
     malformed += [command[name.split("_")[0]] + [write(name, obj)]
                   for name, obj in non_integers.items()]
+
+    def write_bytes(name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
+
+    # unreadable text: not UTF-8, nested past the parser's depth, or an
+    # integer longer than int() converts
+    long_int = "1" * 5000
+    latin1 = b'{"crossings": [], "name": "caf\xe9"}'
+    malformed += [
+        ["kh", "homology", write_bytes("latin1.json", latin1)],
+        ["kh", "homology", write_bytes("latin1.txt", b"PD[X(1,2,2,1)] \xff")],
+        ["kh", "homology", write_bytes("deep.json", b'{"a": ' + b"[" * 100_000
+                                       + b"]" * 100_000 + b"}")],
+        ["kh", "homology", write_bytes("long_int.json",
+                                       f'{{"crossings": [[{long_int}, 2, 2, 1]]}}'.encode())],
+        ["kh", "homology", write_bytes("long_int.txt", f"PD[X({long_int},2,2,1)]".encode())],
+    ]
     for args in malformed:
         assert invoke(runner, args).exit_code == 2, args
+    (tmp_path / "pd").mkdir()
+    write_bytes("pd/latin1.json", latin1)
+    res3 = runner.invoke(main, ["kh", "homology", "latin1"],
+                         env={"KH_CORPUS_DIR": str(tmp_path)}, catch_exceptions=False)
+    assert res3.exit_code == 2 and res3.stderr.startswith("input error:")
 
 
 @pytest.mark.parametrize("key", ["vertices", "edges", "faces"])

@@ -102,6 +102,22 @@ def test_reconstruct_identity_and_single_swap():
     assert back.as_dict() == g.matching(FX.SQUARE_FACE).inverse().as_dict()
 
 
+def test_reconstruct_rejects_foreign_matching_endpoints(wedge_cube):
+    """A swap reads a face's matching only where it sits on the face's
+    composites: an inverted matching on unvalidated data raises, in either
+    direction of the swap."""
+    for face, m in wedge_cube.face_matchings.items():
+        if not m.src.elements:
+            continue
+        f = dataclasses.replace(wedge_cube,
+                                face_matchings={**wedge_cube.face_matchings, face: m.inverse()})
+        via_a = (face.top, face.mid_a, face.bottom)
+        via_b = (face.top, face.mid_b, face.bottom)
+        for c1, c2 in ((via_a, via_b), (via_b, via_a)):
+            with pytest.raises(InputError, match="matching endpoints are not the"):
+                reconstruct_two_morphism(f, c1, c2)
+
+
 def test_reconstruct_path_independent_on_cube(wedge_cube):
     top, bottom = (1, 1, 1), (0, 0, 0)
     chains = cube.maximal_chains(top, bottom)
@@ -359,11 +375,14 @@ def test_restriction_matches_composed_reference(wedge_cube, restrict_by_composin
 
 
 def test_restriction_rejects_foreign_matching_endpoints(wedge_cube, pd_corpus):
-    """Filtering trusts no matching whose endpoints are not the face's
+    """Restriction trusts no matching whose endpoints are not the face's
     composites: an inverted or emptied matching on unvalidated data raises,
-    with one part (sub_functor) and with several (the quantum split)."""
+    with one part (sub_functor) and with several (the quantum split), also
+    where the restriction leaves the face no composite (p1@010 and p2@000
+    of the wedge cube, for the face 011>000)."""
     tref = pd_corpus["trefoil_pos"]
     cases = [(wedge_cube, lambda f: sub_functor(f, set(wedge_cube.support()))),
+             (wedge_cube, lambda f: sub_functor(f, {((0, 1, 0), "p1"), ((0, 0, 0), "p2")})),
              (kh.build_khovanov_functor(tref).functor,
               lambda f: kh.split_by_quantum(tref, StableFunctor(f)))]
     for whole, restrict in cases:
@@ -378,6 +397,18 @@ def test_restriction_rejects_foreign_matching_endpoints(wedge_cube, pd_corpus):
                                         face_matchings={**whole.face_matchings, face: bad})
                 with pytest.raises(InputError, match="not the composites"):
                     restrict(f)
+
+
+def test_restriction_refuses_edges_that_do_not_compose(wedge_cube):
+    """On unvalidated data whose edge 111>110 ends on a set other than the
+    vertex's, the faces through 110 have no composites: restriction names
+    the first with ``InputError``, not a bare ``ValueError``."""
+    u, v = (1, 1, 1), (1, 1, 0)
+    c = wedge_cube.edge(u, v)
+    bent = Correspondence(c.source_set, FiniteSet(("p3", "z")), c.elements)
+    f = dataclasses.replace(wedge_cube, edge_corrs={**wedge_cube.edge_corrs, (u, v): bent})
+    with pytest.raises(InputError, match=r"face 111>010 via 011\|110: middle sets do not match"):
+        sub_functor(f, set(wedge_cube.support()))
 
 
 def test_quotient_functor_examples(projective):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import coherence_reference as ref
 from cubeburnside import corpus, cube, fixtures as FX
 from cubeburnside import burnside, functor, khovanov as kh
 from cubeburnside.burnside import linearize
@@ -382,11 +383,11 @@ def test_flipped_ladybug_fails_kh_table(pd_corpus, monkeypatch, reduced):
 
 def _walk_reference(edges, t, coords):
     """The elements of the 3-face's first chain composite, listed by
-    ``_chain_steps``, that share their (top, bottom) endpoints with another
+    ``chain_steps``, that share their (top, bottom) endpoints with another
     element; and the composite's size."""
     i, j, k = coords
     chain = [edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]]
-    steps = functor._chain_steps(chain)
+    steps = ref.chain_steps(chain)
     keys = [(chain[0][0][a], chain[2][1][c]) for a, _, c in steps]
     count = collections.Counter(keys)
     return [st for st, key in zip(steps, keys) if count[key] > 1], len(steps)
