@@ -196,13 +196,17 @@ def one_point_functor(element: str = "*") -> CubeFunctorData:
 # -- composites along chains ----------------------------------------------
 
 def composite_along_chain(f: CubeFunctorData, chain: cube.Chain) -> Correspondence:
-    """Flattened iterated fiber product along a saturated chain."""
+    """Flattened iterated fiber product along a saturated chain; on
+    unvalidated data, ``InputError`` names it if its edges do not compose."""
     cube.check_chain(chain)
     if len(chain) == 1:
         return identity_correspondence(f.vset(chain[0]))
     cur = f.edge(chain[0], chain[1])
-    for a, b in zip(chain[1:], chain[2:]):
-        cur = compose(f.edge(a, b), cur)
+    try:
+        for a, b in zip(chain[1:], chain[2:]):
+            cur = compose(f.edge(a, b), cur)
+    except ValueError as exc:
+        raise InputError(f"chain {'>'.join(map(cube.bits, chain))}: {exc}") from exc
     return cur
 
 
@@ -391,7 +395,7 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
         raise InputError("functor has no face matchings")
     if swap_path is None:
         swap_path = cube.chain_swap_path(c1, c2)
-    src = composite_along_chain(f, c1)
+    src, dst = composite_along_chain(f, c1), composite_along_chain(f, c2)
     steps = {e.id: list(split_composite_id(e.id)) for e in src.elements}
     chain = c1
     for idx, nxt in swap_path:
@@ -405,8 +409,7 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
         for st in steps.values():
             st[at:at + 2] = split_composite_id(image[join_composite_id(st[at:at + 2])])
         chain = nxt
-    return BijectionOver.of(src, composite_along_chain(f, c2),
-                            {eid: join_composite_id(st) for eid, st in steps.items()})
+    return BijectionOver.of(src, dst, {eid: join_composite_id(st) for eid, st in steps.items()})
 
 
 # -- validation -------------------------------------------------------------

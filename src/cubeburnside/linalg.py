@@ -1,20 +1,19 @@
-"""Exact integer matrices stored as sparse columns, and their invariant factors.
+"""Exact integer matrices stored as sparse columns, and one elimination.
 
 All arithmetic is over Python ints (arbitrary precision), so homology
 computations downstream are exact.  Each edge element of a cube functor adds
 one ±1 to its totalization, so differentials are as sparse as the functor:
 ``Matrix`` stores only nonzeros, one ``{row: entry}`` map per column, and has
 no second, dense form.  The chain-level checks multiply over nonzeros
-(``sparse_product``), and homology reads the invariant factors off one
-elimination that tracks no transforms (``invariant_factors``).  Nothing in
-the library needs the unimodular transforms of a Smith normal form:
-quasi-isomorphism is tested as acyclicity of the mapping cone.
+(``sparse_product``).  Nothing in the library needs the unimodular
+transforms of a Smith normal form: quasi-isomorphism is tested as
+acyclicity of the mapping cone.
 
-The elimination runs in two phases.  Phase 1 takes unit pivots, cheapest
-fill-in first, from a lazy heap; a unit pivot needs no reduction mod the
-pivot, so its row and column are dropped as soon as its column is cleared.
-Phase 2 takes what is left, a core without unit entries that is a few rows
-at most on totalized differentials, by least |entry| and a gcd/lcm fold.
+The elimination is ``cancel_units``, Bar-Natan's Gaussian elimination over
+a whole chain complex: it eliminates each generator once per complex.  Its
+residue has no unit entry and is a few generators at most on totalized
+differentials; ``_core_factors`` reads its invariant factors.  A matrix's
+``invariant_factors`` are read the same way off the two-term complex it is.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping
+
+_Cols = list[dict[int, int]] | dict[int, dict[int, int]]  # {row: entry} maps by column
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,27 +108,7 @@ def sparse_product(a: Matrix, b: Matrix) -> list[dict[int, int]]:
     return out
 
 
-def _pivot(rows: dict[int, dict[int, int]],
-           cols: list[dict[int, int]]) -> tuple[int, int]:
-    """The entry of least |entry|, ties broken by the least fill-in bound
-    (row nnz - 1)(col nnz - 1); so the cheapest unit while one is left."""
-    best, best_size, best_cost = None, 0, 0
-    for i, r in rows.items():
-        row_cost = len(r) - 1
-        for j, x in r.items():
-            size = x if x > 0 else -x
-            if best is not None and size > best_size:
-                continue
-            cost = row_cost * (len(cols[j]) - 1)
-            if best is None or size < best_size or cost < best_cost:
-                if size == 1 and cost == 0:
-                    return i, j
-                best, best_size, best_cost = (i, j), size, cost
-    return best
-
-
-def _clear_column(rows: dict[int, dict[int, int]], cols: list[dict[int, int]],
-                  p: int, q: int) -> list[int]:
+def _clear_column(rows: dict[int, dict[int, int]], cols: _Cols, p: int, q: int) -> list[int]:
     """Subtract (a // u) times row p from every other row with an entry a
     in column q, u the entry at (p, q); return the rows left nonempty."""
     prow = rows[p]
@@ -153,23 +134,25 @@ def _clear_column(rows: dict[int, dict[int, int]], cols: list[dict[int, int]],
     return touched
 
 
-def _core_factors(rows: dict[int, dict[int, int]],
-                  cols: list[dict[int, int]]) -> tuple[int, ...]:
-    """The invariant factors of what phase 1 leaves: the least-|entry|
-    elimination, then the gcd/lcm fold.
-
-    Each step takes the pivot u at (p, q) chosen by ``_pivot`` and clears
-    column q against row p (``_clear_column``).  A remainder left in
-    column q is smaller than u, so the next pivot is smaller.  Otherwise
-    column q is u at row p alone, so column operations change row p only,
-    and reduce it mod u; once u is all that is left of row p, |u| is
-    recorded and row p and column q are dropped.  The recorded entries are
-    diagonal but need not divide one another, so pairs are replaced by
-    their (gcd, lcm) until they do."""
+def _core_factors(residue: dict[int, dict[int, int]]) -> tuple[int, ...]:
+    """The invariant factors of the matrix with nonzero rows ``residue``,
+    {row: {column: entry}}, as ``cancel_units`` leaves it.  Each step takes
+    the entry u at (p, q) of least |entry|, then of least fill-in bound,
+    and clears column q against row p.  A remainder left in column q is
+    smaller than u, so the next pivot is smaller.  Otherwise column
+    operations reduce row p mod u; once u is all that is left of it, |u|
+    is recorded and row p and column q are dropped.  The recorded entries
+    are made a divisibility chain by (gcd, lcm) steps on pairs."""
+    rows = {i: dict(r) for i, r in residue.items()}
+    cols: dict[int, dict[int, int]] = {}
+    for i, r in rows.items():
+        for j, x in r.items():
+            cols.setdefault(j, {})[i] = x
     units = 0
     factors: list[int] = []
     while rows:
-        p, q = _pivot(rows, cols)
+        *_, p, q = min((abs(x), (len(r) - 1) * (len(cols[j]) - 1), i, j)
+                       for i, r in rows.items() for j, x in r.items())
         prow = rows[p]
         u = prow[q]
         _clear_column(rows, cols, p, q)
@@ -198,8 +181,7 @@ def _core_factors(rows: dict[int, dict[int, int]],
     return (1,) * units + tuple(factors)
 
 
-def _cheapest_unit(r: dict[int, int],
-                   cols: list[dict[int, int]]) -> tuple[int, int] | None:
+def _cheapest_unit(r: dict[int, int], cols: list[dict[int, int]]) -> tuple[int, int] | None:
     """(cost, column) of the unit of row r with the least fill-in bound
     (row nnz - 1)(col nnz - 1), or None if r holds no unit."""
     row_cost = len(r) - 1
@@ -214,54 +196,67 @@ def _cheapest_unit(r: dict[int, int],
     return best
 
 
+def cancel_units(diffs: Mapping[int, Matrix],
+                 ) -> tuple[dict[int, set[int]], dict[int, dict[int, dict[int, int]]]]:
+    """Bar-Natan's Gaussian elimination over the chain complex with
+    differentials ``diffs``, d_d: C_d -> C_{d-1}, which must compose to zero
+    (*Fast Khovanov homology computations*, arXiv:math/0606318).
+
+    A unit of d_d at row b' and column b cancels the pair b, b': d_d becomes
+    its Schur complement (``_clear_column``, exact as a // u = a*u), and row
+    b of d_{d+1} and column b' of d_{d-1} are deleted.  The result is chain
+    homotopy equivalent over Z.  Differentials go in ascending degree, each
+    loaded in its turn without the rows its predecessor cancelled, cheapest
+    unit first from a lazy min-heap of rows keyed on ``_cheapest_unit``: a
+    row whose cost changed goes back under its new cost, and every row a
+    pivot touches is pushed again.
+
+    Returns (cancelled, residue): ``cancelled[d]`` the generators of C_d a
+    pivot took, and ``residue[d]`` the nonzero rows {b': {b: entry}} left
+    of d_d, in the input's indices, on no cancelled generator and with no
+    unit entry."""
+    cancelled: dict[int, set[int]] = {}
+    residue: dict[int, dict[int, dict[int, int]]] = {}
+    for d in sorted(diffs):
+        gone_rows = cancelled.setdefault(d - 1, set())
+        gone_cols = cancelled[d] = set()
+        cols = [{i: x for i, x in c.items() if i not in gone_rows} for c in diffs[d].columns]
+        rows: dict[int, dict[int, int]] = {}
+        for j, c in enumerate(cols):
+            for i, x in c.items():
+                rows.setdefault(i, {})[j] = x
+        heap = [(cheapest[0], i) for i, r in rows.items()
+                if (cheapest := _cheapest_unit(r, cols))]
+        heapify(heap)
+        while heap:
+            cost, p = heappop(heap)
+            prow = rows.get(p)
+            cheapest = _cheapest_unit(prow, cols) if prow else None
+            if cheapest is None:
+                continue
+            if cheapest[0] != cost:
+                heappush(heap, (cheapest[0], p))
+                continue
+            gone_rows.add(p)
+            gone_cols.add(cheapest[1])
+            for i in _clear_column(rows, cols, p, cheapest[1]):
+                cheapest = _cheapest_unit(rows[i], cols)
+                if cheapest:
+                    heappush(heap, (cheapest[0], i))
+            for j in prow:
+                del cols[j][p]
+            del rows[p]
+        residue[d] = rows
+    for d, rows in residue.items():  # the columns d_{d+1}'s pivots deleted
+        gone = cancelled[d]
+        residue[d] = {i: kept for i, r in rows.items()
+                      if (kept := {j: x for j, x in r.items() if j not in gone})}
+    return cancelled, residue
+
+
 def invariant_factors(m: Matrix) -> tuple[int, ...]:
     """The nonzero invariant factors of ``m``, d1 | d2 | ..., those of its
-    Smith normal form.
-
-    One sparse elimination that tracks no transforms, in two phases.
-
-    Phase 1 is Bar-Natan's Gaussian elimination on unit pivots, cheapest
-    first by the fill-in bound (row nnz - 1)(col nnz - 1).  A lazy min-heap
-    holds each row under the cost of its cheapest unit (``_cheapest_unit``),
-    so no pivot rescans the matrix: a popped row whose cost has changed
-    goes back under its current cost, and every row an elimination touches
-    is pushed again.  For a unit pivot u at (p, q), ``_clear_column``
-    leaves u alone in column q, since a // u = a*u is exact.  Column
-    operations by u then clear the rest of row p and change no other row,
-    and since u divides everything they need no reduction mod u: row p and
-    column q are dropped outright, and one factor 1 is counted.
-
-    Phase 2 hands the core that is left, rows without a unit entry, to the
-    least-|entry| elimination and gcd/lcm fold of ``_core_factors``.  On
-    totalized differentials that core is a few rows at most.
-    """
-    cols = [dict(c) for c in m.columns]
-    rows: dict[int, dict[int, int]] = {}
-    for j, c in enumerate(cols):
-        for i, x in c.items():
-            rows.setdefault(i, {})[j] = x
-    heap = []
-    for i, r in rows.items():
-        cheapest = _cheapest_unit(r, cols)
-        if cheapest:
-            heap.append((cheapest[0], i))
-    heapify(heap)
-    units = 0
-    while heap:
-        cost, p = heappop(heap)
-        prow = rows.get(p)
-        cheapest = _cheapest_unit(prow, cols) if prow else None
-        if cheapest is None:
-            continue
-        if cheapest[0] != cost:
-            heappush(heap, (cheapest[0], p))
-            continue
-        for i in _clear_column(rows, cols, p, cheapest[1]):
-            cheapest = _cheapest_unit(rows[i], cols)
-            if cheapest:
-                heappush(heap, (cheapest[0], i))
-        for j in prow:
-            del cols[j][p]
-        del rows[p]
-        units += 1
-    return (1,) * units + _core_factors(rows, cols)
+    Smith normal form: a factor 1 for each pivot of ``cancel_units`` on the
+    two-term complex {1: m}, then ``_core_factors`` of its residue."""
+    cancelled, residue = cancel_units({1: m})
+    return (1,) * len(cancelled[1]) + _core_factors(residue[1])

@@ -15,7 +15,7 @@ from . import cube
 from .cube import FaceInclusion, Vertex
 from .errors import InputError, InternalInvariantError
 from .functor import CubeFunctorData, NaturalTransformation, StableFunctor
-from .linalg import Matrix, invariant_factors, sparse_product
+from .linalg import Matrix, _core_factors, cancel_units, invariant_factors, sparse_product
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,16 +125,18 @@ class HomologyGroup:
 
 
 def homology(c: ChainComplex) -> dict[int, HomologyGroup]:
-    """Exact integral homology in every nonempty degree, from the invariant
-    factors of each differential: H_d has rank dim C_d - rk d_d - rk d_{d+1}
-    and torsion the factors of d_{d+1} greater than 1.  The boundaries lie
-    in the cycles because c was checked for d∘d = 0 when it was built."""
-    factors = {d: invariant_factors(m) for d, m in c.diffs.items()}
+    """Exact integral homology in every nonempty degree, read off the
+    residue of ``cancel_units``: H_d has rank (generators of C_d left) -
+    rk d_d - rk d_{d+1} and torsion the factors of d_{d+1} greater than 1,
+    d_d and d_{d+1} the residual ones.  The cancellation needs d∘d = 0,
+    which ``ChainComplex.__post_init__`` checked when c was built."""
+    cancelled, residue = cancel_units(c.diffs)
+    factors = {d: _core_factors(r) for d, r in residue.items()}
     out = {}
     for d in c.degrees():
         outgoing, incoming = factors.get(d, ()), factors.get(d + 1, ())
-        out[d] = HomologyGroup(d, c.dim(d) - len(outgoing) - len(incoming),
-                               tuple(x for x in incoming if x > 1))
+        rank = c.dim(d) - len(cancelled.get(d, ())) - len(outgoing) - len(incoming)
+        out[d] = HomologyGroup(d, rank, tuple(x for x in incoming if x > 1))
     return out
 
 

@@ -118,6 +118,19 @@ def test_reconstruct_rejects_foreign_matching_endpoints(wedge_cube):
                 reconstruct_two_morphism(f, c1, c2)
 
 
+def test_reconstruct_rejects_chains_whose_edges_do_not_compose(wedge_cube):
+    """Edge 111>110 retargeted to p3 in {p3, z}: the chain through 110 does
+    not compose, and either direction of the swap names it."""
+    retargeted = dataclasses.replace(wedge_cube.edge((1, 1, 1), (1, 1, 0)),
+                                     target_set=FiniteSet(("p3", "z")))
+    f = dataclasses.replace(wedge_cube, edge_corrs={
+        **wedge_cube.edge_corrs, ((1, 1, 1), (1, 1, 0)): retargeted})
+    via_110, via_101 = ((1, 1, 1), (1, 1, 0), (1, 0, 0)), ((1, 1, 1), (1, 0, 1), (1, 0, 0))
+    for c1, c2 in ((via_110, via_101), (via_101, via_110)):
+        with pytest.raises(InputError, match="^chain 111>110>100: middle sets do not match"):
+            reconstruct_two_morphism(f, c1, c2)
+
+
 def test_reconstruct_path_independent_on_cube(wedge_cube):
     top, bottom = (1, 1, 1), (0, 0, 0)
     chains = cube.maximal_chains(top, bottom)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cubeburnside import khovanov as kh
 from cubeburnside.linalg import Matrix, invariant_factors, sparse_product
 from cubeburnside.totalization import dualize, tot
-from snf_reference import dense_product, det, smith_normal_form
+from snf_reference import dense_product, det, per_matrix_invariant_factors, smith_normal_form
 
 
 def test_zero_matrix():
@@ -190,7 +190,7 @@ def test_invariant_factors_of_planted_diagonals(seed, rows, cols):
     # about one operation per row and column keeps the product sparse, as
     # totalized differentials are
     m, want = _planted(rng, rows, cols, ops=rng.randint((rows + cols) // 2, rows + cols))
-    assert invariant_factors(m) == want
+    assert invariant_factors(m) == want == per_matrix_invariant_factors(m)
 
 
 def test_invariant_factors_of_khovanov_blocks(small_corpus):
