@@ -140,17 +140,54 @@ def _components(pd: PDCode) -> list[list[int]]:
 
 def validate_pd(pd: PDCode) -> tuple[int, ...]:
     """Refuse a diagram whose arcs, components or orientation are
-    inconsistent; returns its crossing signs (``per_crossing_signs``)."""
+    inconsistent, or that is not planar; returns its crossing signs
+    (``per_crossing_signs``)."""
     if pd.free_loops < 0:
         raise InputError("free_loops must be nonnegative")
     occ = _occurrences(pd)
     for arc, places in occ.items():
         if len(places) != 2:
             raise InputError(f"arc {arc} occurs {len(places)} times, expected 2")
+    _check_planar(pd, occ)
     for comp in _components(pd):
         if comp != list(range(comp[0], comp[0] + len(comp))):
             raise InputError(f"component arcs {comp} are not consecutively numbered")
     return per_crossing_signs(pd)  # validates orientation relations
+
+
+def _check_planar(pd: PDCode, occ: dict[int, list[Occurrence]]) -> None:
+    """Refuse a diagram that does not lie in the plane.  Each face is walked
+    by leaving a crossing along an arc and, at the arc's other end, turning
+    to the next slot; a diagram of n crossings in k connected pieces has
+    n + 2k faces exactly when every piece is drawn on a sphere.  A code with
+    fewer (a virtual diagram, such as a crossing whose opposite slots hold
+    one arc) has a resolution change that neither merges nor splits."""
+    other: dict[Occurrence, Occurrence] = {}
+    piece = list(range(pd.n))
+
+    def find(i):
+        while piece[i] != i:
+            piece[i] = piece[piece[i]]
+            i = piece[i]
+        return i
+
+    for p, q in occ.values():
+        other[p], other[q] = q, p
+        piece[find(p[0])] = find(q[0])
+    faces, seen = 0, set()
+    for h in other:
+        if h in seen:
+            continue
+        faces += 1
+        while h not in seen:
+            seen.add(h)
+            ci, slot = other[h]
+            h = (ci, (slot + 1) % 4)
+    pieces = sum(1 for i in range(pd.n) if find(i) == i)
+    if faces != pd.n + 2 * pieces:
+        raise InputError(f"diagram is not planar: {faces} faces, expected "
+                         f"{pd.n + 2 * pieces} for {pd.n} crossings in "
+                         f"{pieces} connected pieces")
 
 
 def _succ_table(pd: PDCode) -> dict[int, int]:

@@ -40,12 +40,26 @@ def test_parse_errors():
     with pytest.raises(InputError):
         # over-strand arcs not consecutive either way at the first crossing
         kh.parse_pd("PD[X(1,6,2,3),X(3,2,4,5),X(5,4,6,1)]")
-    with pytest.raises(InputError):
-        kh.parse_pd("PD[X(1,2,1,2)]")  # head/tail data underdetermined
+    with pytest.raises(InputError, match="not planar"):
+        kh.parse_pd("PD[X(1,2,1,2)]")
+    with pytest.raises(InputError, match="ambiguous"):
+        kh.per_crossing_signs(kh.PDCode(((1, 2, 1, 2),)))  # head/tail data underdetermined
     with pytest.raises(InputError):
         kh.parse_pd("nonsense")
     with pytest.raises(InputError):
         kh.parse_pd("PD[X(1,5,2,6),X(2,6,1,5)]")  # labels not consecutive
+
+
+def test_parse_refuses_virtual_diagrams():
+    """Codes whose arcs and orientations are consistent but that cannot be
+    drawn in the plane; on such a code some resolution change neither merges
+    nor splits circles."""
+    with pytest.raises(InputError, match="3 faces, expected 5"):
+        # one-arc component crossing the rest once
+        kh.parse_pd({"crossings": [[1, 4, 1, 5], [3, 6, 4, 2], [5, 2, 6, 3]]})
+    with pytest.raises(InputError, match="not planar"):
+        # the trefoil with one crossing reflected: its signs are consistent
+        kh.parse_pd("PD[X(1,4,2,5),X(3,6,4,1),X(5,3,6,2)]")
 
 
 def test_parse_json_form():
