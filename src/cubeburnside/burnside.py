@@ -92,12 +92,6 @@ class Correspondence:
     def ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.elements)
 
-    def by_id(self, eid: str) -> CorrElem:
-        for e in self.elements:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
     def fibers(self) -> dict[tuple[str, str], list[CorrElem]]:
         out: dict[tuple[str, str], list[CorrElem]] = {}
         for e in self.elements:

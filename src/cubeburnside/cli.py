@@ -17,8 +17,8 @@ from .certificates import verify_certificate
 from .corpus import (load_certificate, load_delta, load_functor, load_golden,
                      load_pd)
 from .errors import InputError, InternalInvariantError, SearchCapExceeded
-from .functor import (enumerate_matchings, find_natural_isomorphism, product, validate_c0,
-                      validate_coherence)
+from .functor import (MAX_PER_FACE, enumerate_matchings, find_natural_isomorphism, product,
+                      validate_c0, validate_coherence)
 from .khovanov import build_khovanov_functor, generator_gradings, kh_table
 from .simplicial import delta_functor, simplicial_homology
 from .totalization import HomologyGroup, homology_nontrivial, tot
@@ -182,7 +182,7 @@ def _report_checks(checks: dict[str, bool], failures: list[str], as_json: bool,
 
 @functor.command("search-matchings")
 @click.argument("input")
-@click.option("--max-search", default=3628800, type=click.IntRange(1),
+@click.option("--max-search", default=MAX_PER_FACE, type=click.IntRange(1),
               show_default=True, help="cap on bijections per square")
 @click.option("--json", "as_json", is_flag=True)
 def functor_search(input, max_search, as_json):

@@ -36,7 +36,9 @@ the Khovanov build names its forced or ladybug matching, and
 it, and faces with empty composites share one empty matching per (top
 set, bottom set).  ``enumerate_matchings`` searches on
 positions too: a face's candidates are its fiber-keeping position images,
-each tabled once, and ids are written only for the completions.
+each tabled once, and ids are written only for the completions.  It and
+``find_natural_isomorphism`` draw their candidates from one lazy
+enumerator of the bijections that keep a key, ``_keyed_bijections``.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
 vertices and edges puts each element into its part, and corners empty in a
@@ -58,7 +60,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from . import cube
 from .burnside import (
@@ -630,21 +632,25 @@ def validate_coherence(f: CubeFunctorData) -> ValidationReport:
 
 # -- exhaustive matching search ---------------------------------------------
 
-# caps on the exhaustive searches: faces of ``enumerate_matchings``, search
-# nodes of ``find_natural_isomorphism``
+# caps on the exhaustive searches: faces of ``enumerate_matchings`` and its
+# default cap on bijections a face, search nodes of ``find_natural_isomorphism``
 MAX_SEARCH_FACES = 64
+MAX_PER_FACE = factorial(10)
 MAX_ISO_NODES = 2_000_000
 
 
 def enumerate_matchings(f: CubeFunctorData,
                         pinned: Mapping[Face2, Mapping[str, str]] | None = None,
-                        max_per_face: int = factorial(10),
+                        max_per_face: int = MAX_PER_FACE,
                         ) -> list[dict[Face2, dict[str, str]]]:
     """All globally coherent 2-face matching assignments for data that has
     vertices and edges (matchings, if any, are ignored), with at most
     ``MAX_SEARCH_FACES`` faces and ``max_per_face`` bijections a face.
 
     ``pinned`` optionally constrains some faces by partial id mappings.
+    A face's candidates are drawn from ``_keyed_bijections`` through
+    ``_fiber_images``, fibers ordered by their (top id, bottom id), and the
+    completions come in that order, the first face varying slowest.
 
     Each 3-face's hexagon walk is listed before the search, once per
     first chain (``_walks``), and a 3-face is checked only if its walk is
@@ -716,29 +722,65 @@ def enumerate_matchings(f: CubeFunctorData,
 
 def _fiber_images(face: Face2, ka: list[tuple[int, int]], kb: list[tuple[int, int]],
                   top: Sequence[str], bottom: Sequence[str], pins: Mapping[int, int],
-                  max_per_face: int) -> Iterable[list[int]]:
+                  max_per_face: int) -> Iterator[list[int]]:
     """Every image p -> q of the composites of ``face``, with fiber keys ka
-    and kb, that keeps fibers and the pins p -> pins[p]: per fiber, the
-    permutations of its elements in kb, fibers ordered by their (source,
-    target) ids, named by ``top`` and ``bottom``.  ``SearchCapExceeded``
-    when, pins aside, there are more than ``max_per_face``."""
-    fibers = {key: ([], []) for key in ka}
-    for side, keys in enumerate((ka, kb)):
-        for p, key in enumerate(keys):
-            fibers[key][side].append(p)
-    count = prod(factorial(len(ps)) for ps, _ in fibers.values())
+    and kb, that keeps fibers and the pins p -> pins[p], drawn from
+    ``_keyed_bijections`` with fibers ordered by their (source, target)
+    ids, named by ``top`` and ``bottom``.  ``SearchCapExceeded`` when, pins
+    aside, there are more than ``max_per_face``."""
+    count = prod(map(factorial, collections.Counter(ka).values()))
     if count > max_per_face:
         raise SearchCapExceeded(f"face {_face_key(face)} admits {count} bijections")
-    order = sorted(fibers, key=lambda key: (top[key[0]], bottom[key[1]]))
-    per_fiber = [[perm for perm in itertools.permutations(fibers[key][1])
-                  if all(pins.get(p, q) == q for p, q in zip(fibers[key][0], perm))]
-                 for key in order]
-    positions = [p for key in order for p in fibers[key][0]]
-    for combo in itertools.product(*per_fiber):
-        image = [0] * len(ka)
-        for p, q in zip(positions, itertools.chain(*combo)):
-            image[p] = q
-        yield image
+    return _keyed_bijections(ka, kb, lambda key: (top[key[0]], bottom[key[1]]), pins)
+
+
+def _key_classes(ka: Sequence[Hashable], kb: Sequence[Hashable],
+                 ) -> dict[Hashable, tuple[list[int], list[int]]] | None:
+    """The positions of each key in ka and in kb, or None when the two
+    lists' key counts differ, so that no bijection keeps the keys."""
+    classes: dict[Hashable, tuple[list[int], list[int]]] = {}
+    for side, keys in enumerate((ka, kb)):
+        for p, key in enumerate(keys):
+            classes.setdefault(key, ([], []))[side].append(p)
+    return classes if all(len(ps) == len(qs) for ps, qs in classes.values()) else None
+
+
+def _keyed_bijections(ka: Sequence[Hashable], kb: Sequence[Hashable],
+                      order: Callable[[Hashable], object] | None = None,
+                      pins: Mapping[int, int] | None = None) -> Iterator[list[int]]:
+    """Lazily, every bijection p -> q from the positions of ka to those of
+    kb with kb[q] == ka[p], and q == pins[p] where p is pinned, as a fresh
+    image list (image[p] = q): per key class, the permutations of its
+    positions in kb, one class at a time, classes sorted by ``order``, the
+    first varying slowest.  Nothing when the key counts differ
+    (``_key_classes``).  The one enumerator of the exhaustive searches:
+    ``enumerate_matchings``' face candidates, ``find_natural_isomorphism``'s
+    sigma and tau.  Nothing is listed ahead of its draw."""
+    classes = _key_classes(ka, kb)
+    if classes is None:
+        return
+    levels = [classes[key] for key in sorted(classes, key=order)]
+    pins = pins or {}
+    image = [0] * len(ka)
+    # an odometer over the classes: the deepest advances first, and an
+    # exhausted class restarts once the one above it advances
+    drawn: list[Iterator[tuple[int, ...]]] = []
+    while True:
+        if len(drawn) == len(levels):
+            yield list(image)
+        else:
+            drawn.append(itertools.permutations(levels[len(drawn)][1]))
+        while drawn:
+            ps = levels[len(drawn) - 1][0]
+            perm = next((perm for perm in drawn[-1]
+                         if all(pins.get(p, q) == q for p, q in zip(ps, perm))), None)
+            if perm is not None:
+                for p, q in zip(ps, perm):
+                    image[p] = q
+                break
+            drawn.pop()
+        else:
+            return
 
 
 def with_matchings(f: CubeFunctorData,
@@ -1307,8 +1349,9 @@ def is_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
             return False
         if sorted(tv.values()) != sorted(ge.ids()):
             return False
+        g_by_id = {e.id: e for e in ge.elements}
         for e in fe.elements:
-            img = ge.by_id(tv[e.id])
+            img = g_by_id[tv[e.id]]
             if img.s != sigma[u][e.s] or img.t != sigma[v][e.t]:
                 return False
     if f.has_matchings != g.has_matchings:
@@ -1337,123 +1380,82 @@ def _face_commutes(f: CubeFunctorData, g: CubeFunctorData,
 
 
 def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
-    """Exhaustive search, of at most ``MAX_ISO_NODES`` nodes, for (sigma,
-    tau) making f and g naturally isomorphic; returns the pair or None."""
-    if f.n != g.n or f.has_matchings != g.has_matchings:
-        return None
+    """Exhaustive search for (sigma, tau) making f and g naturally
+    isomorphic; returns the pair or None.  Candidates come from
+    ``_keyed_bijections``: sigma at a vertex keeps degree signatures (an
+    element's count on each incident edge), and tau on an edge keeps
+    (sigma(s), sigma(t)) against (s, t); a sigma is kept only if each edge
+    between assigned vertices passes the enumerator's key-count test.  A
+    candidate is one node, counted before anything reads it, and the
+    search stops after ``MAX_ISO_NODES`` nodes (``SearchCapExceeded``)."""
     n = f.n
     verts = cube.vertices(n)
-    for v in verts:
-        if len(f.vset(v)) != len(g.vset(v)):
-            return None
-    for e in cube.edges(n):
-        if len(f.edge(*e)) != len(g.edge(*e)):
-            return None
-
-    nodes = 0
+    if (n != g.n or f.has_matchings != g.has_matchings
+            or any(len(f.vset(v)) != len(g.vset(v)) for v in verts)
+            or any(len(f.edge(*e)) != len(g.edge(*e)) for e in cube.edges(n))):
+        return None
+    nodes = itertools.count(1)
 
     def bump():
-        nonlocal nodes
-        nodes += 1
-        if nodes > MAX_ISO_NODES:
+        if next(nodes) > MAX_ISO_NODES:
             raise SearchCapExceeded("natural isomorphism search exceeded node cap")
 
     incident = {v: [] for v in verts}
     for (u, v) in cube.edges(n):
-        incident[u].append(((u, v), "s"))
-        incident[v].append(((u, v), "t"))
+        incident[u].append(((u, v), 0))
+        incident[v].append(((u, v), 1))
 
-    def degree_sig(h: CubeFunctorData, v: Vertex, x: str):
-        sig = []
-        for e, role in incident[v]:
-            corr = h.edge(*e)
-            cnt = sum(1 for el in corr.elements
-                      if (el.s if role == "s" else el.t) == x)
-            sig.append(cnt)
-        return tuple(sig)
+    def degree_sigs(h: CubeFunctorData, v: Vertex) -> list[tuple[int, ...]]:
+        counts = [collections.Counter(el.t if end else el.s for el in h.edge(*e).elements)
+                  for e, end in incident[v]]
+        return [tuple(c[x] for c in counts) for x in h.vset(v)]
 
-    fsig = {v: {x: degree_sig(f, v, x) for x in f.vset(v)} for v in verts}
-    gsig = {v: {x: degree_sig(g, v, x) for x in g.vset(v)} for v in verts}
-
+    sigs = {v: (degree_sigs(f, v), degree_sigs(g, v)) for v in verts}
     sigma: dict[Vertex, dict[str, str]] = {}
 
-    def edge_counts_ok(v: Vertex) -> bool:
-        for e, _ in incident[v]:
-            u, w = e
-            if u in sigma and w in sigma:
-                fc: dict[tuple[str, str], int] = {}
-                for el in f.edge(u, w).elements:
-                    key = (sigma[u][el.s], sigma[w][el.t])
-                    fc[key] = fc.get(key, 0) + 1
-                gc: dict[tuple[str, str], int] = {}
-                for el in g.edge(u, w).elements:
-                    gc[(el.s, el.t)] = gc.get((el.s, el.t), 0) + 1
-                if fc != gc:
-                    return False
-        return True
-
-    def assign_sigma(vi: int):
-        if vi == len(verts):
-            yield None
-            return
-        v = verts[vi]
-        fx = list(f.vset(v))
-        cands = []
-        for perm in itertools.permutations(g.vset(v)):
-            m = dict(zip(fx, perm))
-            if all(fsig[v][a] == gsig[v][b] for a, b in m.items()):
-                cands.append(m)
-        for m in cands:
-            bump()
-            sigma[v] = m
-            if edge_counts_ok(v):
-                yield from assign_sigma(vi + 1)
-            del sigma[v]
+    def edge_keys(e: Edge):
+        u, w = e
+        return ([(sigma[u][el.s], sigma[w][el.t]) for el in f.edge(*e).elements],
+                [(el.s, el.t) for el in g.edge(*e).elements])
 
     edges = cube.edges(n)
-    face_by_last_edge: dict[Edge, list[Face2]] = {}
     edge_pos = {e: i for i, e in enumerate(edges)}
+    face_by_last_edge: dict[Edge, list[Face2]] = {}
     for face in cube.faces2(n):
-        es = [(face.top, face.mid_a), (face.mid_a, face.bottom),
-              (face.top, face.mid_b), (face.mid_b, face.bottom)]
-        last = max(es, key=lambda e: edge_pos[e])
+        last = max(((face.top, face.mid_a), (face.mid_a, face.bottom),
+                    (face.top, face.mid_b), (face.mid_b, face.bottom)), key=edge_pos.get)
         face_by_last_edge.setdefault(last, []).append(face)
-
     tau: dict[Edge, dict[str, str]] = {}
 
-    def assign_tau(ei: int):
-        if ei == len(edges):
-            yield None
-            return
-        e = edges[ei]
-        u, w = e
-        ffib: dict[tuple[str, str], list[str]] = {}
-        for el in f.edge(*e).elements:
-            ffib.setdefault((sigma[u][el.s], sigma[w][el.t]), []).append(el.id)
-        gfib: dict[tuple[str, str], list[str]] = {}
-        for el in g.edge(*e).elements:
-            gfib.setdefault((el.s, el.t), []).append(el.id)
-        if {k: len(v) for k, v in ffib.items()} != {k: len(v) for k, v in gfib.items()}:
-            return
-        keys = sorted(ffib)
-        pools = [list(itertools.permutations(gfib[k])) for k in keys]
-        for combo in itertools.product(*pools):
+    def assign_sigma(vi: int) -> bool:
+        if vi == len(verts):
+            return assign_tau(0)
+        v = verts[vi]
+        fx, gx = f.vset(v).elements, g.vset(v).elements
+        for image in _keyed_bijections(*sigs[v]):
             bump()
-            m: dict[str, str] = {}
-            for k, perm in zip(keys, combo):
-                m.update(dict(zip(ffib[k], perm)))
-            tau[e] = m
-            if (not f.has_matchings) or all(_face_commutes(f, g, tau, fc)
-                                            for fc in face_by_last_edge.get(e, [])):
-                yield from assign_tau(ei + 1)
-            del tau[e]
+            sigma[v] = dict(zip(fx, (gx[q] for q in image)))
+            if all(_key_classes(*edge_keys(e)) is not None for e, _ in incident[v]
+                   if e[0] in sigma and e[1] in sigma) and assign_sigma(vi + 1):
+                return True
+        sigma.pop(v, None)
+        return False
 
-    for _ in assign_sigma(0):
-        for _ in assign_tau(0):
-            out_sigma = {v: dict(sigma[v]) for v in verts}
-            out_tau = {e: dict(tau[e]) for e in edges}
-            return out_sigma, out_tau
-    return None
+    def assign_tau(ei: int) -> bool:
+        if ei == len(edges):
+            return True
+        e = edges[ei]
+        fids, gids = f.edge(*e).ids(), g.edge(*e).ids()
+        for image in _keyed_bijections(*edge_keys(e)):
+            bump()
+            tau[e] = dict(zip(fids, (gids[q] for q in image)))
+            if ((not f.has_matchings or all(_face_commutes(f, g, tau, fc)
+                                            for fc in face_by_last_edge.get(e, [])))
+                    and assign_tau(ei + 1)):
+                return True
+        return False
+
+    return (sigma, tau) if assign_sigma(0) else None
 
 
 # -- JSON ----------------------------------------------------------------------

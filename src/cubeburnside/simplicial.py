@@ -43,7 +43,7 @@ class DeltaComplex:
         ids = [s.id for s in self.simplices]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate simplex ids")
-        supports = {s.support for s in self.simplices}
+        supports = self.by_support()
         for s in self.simplices:
             # face signs and the d²=0 check rely on the vertex order
             if any(a >= b for a, b in zip(s.verts, s.verts[1:])):
@@ -58,11 +58,12 @@ class DeltaComplex:
     def by_dim(self, k: int) -> list[Simplex]:
         return [s for s in self.simplices if s.dim == k]
 
-    def unique_by_support(self, support: frozenset[int]) -> Simplex:
-        hits = [s for s in self.simplices if s.support == support]
-        if len(hits) != 1:
-            raise InputError(f"support {sorted(support)} names {len(hits)} simplices")
-        return hits[0]
+    def by_support(self) -> dict[frozenset[int], list[Simplex]]:
+        """The simplices on each support: the one index of the complex."""
+        index: dict[frozenset[int], list[Simplex]] = {}
+        for s in self.simplices:
+            index.setdefault(s.support, []).append(s)
+        return index
 
     def to_json(self) -> dict:
         return {"n_vertices": self.n_vertices,
@@ -102,9 +103,7 @@ def delta_functor(x: DeltaComplex) -> StableFunctor:
     are the containment pairs; square matchings are the forced ones.  The
     stable shift is -1 so a k-simplex sits in degree k."""
     n = x.n_vertices
-    by_support: dict[frozenset[int], list[Simplex]] = {}
-    for s in x.simplices:
-        by_support.setdefault(s.support, []).append(s)
+    by_support = x.by_support()
 
     def bits_support(v: Vertex) -> frozenset[int]:
         return frozenset(i + 1 for i, b in enumerate(v) if b)
@@ -132,14 +131,18 @@ def simplicial_homology(x: DeltaComplex) -> dict[int, HomologyGroup]:
         if sims:
             basis[k] = tuple(s.id for s in sims)
     index = {k: {sid: i for i, sid in enumerate(b)} for k, b in basis.items()}
+    by_support = x.by_support()
     for k in basis:
         if k - 1 not in basis:
             continue
         cols: list[dict[int, int]] = [{} for _ in basis[k]]
         for col, s in zip(cols, x.by_dim(k)):
             for i in range(len(s.verts)):
-                face = x.unique_by_support(frozenset(s.verts[:i] + s.verts[i + 1:]))
-                row = index[k - 1][face.id]
+                support = frozenset(s.verts[:i] + s.verts[i + 1:])
+                hits = by_support.get(support, [])
+                if len(hits) != 1:
+                    raise InputError(f"support {sorted(support)} names {len(hits)} simplices")
+                row = index[k - 1][hits[0].id]
                 col[row] = col.get(row, 0) + (-1) ** i
         diffs[k] = Matrix.from_columns(len(basis[k - 1]), len(basis[k]), cols)
     return homology(ChainComplex.build(basis, diffs))

@@ -82,10 +82,10 @@ def elementary_sums(draw):
     return ChainComplex.build(basis, diffs), {d: g for d, g in want.items() if g != (0, ())}
 
 
-def khovanov_blocks(small_corpus):
-    """Every quantum block of every small-corpus diagram, plain and reduced
-    at basepoint 1, totalized and dualized."""
-    for name, pd in sorted(small_corpus.items()):
+def khovanov_blocks(diagrams):
+    """Every quantum block of every diagram, plain and reduced at basepoint
+    1, totalized and dualized."""
+    for name, pd in sorted(diagrams.items()):
         variants = [(False, kh.build_khovanov_functor(pd))]
         if 1 in pd.arcs():
             variants.append((True, kh.reduced_functor(pd, 1)))
@@ -167,8 +167,11 @@ def test_universal_coefficients(case):
 
 
 def test_khovanov_blocks_against_references(small_corpus):
+    """The small corpus and T(2,5), the closure of σ1⁵: its blocks are the
+    smallest here that catch a sign-flipped Schur complement."""
     rng = random.Random(5)
-    for key, c in khovanov_blocks(small_corpus):
+    diagrams = {**small_corpus, "T(2,5)": kh.braid_closure_pd([1] * 5, 2)}
+    for key, c in khovanov_blocks(diagrams):
         h = homology(c)
         assert h == per_matrix_homology(c) == snf_homology(c), key
         assert nontrivial(per_matrix_homology(residue_complex(c))) == nontrivial(h), key

@@ -174,6 +174,76 @@ def test_search_caps(monkeypatch):
                                  FX.projective_functor("x", "y", ("w1", "w2")))
 
 
+def _one_cube_cycles(k: int, block: int) -> CubeFunctorData:
+    """A 1-cube functor on two k-element sets whose edge is a union of
+    cycles of length 2 * block: element a_i meets b_i and the next b in its
+    block, with no face matchings.  Every element has degree signature (2,)."""
+    top = FiniteSet(tuple(f"a{i}" for i in range(k)))
+    bottom = FiniteSet(tuple(f"b{i}" for i in range(k)))
+    elements = []
+    for i in range(k):
+        j = i - i % block + (i % block + 1) % block
+        elements += [(f"e{i}", f"a{i}", f"b{i}"), (f"d{i}", f"a{i}", f"b{j}")]
+    return CubeFunctorData.build(1, {(1,): top, (0,): bottom},
+                                 {((1,), (0,)): Correspondence.of(top, bottom, elements)})
+
+
+def test_iso_search_counts_every_candidate(monkeypatch):
+    """A node is one candidate, counted before anything reads it, so the
+    cap bounds the work: a 24-cycle against four 6-cycles (12 elements a
+    side, all of one degree signature) is refused after 1000 nodes, where
+    listing the permutations of a vertex set first would take 12! steps."""
+    from cubeburnside import functor
+    from cubeburnside.errors import SearchCapExceeded
+    monkeypatch.setattr(functor, "MAX_ISO_NODES", 1000)
+    with pytest.raises(SearchCapExceeded):
+        find_natural_isomorphism(_one_cube_cycles(12, 12), _one_cube_cycles(12, 3))
+    for f in (_one_cube_cycles(12, 3), FX.wedge_cube_partial()):
+        assert is_natural_isomorphism(f, f, *find_natural_isomorphism(f, f))
+
+
+def test_trefoil_kink_is_naturally_isomorphic_to_itself(pd_corpus, monkeypatch):
+    """Vertex 1111 of the kinked trefoil has 16 generators in degree
+    signature classes of sizes 7, 2 and seven of 1; the search draws its
+    candidates one class at a time, within a thousand nodes."""
+    from cubeburnside import functor
+    monkeypatch.setattr(functor, "MAX_ISO_NODES", 1000)
+    f = kh.build_khovanov_functor(pd_corpus["trefoil_kink"]).functor
+    found = find_natural_isomorphism(f, f)
+    assert found is not None and is_natural_isomorphism(f, f, *found)
+
+
+def test_enumerate_matchings_keeps_its_completion_order(pd_corpus, monkeypatch):
+    """Every face's candidates, and so every completion, come in the order
+    of the per-fiber product the search drew them from before the one
+    enumerator (``matching_reference``): on every bundled functor, the
+    kinked trefoil's bare data and two pinned searches."""
+    from cubeburnside import corpus, functor
+    from matching_reference import fiber_images
+
+    def bare(f):
+        return CubeFunctorData.build(f.n, f.vertex_sets, f.edge_corrs, None)
+
+    kink = kh.build_khovanov_functor(pd_corpus["trefoil_kink"]).functor
+    cases = [(bare(corpus.load_functor(name).functor), None)
+             for name in corpus.list_fixtures("functors")]
+    cases += [(bare(kink), None),
+              (FX.multiple_extension_square(), {FX.SQUARE_FACE: {"d1∘c1": "b1∘a1"}}),
+              (FX.wedge_cube_partial(), {FX.WEDGE_PIN_FACE: {"d1∘c1": "b1∘a1"}})]
+    drawn = functor._fiber_images
+
+    def checked(*args):
+        want = list(fiber_images(*args))
+        assert list(drawn(*args)) == want
+        return want
+
+    for f, pinned in cases:
+        got = enumerate_matchings(f, pinned=pinned)
+        with monkeypatch.context() as m:
+            m.setattr(functor, "_fiber_images", checked)
+            assert got == enumerate_matchings(f, pinned=pinned)
+
+
 def test_enumerate_matchings_agrees_with_naive_filter():
     # the pruned backtracking finds exactly the assignments that pass a full
     # coherence validation over all per-face candidates

@@ -85,8 +85,16 @@ def test_duplicate_support_rejected_by_boundary_lookup():
                          Simplex("e", (1, 2)), Simplex("e2", (1, 2)),
                          Simplex("f", (1, 3)), Simplex("g", (2, 3)),
                          Simplex("t", (1, 2, 3))))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"support \[1, 2\] names 2 simplices"):
         simplicial_homology(x)
+
+
+def test_full_simplex_on_ten_vertices_both_routes():
+    """1023 simplices, each face looked up in the one support index: the
+    full simplex is contractible by either route."""
+    x = complex_from_maximal(10, [tuple(range(1, 11))])
+    assert groups(simplicial_homology(x)) == {0: (1, ())}
+    assert groups(homology_nontrivial(tot(delta_functor(x)))) == {0: (1, ())}
 
 
 def test_json_round_trip():
