@@ -22,8 +22,10 @@ MAX_DIM = 16
 
 
 def check_dim(n: int, what: str) -> None:
-    """Refuse a cube dimension fixed by outside input above ``MAX_DIM``,
-    before any work exponential in it starts."""
+    """Refuse a cube dimension fixed by outside input that is negative or
+    above ``MAX_DIM``, before any work exponential in it starts."""
+    if n < 0:
+        raise InputError(f"{what} {n} is negative")
     if n > MAX_DIM:
         raise InputError(f"{what} {n} exceeds the cap of {MAX_DIM} on the cube dimension")
 

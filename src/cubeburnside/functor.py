@@ -29,12 +29,12 @@ sides.  Equal edges are one object where they are made: ``_indexed``
 shares one position pair per equal positions, and the Khovanov build one
 per local configuration.  The memos key on object identity and live only
 through one pass.  Only the source of a face's image differs:
-``validate_coherence`` reads a stored matching through its ids,
-the Khovanov build names its forced or ladybug matching, and
-``forced_matchings`` (squares only) takes the forced rule
-``_forced_image``; it writes each nonempty matching as ``compose`` builds
-it, and faces with empty composites share one empty matching per (top
-set, bottom set).  ``enumerate_matchings`` searches on
+``validate_coherence`` reads a stored matching through its ids, the
+Khovanov build names its forced or ladybug matching, and ``_forced_tables``
+(squares only) takes the forced rule ``_forced_image``.  Builders write
+face matchings only on request: the Δ-complex build writes none, and
+``forced_matchings`` writes each nonempty one as ``compose`` builds it,
+empty ones shared per (top set, bottom set).  ``enumerate_matchings`` searches on
 positions too: a face's candidates are its fiber-keeping position images,
 each tabled once, and ids are written only for the completions.  It and
 ``find_natural_isomorphism`` draw their candidates from one lazy
@@ -797,7 +797,7 @@ def _forced_image(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[
     ka and kb (of equal fiber sizes): element p of one goes to the one
     element of its fiber in the other, as a position image; None when some
     fiber has several elements, and [] when the composites are empty.  This
-    is the one forced rule: the square pass of ``forced_matchings`` and of
+    is the one forced rule: the square pass of ``_forced_tables`` and of
     the Khovanov build reads it, through ``_forced_rule``."""
     where = {key: q for q, key in enumerate(kb)}
     return [where[key] for key in ka] if len(where) == len(kb) else None
@@ -820,13 +820,11 @@ def _forced_rule():
     return forced
 
 
-def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
-    """Attach the unique fiberwise matchings, found by the square pass on
-    positions (``_forced_image``) and written as ``compose`` builds the
-    composites; a face with empty composites takes the one empty matching
-    of its (top set, bottom set).  ``InputError`` naming the first failing
-    face where two composites differ in a fiber size or, failing that,
-    where a fiber has several elements.  Hexagons are not checked."""
+def _forced_tables(f: CubeFunctorData):
+    """The square pass with the forced rule on f's positions: f's edges,
+    vertex labels and face tables, or ``InputError`` naming the first face
+    whose composites differ in a fiber size or, failing that, have a fiber
+    of several elements.  Hexagons are not checked."""
     corrs, edges, labels = _indexed(f)
     forced = _forced_rule()
 
@@ -837,6 +835,14 @@ def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
     c0, failures, tables = _square_pass(f.n, edges, labels, image_of)
     if c0 or failures:
         raise InputError((c0 or failures)[0])
+    return corrs, labels, tables
+
+
+def forced_matchings(f: CubeFunctorData) -> CubeFunctorData:
+    """Attach the unique fiberwise matchings (``_forced_tables``), written
+    as ``compose`` builds the composites; a face with empty composites
+    takes the one empty matching of its (top set, bottom set)."""
+    corrs, labels, tables = _forced_tables(f)
 
     @cache
     def empty(top: tuple[str, ...], bottom: tuple[str, ...]) -> BijectionOver:
@@ -1483,8 +1489,6 @@ def functor_to_json(sf: StableFunctor | CubeFunctorData) -> dict:
 def functor_from_json(obj: dict) -> StableFunctor:
     try:
         n = cube.json_int(obj["n"], "n")
-        if n < 0:
-            raise ValueError(f"negative cube dimension {n}")
         shift = cube.json_int(obj.get("shift", 0), "shift")
         vertices, edges, faces = (_json_object(obj, key) for key in ("vertices", "edges", "faces"))
         vs = {cube.vertex_from_bits(k): FiniteSet(tuple(v)) for k, v in vertices.items()}

@@ -8,10 +8,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import cube
-from .burnside import CorrElem, Correspondence, FiniteSet
-from .cube import Vertex
+from .burnside import COMPOSE_SEP, CorrElem, Correspondence, FiniteSet
 from .errors import InputError
-from .functor import CubeFunctorData, StableFunctor, forced_matchings
+from .functor import CubeFunctorData, StableFunctor, _forced_tables
 from .linalg import Matrix
 from .totalization import ChainComplex, HomologyGroup, homology
 
@@ -24,6 +23,11 @@ class Simplex:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise InputError(f"simplex id must be a string, not {self.id!r}")
+        # the functor route joins ids with these into its element ids
+        if any(sep in self.id for sep in (COMPOSE_SEP, "<")):
+            raise InputError(f"simplex id {self.id!r} contains {COMPOSE_SEP!r} or '<'")
+        if not self.verts:
+            raise InputError(f"simplex {self.id} has no vertices")
 
     @property
     def support(self) -> frozenset[int]:
@@ -100,25 +104,20 @@ def complex_from_maximal(n_vertices: int, maximal: list[tuple[int, ...]]) -> Del
 
 def delta_functor(x: DeltaComplex) -> StableFunctor:
     """Vertex v carries the simplices supported exactly on its 1-bits; edges
-    are the containment pairs; square matchings are the forced ones.  The
-    stable shift is -1 so a k-simplex sits in degree k."""
+    are the containment pairs.  Squares are checked on positions for the
+    forced rule, and no face matching is written (``forced_matchings``
+    writes them on request).  The stable shift is -1 so a k-simplex sits in
+    degree k."""
     n = x.n_vertices
     by_support = x.by_support()
-
-    def bits_support(v: Vertex) -> frozenset[int]:
-        return frozenset(i + 1 for i, b in enumerate(v) if b)
-
-    vs = {}
-    for v in cube.vertices(n):
-        vs[v] = FiniteSet(tuple(s.id for s in by_support.get(bits_support(v), [])))
-    ec = {}
-    for (u, v) in cube.edges(n):
-        elems = []
-        for su in by_support.get(bits_support(u), []):
-            for sv in by_support.get(bits_support(v), []):
-                elems.append(CorrElem(f"{sv.id}<{su.id}", su.id, sv.id))
-        ec[(u, v)] = Correspondence(vs[u], vs[v], tuple(elems))
-    data = forced_matchings(CubeFunctorData.build(n, vs, ec, None))
+    at = {v: by_support.get(frozenset(i + 1 for i, b in enumerate(v) if b), [])
+          for v in cube.vertices(n)}
+    vs = {v: FiniteSet(tuple(s.id for s in sims)) for v, sims in at.items()}
+    ec = {(u, v): Correspondence(vs[u], vs[v], tuple(CorrElem(f"{sv.id}<{su.id}", su.id, sv.id)
+                                                     for su in at[u] for sv in at[v]))
+          for (u, v) in cube.edges(n)}
+    data = CubeFunctorData.build(n, vs, ec, None)
+    _forced_tables(data)
     return StableFunctor(data, -1)
 
 

@@ -92,6 +92,13 @@ def test_input_errors_exit_2(runner, tmp_path):
     trefoil_loops = bundled("pd/trefoil_pos.json")
     trefoil_loops["free_loops"] = 14
 
+    def triangle(edges):
+        """A triangle on vertices 1, 2, 3 over the edges {id: verts}."""
+        return {"n_vertices": 3, "simplices":
+                [{"id": f"v{k}", "verts": [k]} for k in (1, 2, 3)]
+                + [{"id": e, "verts": vs} for e, vs in edges.items()]
+                + [{"id": "t", "verts": [1, 2, 3]}]}
+
     def edited(rel, edit):
         obj = bundled(rel)
         edit(obj)
@@ -137,6 +144,22 @@ def test_input_errors_exit_2(runner, tmp_path):
         # simplices must be an array and a simplex id a string
         ["delta", "homology", write("delta_object.json", {"n_vertices": 3, "simplices": {}})],
         ["delta", "homology", write("delta_int_id.json", int_simplex_id)],
+        # squares the forced rule refuses: unequal fiber sizes, a fiber of two
+        ["delta", "homology", write("delta_doubled_edge.json", triangle(
+            {"e": [1, 2], "e2": [1, 2], "f": [1, 3], "g": [2, 3]}))],
+        ["delta", "homology", write("delta_ambiguous.json", triangle(
+            {f"{e}{k}": vs for e, vs in (("a", [1, 2]), ("b", [1, 3]), ("c", [2, 3]))
+             for k in "12"}))],
+        # a negative vertex count, an empty simplex, and ids holding a
+        # separator of the functor route's element ids
+        ["delta", "homology", write("delta_negative.json", {"n_vertices": -1, "simplices": []})],
+        ["delta", "homology", write("delta_no_verts.json",
+                                    {"n_vertices": 1, "simplices": [{"id": "e", "verts": []}]})],
+        ["delta", "homology", write("delta_compose_id.json",
+                                    {"n_vertices": 1, "simplices": [{"id": "a∘b", "verts": [1]}]})],
+        ["delta", "homology", write("delta_clashing_ids.json", {"n_vertices": 2, "simplices": [
+            {"id": "a<b", "verts": [1]}, {"id": "a", "verts": [1]}, {"id": "v2", "verts": [2]},
+            {"id": "c", "verts": [1, 2]}, {"id": "b<c", "verts": [1, 2]}]})],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--basepoint", "x"],
         ["kh", "homology", "trefoil_pos", "--reduced", "--basepoint", "loop:7"],

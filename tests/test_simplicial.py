@@ -1,8 +1,10 @@
 import pytest
 
 from cubeburnside import cube, fixtures as FX
+from cubeburnside.corpus import list_fixtures, load_delta
 from cubeburnside.errors import InputError
-from cubeburnside.functor import composite_along_chain, validate_coherence
+from cubeburnside.functor import (composite_along_chain, forced_matchings,
+                                  validate_coherence)
 from cubeburnside.simplicial import (DeltaComplex, Simplex,
                                      complex_from_maximal, delta_functor,
                                      simplicial_homology)
@@ -49,10 +51,13 @@ def test_torus_both_routes():
 
 
 def test_functor_fibers_forced_and_coherent():
-    for x in (FX.delta_sphere(), FX.delta_projective_plane()):
-        sf = delta_functor(x)
-        assert validate_coherence(sf.functor).ok
-        f = sf.functor
+    """The build writes no face matching; its forced ones, asked for, are
+    coherent."""
+    for name in list_fixtures("delta"):
+        bare = delta_functor(load_delta(name)).functor
+        assert bare.face_matchings is None, name
+        f = forced_matchings(bare)
+        assert validate_coherence(f).ok, name
         for face in cube.faces2(f.n):
             ca = composite_along_chain(f, (face.top, face.mid_a, face.bottom))
             assert all(len(v) <= 1 for v in ca.fibers().values())
@@ -67,6 +72,11 @@ def test_validation_errors():
         DeltaComplex(1, (Simplex("v", (2,)),))       # unknown vertex
     with pytest.raises(InputError):
         DeltaComplex(1, (Simplex("a", (1,)), Simplex("a", (1,))))
+    with pytest.raises(InputError, match="has no vertices"):
+        Simplex("e", ())
+    for sid in ("a∘b", "a<b"):                    # separators of the functor route
+        with pytest.raises(InputError, match="contains"):
+            Simplex(sid, (1,))
 
 
 def test_duplicate_support_is_fine_without_higher_faces():
@@ -87,6 +97,18 @@ def test_duplicate_support_rejected_by_boundary_lookup():
                          Simplex("t", (1, 2, 3))))
     with pytest.raises(InputError, match=r"support \[1, 2\] names 2 simplices"):
         simplicial_homology(x)
+    with pytest.raises(InputError, match="fiber sizes differ"):
+        delta_functor(x)
+
+
+def test_doubled_edges_under_a_triangle_rejected_as_ambiguous():
+    # every edge of the triangle doubled: the squares under it have fibers of two
+    x = DeltaComplex(3, (Simplex("v1", (1,)), Simplex("v2", (2,)), Simplex("v3", (3,)))
+                     + tuple(Simplex(f"{e}{k}", vs) for e, vs in
+                             (("a", (1, 2)), ("b", (1, 3)), ("c", (2, 3))) for k in "12")
+                     + (Simplex("t", (1, 2, 3)),))
+    with pytest.raises(InputError, match=r"^face 111>001 via 011\|101: ambiguous fiber$"):
+        delta_functor(x)
 
 
 def test_full_simplex_on_ten_vertices_both_routes():
