@@ -26,27 +26,27 @@ COMPOSE_SEP = "∘"
 
 @dataclass(frozen=True, slots=True)
 class FiniteSet:
-    """Ordered finite set of distinct string identifiers.  ``_members``
-    is the same elements as a set, kept from the duplicate check for
-    membership tests; it takes no part in equality, hashing or repr."""
+    """Ordered finite set of distinct string identifiers.  ``positions``
+    maps each element to its position, kept from the duplicate check; it
+    takes no part in equality, hashing or repr."""
 
     elements: tuple[str, ...]
-    _members: frozenset[str] = field(init=False, repr=False, compare=False)
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members = frozenset(self.elements)
-        if len(members) != len(self.elements):
+        positions = dict(zip(self.elements, range(len(self.elements))))
+        if len(positions) != len(self.elements):
             raise ValueError("duplicate element ids")
         for e in self.elements:
             if COMPOSE_SEP in e:
                 raise ValueError(f"reserved separator in id {e!r}")
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __contains__(self, e: str) -> bool:
-        return e in self._members
+        return e in self.positions
 
     def __iter__(self):
         return iter(self.elements)
@@ -75,7 +75,7 @@ class Correspondence:
         ids = [e.id for e in self.elements]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate correspondence element ids")
-        src, tgt = self.source_set._members, self.target_set._members
+        src, tgt = self.source_set.positions, self.target_set.positions
         for e in self.elements:
             if e.s not in src or e.t not in tgt:
                 raise ValueError(f"element {e.id!r} has endpoint outside its sets")
@@ -191,8 +191,7 @@ def is_two_morphism(f: Mapping[str, str], x: Correspondence, y: Correspondence) 
 def linearize(x: Correspondence) -> Matrix:
     """Matrix of fiber cardinalities: rows indexed by target_set, columns by
     source_set, acting on column vectors of the free abelian group."""
-    row = {b: i for i, b in enumerate(x.target_set)}
-    col = {a: j for j, a in enumerate(x.source_set)}
+    row, col = x.target_set.positions, x.source_set.positions
     cols: list[dict[int, int]] = [{} for _ in x.source_set]
     for e in x.elements:
         c, i = cols[col[e.s]], row[e.t]

@@ -70,25 +70,24 @@ def load_pd(name_or_path: str) -> PDCode:
     return parse_pd(obj)
 
 
-def load_functor(name_or_path: str) -> StableFunctor:
-    obj = resolve_input("functors", name_or_path)
+def _json_object(kind: str, name_or_path: str, what: str) -> dict:
+    """The JSON object an input holds; anything else is an ``InputError``."""
+    obj = resolve_input(kind, name_or_path)
     if not isinstance(obj, dict):
-        raise InputError("functor input must be JSON")
-    return functor_from_json(obj)
+        raise InputError(f"{what} input must be a JSON object")
+    return obj
+
+
+def load_functor(name_or_path: str) -> StableFunctor:
+    return functor_from_json(_json_object("functors", name_or_path, "functor"))
 
 
 def load_certificate(name_or_path: str) -> EquivalenceCertificate:
-    obj = resolve_input("certificates", name_or_path)
-    if not isinstance(obj, dict):
-        raise InputError("certificate input must be JSON")
-    return certificate_from_json(obj)
+    return certificate_from_json(_json_object("certificates", name_or_path, "certificate"))
 
 
 def load_delta(name_or_path: str) -> DeltaComplex:
-    obj = resolve_input("delta", name_or_path)
-    if not isinstance(obj, dict):
-        raise InputError("delta-complex input must be JSON")
-    return DeltaComplex.from_json(obj)
+    return DeltaComplex.from_json(_json_object("delta", name_or_path, "delta-complex"))
 
 
 def load_golden(name: str) -> dict:

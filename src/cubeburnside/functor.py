@@ -37,8 +37,9 @@ face matchings only on request: the Δ-complex build writes none, and
 empty ones shared per (top set, bottom set).  ``enumerate_matchings`` searches on
 positions too: a face's candidates are its fiber-keeping position images,
 each tabled once, and ids are written only for the completions.  It and
-``find_natural_isomorphism`` draw their candidates from one lazy
-enumerator of the bijections that keep a key, ``_keyed_bijections``.
+``find_natural_isomorphism`` draw their candidates from one lazy enumerator
+of the bijections that keep a key, ``_keyed_bijections``; all three descend
+in one loop on an explicit stack, ``_backtrack``, so no recursion grows.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
 vertices and edges puts each element into its part, and corners empty in a
@@ -237,14 +238,13 @@ def _indexed(f: CubeFunctorData):
     hexagons once.  An edge whose endpoint sets are not its vertices' sets
     is refused, as ``CubeFunctorData.build`` does."""
     mask = {v: _mask(v) for v in f.vertex_sets}
-    pos = {v: {x: p for p, x in enumerate(s.elements)} for v, s in f.vertex_sets.items()}
     corrs, edges, interned = {}, {}, {}
     for (u, v), c in f.edge_corrs.items():
         if c.source_set != f.vertex_sets[u] or c.target_set != f.vertex_sets[v]:
             raise InputError(f"edge {u}>{v} endpoint sets do not match")
         key = (mask[u], (mask[u] ^ mask[v]).bit_length() - 1)
         corrs[key] = c
-        pu, pv = pos[u], pos[v]
+        pu, pv = f.vertex_sets[u].positions, f.vertex_sets[v].positions
         pair = (tuple([pu[e.s] for e in c.elements]), tuple([pv[e.t] for e in c.elements]))
         edges[key] = interned.setdefault(pair, pair)
     labels = {mask[v]: s.elements for v, s in f.vertex_sets.items()}
@@ -699,25 +699,17 @@ def enumerate_matchings(f: CubeFunctorData,
                        for top, p, q in _hexagon_swaps(t, coords))
             ready_at.setdefault(last, []).append((t, coords, walk))
 
-    results: list[dict[Face2, dict[str, str]]] = []
-    images: list[list[int]] = []
+    images: list[list[int]] = [[] for _ in faces]
     chosen: dict[tuple[int, int, int], array] = {}
 
-    def rec(n: int) -> None:
-        if n == len(faces):
-            results.append({face: dict(sorted(zip(ida, (idb[q] for q in image))))
-                            for face, (ida, idb), image in zip(faces, ids, images)})
-            return
-        for image, table in candidates[n]:
-            images.append(image)
-            chosen[keys[n]] = table
-            if all(_hexagon_commutes(t, coords, edges, chosen, walk)
-                   for t, coords, walk in ready_at.get(n, [])):
-                rec(n + 1)
-            images.pop()
+    def accept(n: int, candidate: tuple[list[int], array]) -> bool:
+        images[n], chosen[keys[n]] = candidate
+        return all(_hexagon_commutes(t, coords, edges, chosen, walk)
+                   for t, coords, walk in ready_at.get(n, []))
 
-    rec(0)
-    return results
+    return [{face: dict(sorted(zip(ida, (idb[q] for q in image))))
+             for face, (ida, idb), image in zip(faces, ids, images)}
+            for _ in _backtrack(len(faces), candidates.__getitem__, accept)]
 
 
 def _fiber_images(face: Face2, ka: list[tuple[int, int]], kb: list[tuple[int, int]],
@@ -762,25 +754,39 @@ def _keyed_bijections(ka: Sequence[Hashable], kb: Sequence[Hashable],
     levels = [classes[key] for key in sorted(classes, key=order)]
     pins = pins or {}
     image = [0] * len(ka)
-    # an odometer over the classes: the deepest advances first, and an
-    # exhausted class restarts once the one above it advances
-    drawn: list[Iterator[tuple[int, ...]]] = []
-    while True:
-        if len(drawn) == len(levels):
-            yield list(image)
-        else:
-            drawn.append(itertools.permutations(levels[len(drawn)][1]))
-        while drawn:
-            ps = levels[len(drawn) - 1][0]
-            perm = next((perm for perm in drawn[-1]
-                         if all(pins.get(p, q) == q for p, q in zip(ps, perm))), None)
-            if perm is not None:
-                for p, q in zip(ps, perm):
-                    image[p] = q
+
+    def accept(k: int, perm: tuple[int, ...]) -> bool:
+        ps = levels[k][0]
+        for p, q in zip(ps, perm):
+            image[p] = q
+        return all(pins.get(p, q) == q for p, q in zip(ps, perm))
+
+    for _ in _backtrack(len(levels), lambda k: itertools.permutations(levels[k][1]), accept):
+        yield list(image)
+
+
+def _backtrack(depth: int, options: Callable[[int], Iterable],
+               accept: Callable[[int, object], bool]) -> Iterator[None]:
+    """The one descent of the exhaustive searches, on an explicit stack:
+    level k draws its choices lazily from ``options(k)``, and
+    ``accept(k, choice)`` records one and says whether to descend.  Yields
+    once per full descent, the deepest level advancing first."""
+    drawn: list[Iterator] = []
+    k = 0
+    while k >= 0:
+        if k == depth:
+            yield
+            k -= 1
+            continue
+        if k == len(drawn):
+            drawn.append(iter(options(k)))
+        for choice in drawn[k]:
+            if accept(k, choice):
+                k += 1
                 break
-            drawn.pop()
         else:
-            return
+            drawn.pop()
+            k -= 1
 
 
 def with_matchings(f: CubeFunctorData,
@@ -1391,14 +1397,15 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
     ``_keyed_bijections``: sigma at a vertex keeps degree signatures (an
     element's count on each incident edge), and tau on an edge keeps
     (sigma(s), sigma(t)) against (s, t); a sigma is kept only if each edge
-    between assigned vertices passes the enumerator's key-count test.  A
-    candidate is one node, counted before anything reads it, and the
-    search stops after ``MAX_ISO_NODES`` nodes (``SearchCapExceeded``)."""
+    between assigned vertices passes the enumerator's key-count test.  One
+    ``_backtrack`` level per vertex, then per edge; a candidate is one node,
+    counted before anything reads it, and the search stops after
+    ``MAX_ISO_NODES`` nodes (``SearchCapExceeded``)."""
     n = f.n
-    verts = cube.vertices(n)
+    verts, edges = cube.vertices(n), cube.edges(n)
     if (n != g.n or f.has_matchings != g.has_matchings
             or any(len(f.vset(v)) != len(g.vset(v)) for v in verts)
-            or any(len(f.edge(*e)) != len(g.edge(*e)) for e in cube.edges(n))):
+            or any(len(f.edge(*e)) != len(g.edge(*e)) for e in edges)):
         return None
     nodes = itertools.count(1)
 
@@ -1407,7 +1414,7 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
             raise SearchCapExceeded("natural isomorphism search exceeded node cap")
 
     incident = {v: [] for v in verts}
-    for (u, v) in cube.edges(n):
+    for (u, v) in edges:
         incident[u].append(((u, v), 0))
         incident[v].append(((u, v), 1))
 
@@ -1424,7 +1431,6 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
         return ([(sigma[u][el.s], sigma[w][el.t]) for el in f.edge(*e).elements],
                 [(el.s, el.t) for el in g.edge(*e).elements])
 
-    edges = cube.edges(n)
     edge_pos = {e: i for i, e in enumerate(edges)}
     face_by_last_edge: dict[Edge, list[Face2]] = {}
     for face in cube.faces2(n):
@@ -1432,36 +1438,31 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
                     (face.top, face.mid_b), (face.mid_b, face.bottom)), key=edge_pos.get)
         face_by_last_edge.setdefault(last, []).append(face)
     tau: dict[Edge, dict[str, str]] = {}
+    # backtracking leaves a deeper vertex's sigma behind, so a vertex tests
+    # only its edges to the vertices before it in ``order``
+    order = {v: k for k, v in enumerate(verts)}
 
-    def assign_sigma(vi: int) -> bool:
-        if vi == len(verts):
-            return assign_tau(0)
-        v = verts[vi]
-        fx, gx = f.vset(v).elements, g.vset(v).elements
-        for image in _keyed_bijections(*sigs[v]):
-            bump()
+    def options(k: int):
+        return _keyed_bijections(*(sigs[verts[k]] if k < len(verts)
+                                   else edge_keys(edges[k - len(verts)])))
+
+    def accept(k: int, image: list[int]) -> bool:
+        bump()
+        if k < len(verts):
+            v = verts[k]
+            fx, gx = f.vset(v).elements, g.vset(v).elements
             sigma[v] = dict(zip(fx, (gx[q] for q in image)))
-            if all(_key_classes(*edge_keys(e)) is not None for e, _ in incident[v]
-                   if e[0] in sigma and e[1] in sigma) and assign_sigma(vi + 1):
-                return True
-        sigma.pop(v, None)
-        return False
-
-    def assign_tau(ei: int) -> bool:
-        if ei == len(edges):
-            return True
-        e = edges[ei]
+            return all(_key_classes(*edge_keys(e)) is not None for e, end in incident[v]
+                       if order[e[1 - end]] < k)
+        e = edges[k - len(verts)]
         fids, gids = f.edge(*e).ids(), g.edge(*e).ids()
-        for image in _keyed_bijections(*edge_keys(e)):
-            bump()
-            tau[e] = dict(zip(fids, (gids[q] for q in image)))
-            if ((not f.has_matchings or all(_face_commutes(f, g, tau, fc)
-                                            for fc in face_by_last_edge.get(e, [])))
-                    and assign_tau(ei + 1)):
-                return True
-        return False
+        tau[e] = dict(zip(fids, (gids[q] for q in image)))
+        return not f.has_matchings or all(_face_commutes(f, g, tau, fc)
+                                          for fc in face_by_last_edge.get(e, []))
 
-    return (sigma, tau) if assign_sigma(0) else None
+    for _ in _backtrack(len(verts) + len(edges), options, accept):
+        return sigma, tau
+    return None
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -177,11 +177,11 @@ def tot(sf: StableFunctor | CubeFunctorData) -> ChainComplex:
     basis: dict[int, list[str]] = {}
     at: dict[Vertex, tuple[int, dict[str, int]]] = {}
     for v in verts:
-        xs = f.vset(v).elements
+        xs = f.vset(v)
         if xs:
             b, prefix = basis.setdefault(sum(v) + r, []), cube.bits(v) + "|"
-            at[v] = (len(b), {x: k for k, x in enumerate(xs)})
-            b.extend([prefix + x for x in xs])
+            at[v] = (len(b), xs.positions)
+            b.extend([prefix + x for x in xs.elements])
     cols = {d: [{} for _ in b] for d, b in basis.items() if d - 1 in basis}
     # one walk over the edges, each from u down to v in coordinate k, signed
     # by the parity of the 1s of u before k and the shift

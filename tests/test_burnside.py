@@ -15,6 +15,8 @@ def test_finite_set_validation():
         FiniteSet(("a", "a"))
     with pytest.raises(ValueError):
         FiniteSet(("a∘b",))
+    s = FiniteSet(("b", "a"))
+    assert s.positions == {"b": 0, "a": 1} and "positions" not in repr(s)
 
 
 def test_identity_correspondence_examples():

@@ -211,6 +211,17 @@ def test_functor_check_non_object_part_exits_2(runner, tmp_path, key):
     assert res.stderr == f"input error: malformed functor data: {key!r} must be an object\n"
 
 
+@pytest.mark.parametrize("args, what", [(["functor", "check"], "functor"),
+                                        (["functor", "certificate"], "certificate"),
+                                        (["delta", "homology"], "delta-complex")])
+def test_json_that_is_not_an_object_exits_2(runner, tmp_path, args, what):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    res = invoke(runner, args + [str(path)])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr == f"input error: {what} input must be a JSON object\n"
+
+
 def test_functor_check(runner):
     res = invoke(runner, ["functor", "check", "wedge_cube"])
     assert res.exit_code == 0

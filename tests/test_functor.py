@@ -213,6 +213,16 @@ def test_trefoil_kink_is_naturally_isomorphic_to_itself(pd_corpus, monkeypatch):
     assert found is not None and is_natural_isomorphism(f, f, *found)
 
 
+@pytest.mark.parametrize("word", [[1, 2] * 4, [1, -2] * 4])
+def test_iso_search_runs_on_an_8_crossing_functor(word):
+    """The search descends one level per vertex and per edge of the 8-cube
+    (256 + 1024 levels) on an explicit stack, with no recursion that grows
+    with the cube: T(3,4) and the closure of (s1 s2^-1)^4."""
+    f = kh.build_khovanov_functor(kh.braid_closure_pd(word, 3)).functor
+    found = find_natural_isomorphism(f, f)
+    assert found is not None and is_natural_isomorphism(f, f, *found)
+
+
 def test_enumerate_matchings_keeps_its_completion_order(pd_corpus, monkeypatch):
     """Every face's candidates, and so every completion, come in the order
     of the per-fiber product the search drew them from before the one
