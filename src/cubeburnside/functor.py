@@ -42,14 +42,14 @@ of the bijections that keep a key, ``_keyed_bijections``; all three descend
 in one loop on an explicit stack, ``_backtrack``, so no recursion grows.
 Sub and quotient functors and the split of a functor into parts (the
 quantum gradings) are one routine, ``restrict_parts``: one pass over the
-vertices and edges puts each element into its part, and corners empty in a
-part share one empty value.  It reads the parts as one {label: part} map
-per vertex, the form ``generator_gradings`` returns, with no index keyed by
-(vertex, label).  A stored matching sits on ``square(face)``, the
-composites of its face's own edges, and every restriction composes its own
-faces: a part's matching is the stored one on the ids of the part's
-``square(face)``.  ``reconstruct_two_morphism`` reads the stored matchings
-by the same rule (``_on_square``).
+vertices and edges splits each distinct vertex set and edge once, and its
+parts share the pieces and one empty value.  It reads the parts as one
+{label: part} map per vertex, the form ``generator_gradings`` returns.  A
+stored matching sits on ``square(face)``, the composites of its face's own
+edges, and every restriction composes its own faces: a part's matching is
+the stored one on the ids of the part's ``square(face)``.
+``reconstruct_two_morphism`` reads the stored matchings by the same rule
+(``_on_square``).
 """
 
 from __future__ import annotations
@@ -124,16 +124,19 @@ class CubeFunctorData:
             if v not in vs:
                 raise InputError(f"vertex {v} outside the {n}-cube")
         ec: dict[Edge, Correspondence] = {}
+        checked: dict[int, Correspondence] = {}  # ids are checked once per edge object
         for (u, v) in cube.edges(n):
             corr = edge_corrs.get((u, v))
             if corr is None:
                 corr = Correspondence(vs[u], vs[v], ())
             if corr.source_set != vs[u] or corr.target_set != vs[v]:
                 raise InputError(f"edge {u}>{v} endpoint sets do not match")
-            for e in corr.elements:
-                if not isinstance(e.id, str) or COMPOSE_SEP in e.id:
-                    raise InputError(f"edge element id {e.id!r} is not a string "
-                                     "free of the reserved separator")
+            if id(corr) not in checked:
+                checked[id(corr)] = corr
+                for e in corr.elements:
+                    if not isinstance(e.id, str) or COMPOSE_SEP in e.id:
+                        raise InputError(f"edge element id {e.id!r} is not a string "
+                                         "free of the reserved separator")
             ec[(u, v)] = corr
         for e in edge_corrs:
             if e not in ec:
@@ -723,7 +726,8 @@ def _fiber_images(face: Face2, ka: list[tuple[int, int]], kb: list[tuple[int, in
     count = prod(map(factorial, collections.Counter(ka).values()))
     if count > max_per_face:
         raise SearchCapExceeded(f"face {_face_key(face)} admits {count} bijections")
-    return _keyed_bijections(ka, kb, lambda key: (top[key[0]], bottom[key[1]]), pins)
+    return _keyed_bijections(_key_classes(ka, kb), lambda key: (top[key[0]], bottom[key[1]]),
+                             pins)
 
 
 def _key_classes(ka: Sequence[Hashable], kb: Sequence[Hashable],
@@ -737,23 +741,23 @@ def _key_classes(ka: Sequence[Hashable], kb: Sequence[Hashable],
     return classes if all(len(ps) == len(qs) for ps, qs in classes.values()) else None
 
 
-def _keyed_bijections(ka: Sequence[Hashable], kb: Sequence[Hashable],
+def _keyed_bijections(classes: Mapping[Hashable, tuple[list[int], list[int]]] | None,
                       order: Callable[[Hashable], object] | None = None,
                       pins: Mapping[int, int] | None = None) -> Iterator[list[int]]:
-    """Lazily, every bijection p -> q from the positions of ka to those of
-    kb with kb[q] == ka[p], and q == pins[p] where p is pinned, as a fresh
-    image list (image[p] = q): per key class, the permutations of its
-    positions in kb, one class at a time, classes sorted by ``order``, the
-    first varying slowest.  Nothing when the key counts differ
-    (``_key_classes``).  The one enumerator of the exhaustive searches:
-    ``enumerate_matchings``' face candidates, ``find_natural_isomorphism``'s
-    sigma and tau.  Nothing is listed ahead of its draw."""
-    classes = _key_classes(ka, kb)
+    """Lazily, from the ``_key_classes`` of key lists ka and kb, every
+    bijection p -> q from the positions of ka to those of kb with kb[q] ==
+    ka[p], and q == pins[p] where p is pinned, as a fresh image list
+    (image[p] = q): per key class, the permutations of its positions in kb,
+    one class at a time, classes sorted by ``order``, the first varying
+    slowest.  Nothing when the key counts differ (classes None).  The one
+    enumerator of the exhaustive searches: ``enumerate_matchings``' face
+    candidates, ``find_natural_isomorphism``'s sigma and tau.  Nothing is
+    listed ahead of its draw."""
     if classes is None:
         return
     levels = [classes[key] for key in sorted(classes, key=order)]
     pins = pins or {}
-    image = [0] * len(ka)
+    image = [0] * sum(len(ps) for ps, _ in levels)
 
     def accept(k: int, perm: tuple[int, ...]) -> bool:
         ps = levels[k][0]
@@ -1050,23 +1054,29 @@ def _leaves(u: Vertex, v: Vertex, e: CorrElem) -> str:
             f"the subset at {e.t}")
 
 
-def _by_vertex(s: Iterable[tuple[Vertex, str]]) -> dict[Vertex, set[str]]:
-    """A support set of generators (v, x) as each vertex's set of labels."""
-    out: dict[Vertex, set[str]] = {}
+def _by_vertex(s: Iterable[tuple[Vertex, str]]) -> dict[Vertex, frozenset[str]]:
+    """A support set of generators (v, x) as each vertex's set of labels,
+    equal sets one object."""
+    out: dict = {}
     for v, x in s:
         out.setdefault(v, set()).add(x)
-    return out
+    one: dict[frozenset[str], frozenset[str]] = {}
+    return {v: one.setdefault(xs, xs) for v, xs in zip(out, map(frozenset, out.values()))}
 
 
-def _closed_under_targets(f: CubeFunctorData, s: Mapping[Vertex, set[str]]) -> str | None:
+def _closed_under_targets(f: CubeFunctorData, s: Mapping[Vertex, frozenset[str]]) -> str | None:
     """A witness edge element from a generator of ``s`` (labels by vertex)
-    to one outside it, or None when ``s`` spans a subcomplex."""
-    for (u, v) in cube.edges(f.n):
+    to one outside it, the first in edge order, or None when ``s`` spans a
+    subcomplex; each (edge object, label sets at its ends) is checked once."""
+    passed: dict[tuple[int, int, int], tuple] = {}
+    for (u, v), corr in f.edge_corrs.items():
         su, sv = s.get(u, ()), s.get(v, ())
-        if su:
-            for e in f.edge(u, v).elements:
+        key = (id(corr), id(su), id(sv))
+        if su and key not in passed:
+            for e in corr.elements:
                 if e.s in su and e.t not in sv:
                     return _leaves(u, v, e)
+            passed[key] = (corr, su, sv)
     return None
 
 
@@ -1079,8 +1089,11 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Has
     one of ``parts``, so that generator (v, x) goes to ``part_of[v][x]``;
     generators it does not name are dropped, and so is every edge element
     with an end in no part.  An edge element joining two different parts
-    raises ``InputError``.  Within one call a vertex, an edge or a face
-    with no generator of a part at its corners gets one shared empty value.
+    raises ``InputError`` naming the first such edge.  Within one call a
+    vertex, an edge or a face with no generator of a part at its corners
+    gets one shared empty value.  A vertex is split once per (set object,
+    parts of its labels in order) and an edge once per (edge object, splits
+    at its ends); a split is a function of its key, and parts share it.
 
     With face matchings, each stored matching must sit on its face's
     composites ``f.square(face)`` (``InputError`` names the face where it
@@ -1090,33 +1103,42 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Has
     empty_corr = Correspondence(EMPTY_SET, EMPTY_SET, ())
     no_vertices = dict.fromkeys(f.vertex_sets, EMPTY_SET)
     vs = {p: no_vertices.copy() for p in parts}
-    present: dict[Vertex, set[Hashable]] = {}
     unnamed: Mapping[str, Hashable] = {}
+    splits: dict[tuple, tuple] = {}  # key -> (set, label map, {part: FiniteSet})
+    split_at: dict[Vertex, tuple] = {}
     for v, xs in f.vertex_sets.items():
         labels = part_of.get(v, unnamed)
-        groups: dict[Hashable, list[str]] = {}
-        for x in xs:
-            p = labels.get(x)
-            if p is not None:
-                groups.setdefault(p, []).append(x)
-        for p, kept_xs in groups.items():
-            vs[p][v] = FiniteSet(tuple(kept_xs))
-        present[v] = set(groups)
+        key = (id(xs), tuple(map(labels.get, xs.elements)))
+        if key not in splits:
+            groups: dict[Hashable, list[str]] = {}
+            for x, p in zip(xs.elements, key[1]):
+                if p is not None:
+                    groups.setdefault(p, []).append(x)
+            splits[key] = (xs, labels, {p: FiniteSet(tuple(g)) for p, g in groups.items()})
+        split_at[v] = splits[key]
+        for p, kept in split_at[v][2].items():
+            vs[p][v] = kept
 
     no_edges = dict.fromkeys(f.edge_corrs, empty_corr)
     ec = {p: no_edges.copy() for p in parts}
+    edge_splits: dict[tuple[int, int, int], tuple] = {}  # key -> (edge, {part: edge})
     for (u, v), corr in f.edge_corrs.items():
-        out: dict[Hashable, list[CorrElem]] = {p: [] for p in present[u] | present[v]}
-        at_u, at_v = part_of.get(u, unnamed), part_of.get(v, unnamed)
-        for e in corr.elements:
-            p, q = at_u.get(e.s), at_v.get(e.t)
-            if p is None or q is None:
-                continue
-            if p != q:
-                raise InputError("subset does not span a subcomplex: " + _leaves(u, v, e))
-            out[p].append(e)
-        for p, es in out.items():
-            ec[p][(u, v)] = Correspondence(vs[p][u], vs[p][v], tuple(es))
+        key = (id(corr), id(split_at[u]), id(split_at[v]))
+        if key not in edge_splits:
+            (_, at_u, sets_u), (_, at_v, sets_v) = split_at[u], split_at[v]
+            out: dict[Hashable, list[CorrElem]] = {p: [] for p in sets_u.keys() | sets_v.keys()}
+            for e in corr.elements:
+                p, q = at_u.get(e.s), at_v.get(e.t)
+                if p is None or q is None:
+                    continue
+                if p != q:
+                    raise InputError("subset does not span a subcomplex: " + _leaves(u, v, e))
+                out[p].append(e)
+            edge_splits[key] = (corr, {
+                p: Correspondence(sets_u.get(p, EMPTY_SET), sets_v.get(p, EMPTY_SET), tuple(es))
+                for p, es in out.items()})
+        for p, part in edge_splits[key][1].items():
+            ec[p][(u, v)] = part
     restricted = {p: CubeFunctorData(f.n, vs[p], ec[p]) for p in parts}
     if not f.has_matchings:
         return restricted
@@ -1125,7 +1147,7 @@ def restrict_parts(f: CubeFunctorData, part_of: Mapping[Vertex, Mapping[str, Has
     fm = {p: no_faces.copy() for p in parts}
     for face in f.face_matchings:
         mapping = _on_square(f, face).as_dict()
-        for p in present[face.top] | present[face.bottom]:
+        for p in split_at[face.top][2].keys() | split_at[face.bottom][2].keys():
             ca, cb = restricted[p].square(face)
             fm[p][face] = BijectionOver.of(ca, cb, {e.id: mapping[e.id] for e in ca.elements})
     return {p: CubeFunctorData(f.n, vs[p], ec[p], fm[p]) for p in parts}
@@ -1147,14 +1169,15 @@ def quotient_functor_data(f: CubeFunctorData, s: Iterable[tuple[Vertex, str]],
                           ) -> CubeFunctorData:
     """Restriction to a subset whose complement spans a subcomplex."""
     ss = _by_vertex(s)
-    comp = {v: {x for x in xs if x not in ss.get(v, ())} for v, xs in f.vertex_sets.items()}
+    comp = _by_vertex((v, x) for v, xs in f.vertex_sets.items()
+                      for x in xs if x not in ss.get(v, ()))
     witness = _closed_under_targets(f, comp)
     if witness is not None:
         raise InputError("complement does not span a subcomplex: " + witness)
     return _one_part(f, ss)
 
 
-def _one_part(f: CubeFunctorData, s: Mapping[Vertex, set[str]]) -> CubeFunctorData:
+def _one_part(f: CubeFunctorData, s: Mapping[Vertex, frozenset[str]]) -> CubeFunctorData:
     """``restrict_parts`` with the one part ``s`` (labels by vertex)."""
     return restrict_parts(f, {v: dict.fromkeys(xs, 0) for v, xs in s.items()}, (0,))[0]
 
@@ -1397,7 +1420,8 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
     ``_keyed_bijections``: sigma at a vertex keeps degree signatures (an
     element's count on each incident edge), and tau on an edge keeps
     (sigma(s), sigma(t)) against (s, t); a sigma is kept only if each edge
-    between assigned vertices passes the enumerator's key-count test.  One
+    between assigned vertices passes the enumerator's key-count test, and
+    the edge's level draws tau from the key classes that test found.  One
     ``_backtrack`` level per vertex, then per edge; a candidate is one node,
     counted before anything reads it, and the search stops after
     ``MAX_ISO_NODES`` nodes (``SearchCapExceeded``)."""
@@ -1442,9 +1466,15 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
     # only its edges to the vertices before it in ``order``
     order = {v: k for k, v in enumerate(verts)}
 
+    classes: dict[Edge, dict | None] = {}  # current once every sigma is set
+
     def options(k: int):
-        return _keyed_bijections(*(sigs[verts[k]] if k < len(verts)
-                                   else edge_keys(edges[k - len(verts)])))
+        return _keyed_bijections(_key_classes(*sigs[verts[k]]) if k < len(verts)
+                                 else classes[edges[k - len(verts)]])
+
+    def tested(e: Edge) -> bool:
+        classes[e] = _key_classes(*edge_keys(e))
+        return classes[e] is not None
 
     def accept(k: int, image: list[int]) -> bool:
         bump()
@@ -1452,8 +1482,7 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
             v = verts[k]
             fx, gx = f.vset(v).elements, g.vset(v).elements
             sigma[v] = dict(zip(fx, (gx[q] for q in image)))
-            return all(_key_classes(*edge_keys(e)) is not None for e, end in incident[v]
-                       if order[e[1 - end]] < k)
+            return all(tested(e) for e, end in incident[v] if order[e[1 - end]] < k)
         e = edges[k - len(verts)]
         fids, gids = f.edge(*e).ids(), g.edge(*e).ids()
         tau[e] = dict(zip(fids, (gids[q] for q in image)))

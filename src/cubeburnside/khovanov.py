@@ -359,12 +359,12 @@ class DiagramCube:
     Equal things are one object.  Vertices with equal circle counts share
     one generator set, and edges with equal local configurations (circle
     counts, the changed crossing's circles and the moves of the untouched
-    circles: all that ``_edge_positions`` reads) one position pair, whose
-    elements are labelled once (``_labelled``).  So the coherence pass,
-    whose memos key on these objects' identity, checks each distinct
-    square and hexagon once.  The caches live as long as the cube, which
-    each build makes anew; the resolutions are released after the
-    coherence pass, the last reader of them in a build."""
+    circles: all that ``_edge_positions`` reads) one position pair and one
+    ``Correspondence`` (``_labelled``).  Every later stage keys its work on
+    these objects: the coherence pass, the id check of the data's build,
+    the gradings and the split each treat a distinct one once.  The caches
+    live as long as the cube, which each build makes anew; the resolutions
+    are released after the coherence pass, their last reader in a build."""
 
     def __init__(self, pd: PDCode):
         self.pd = pd
@@ -376,7 +376,7 @@ class DiagramCube:
         self._circles: dict[Vertex, tuple] = {}
         self._generators: dict[int, FiniteSet] = {}
         self._edges: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._elements: dict[tuple[int, int, int], tuple] = {}
+        self._corrs: dict[tuple[int, int, int], Correspondence] = {}
         self._forced = _forced_rule()
 
     def resolved(self, v: Vertex) -> ResolvedDiagram:
@@ -420,20 +420,22 @@ class DiagramCube:
                                 {key: ci for ci, key in enumerate(keys)})
         return self._circles[v]
 
-    def _edge_positions(self, u: Vertex, v: Vertex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The edge u -> v on generator positions: the source (at u) and
-        target (at v) position of each element.  Elements are the pairs
-        (y at v, x at u) whose abelian-side coefficient is 1, by y and then
-        in the order of the merge or split table.  Circle c of a vertex with
-        k circles carries x_- exactly when bit k - 1 - c of a position is
-        set (``generators`` order); circles away from the changed crossing
-        keep their labels.
+    def _edge_positions(self, u: Vertex, v: Vertex, k: int | None = None,
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The edge u -> v, which changes crossing k (found when not given),
+        on generator positions: the source (at u) and target (at v) position
+        of each element.  Elements are the pairs (y at v, x at u) whose
+        abelian-side coefficient is 1, by y and then in the order of the
+        merge or split table.  Circle c of a vertex with m circles carries
+        x_- exactly when bit m - 1 - c of a position is set (``generators``
+        order); circles away from the changed crossing keep their labels.
 
         The pair is a function of the edge's local configuration: the two
         circle counts, the circles of v and of u through the changed
         crossing, and where each untouched circle of v goes at u.  Edges
         with equal configurations share one pair object."""
-        k = cube.edge_coordinate(u, v)
+        if k is None:
+            k = cube.edge_coordinate(u, v)
         through_v, keys_v, _ = self._circle_tables(v)
         through_u, keys_u, index_u = self._circle_tables(u)
         vk, uk = through_v[k], through_u[k]
@@ -476,20 +478,20 @@ class DiagramCube:
 
     def _labelled(self, gen_u: FiniteSet, gen_v: FiniteSet, positions) -> Correspondence:
         """The edge of ``positions`` from generators ``gen_u`` to ``gen_v``,
-        its element "x>y" running from x at u to y at v.  The elements are
-        written once per (position pair, generator sets), and shared by
-        every edge with these three objects; each ``Correspondence`` still
-        checks them.  Ids are interned: a diagram's edges repeat a few
-        hundred ids (914 distinct among the 118,074 elements of the closure
-        of (σ1σ2⁻¹)^5σ1), so each is stored once."""
+        its element "x>y" running from x at u to y at v: one object per
+        (position pair, generator sets), so its elements are written and
+        checked once, shared by every edge with these three objects.  Ids
+        are interned: a diagram's edges repeat a few hundred ids (914
+        distinct among the 118,074 elements of the closure of
+        (σ1σ2⁻¹)^5σ1), so each is stored once."""
         key = (id(positions), id(gen_u), id(gen_v))
-        elements = self._elements.get(key)
-        if elements is None:
+        corr = self._corrs.get(key)
+        if corr is None:
             xs, ys = gen_u.elements, gen_v.elements
-            elements = self._elements[key] = tuple([
+            corr = self._corrs[key] = Correspondence(gen_u, gen_v, tuple([
                 CorrElem(sys.intern(f"{xs[a]}>{ys[b]}"), xs[a], ys[b])
-                for a, b in zip(*positions)])
-        return Correspondence(gen_u, gen_v, elements)
+                for a, b in zip(*positions)]))
+        return corr
 
     def stable_functor(self, matchings: bool = True) -> StableFunctor:
         """The functor data shifted by minus the negative crossing count.
@@ -500,7 +502,7 @@ class DiagramCube:
         n = self.pd.n
         vs = {v: self.generators(v) for v in cube.vertices(n)}
         key = {(u, v): (_mask(u), cube.edge_coordinate(u, v)) for (u, v) in cube.edges(n)}
-        edges = {k: self._edge_positions(*e) for e, k in key.items()}
+        edges = {k: self._edge_positions(*e, k[1]) for e, k in key.items()}
         labels = {_mask(v): s.elements for v, s in vs.items()}
         c0, failures, tables = _coherence_pass(n, edges, labels, self.matching_image)
         self._resolved.clear()
@@ -734,12 +736,18 @@ def generator_gradings(pd: PDCode, f: CubeFunctorData, reduced: bool = False,
                        ) -> dict[Vertex, dict[str, int]]:
     """Quantum grading of every generator of f, the functor of pd or a
     restriction of it, read from the generator's circle labels; the reduced
-    grading adds one for the basepoint circle's x_-."""
+    grading adds one for the basepoint circle's x_-.  Found once per
+    (vertex set object, |v|); each vertex gets its own copy to edit."""
     np, nm = crossing_signs(pd)
     base = np - 2 * nm + int(reduced)
-    return {v: {g: base + cube.grading(v) + g.count(PLUS) - g.count(MINUS)
-                for g in f.vset(v)}
-            for v in cube.vertices(f.n)}
+    known: dict[tuple[int, int], tuple[FiniteSet, dict[str, int]]] = {}
+    out = {}
+    for v in cube.vertices(f.n):
+        s, d = f.vset(v), base + cube.grading(v)
+        if (id(s), d) not in known:
+            known[id(s), d] = (s, {g: d + g.count(PLUS) - g.count(MINUS) for g in s})
+        out[v] = known[id(s), d][1].copy()
+    return out
 
 
 def split_by_quantum(pd: PDCode, sf: StableFunctor,

@@ -223,6 +223,26 @@ def test_iso_search_runs_on_an_8_crossing_functor(word):
     assert found is not None and is_natural_isomorphism(f, f, *found)
 
 
+def test_iso_search_finds_each_edges_key_classes_once(monkeypatch):
+    """The search lists an edge's key classes when its later endpoint takes
+    its sigma, and its tau level draws from them: on T(3,4), which it
+    solves without backtracking, once per vertex (256) and per edge
+    (1,024), not again at the edge levels."""
+    from cubeburnside import functor
+    calls = [0]
+    key_classes = functor._key_classes
+
+    def counted(*args):
+        calls[0] += 1
+        return key_classes(*args)
+
+    f = kh.build_khovanov_functor(kh.braid_closure_pd([1, 2] * 4, 3)).functor
+    monkeypatch.setattr(functor, "_key_classes", counted)
+    found = find_natural_isomorphism(f, f)
+    assert calls[0] == len(f.vertex_sets) + len(f.edge_corrs) == 1280
+    assert is_natural_isomorphism(f, f, *found)
+
+
 def test_enumerate_matchings_keeps_its_completion_order(pd_corpus, monkeypatch):
     """Every face's candidates, and so every completion, come in the order
     of the per-fiber product the search drew them from before the one

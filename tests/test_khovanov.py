@@ -830,6 +830,61 @@ def test_kh_table_split_matches_split_with_matchings(small_corpus, monkeypatch):
                 assert tot(part) == tot(want[j]), (name, reduced, j)
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+def test_kh_table_builds_one_correspondence_per_distinct_split_edge(monkeypatch, reduced):
+    """On the closure of (σ1σ2⁻¹)^4 (1,024 edges, 10 gradings) ``kh_table``
+    builds one ``Correspondence`` per distinct edge of the functor (36),
+    and each restriction (the reduced table's quotient, then the split)
+    one per distinct (edge, splits at its ends) and part, plus its shared
+    empty edge: 342 plain and 318 reduced, where one per edge and part
+    made about 5,000."""
+    pd = kh.braid_closure_pd([1, -2] * 4, 3)
+    made, restricted = [0], []
+    post_init, restrict_parts = burnside.Correspondence.__post_init__, functor.restrict_parts
+
+    def counted(self):
+        made[0] += 1
+        post_init(self)
+
+    def caught(*args):
+        restricted.append(restrict_parts(*args))
+        return restricted[-1]
+
+    monkeypatch.setattr(burnside.Correspondence, "__post_init__", counted)
+    monkeypatch.setattr(functor, "restrict_parts", caught)
+    monkeypatch.setattr(kh, "restrict_parts", caught)
+    kh.kh_table(pd, reduced=reduced, basepoint=1 if reduced else None)
+    monkeypatch.undo()
+    built = kh.build_khovanov_functor(pd, matchings=False).functor
+    distinct = len({id(c) for c in built.edge_corrs.values()})
+    # a part's edge with neither end in the part is the call's one empty edge
+    split_edges = [1 + len({id(c) for part in parts.values() for c in part.edge_corrs.values()
+                            if len(c.source_set) or len(c.target_set)})
+                   for parts in restricted]
+    assert (distinct, len(built.edge_corrs), len(restricted)) == (36, 1024, 1 + reduced)
+    assert made[0] == distinct + sum(split_edges) == (318 if reduced else 342)
+
+
+def test_split_names_the_first_edge_between_parts_where_edges_are_shared(pd_corpus):
+    """fig8's 32 edges are 8 objects.  A generator moved to another grading
+    at 1100 makes edge 1101>1100 the first to join two parts, though its
+    object serves an earlier edge whose split passes; the restriction,
+    which splits each (edge, end splits) once, still names 1101>1100."""
+    pd = pd_corpus["fig8"]
+    f = kh.build_khovanov_functor(pd, matchings=False).functor
+    grades = kh.generator_gradings(pd, f)
+    grades[(1, 1, 0, 0)]["+++"] += 2  # this vertex's copy alone
+    edges = list(f.edge_corrs.items())
+    at, (u, v), e = next((n, uv, e) for n, (uv, c) in enumerate(edges) for e in c.elements
+                         if grades[uv[0]][e.s] != grades[uv[1]][e.t])
+    assert (len({id(c) for _, c in edges}), cube.bits(u), cube.bits(v)) == (8, "1101", "1100")
+    assert any(c is edges[at][1] for _, c in edges[:at])
+    assert sum(g != h for g, h in zip(grades.values(), kh.generator_gradings(pd, f).values())) == 1
+    with pytest.raises(InputError) as exc:
+        functor.restrict_parts(f, grades, sorted({j for g in grades.values() for j in g.values()}))
+    assert str(exc.value) == "subset does not span a subcomplex: " + functor._leaves(u, v, e)
+
+
 def test_kh_table_split_rejects_an_edge_between_gradings(pd_corpus, monkeypatch):
     # the edge-only split keeps the closure check of the split with matchings
     gradings = kh.generator_gradings
