@@ -88,14 +88,18 @@ def vertices(n: int) -> list[Vertex]:
     return [tuple(bs) for bs in itertools.product((0, 1), repeat=n)]
 
 
+def masks(n: int) -> list[int]:
+    """The vertices as int bitmasks, bit k for coordinate k, in ``vertices`` order."""
+    out = [0]
+    for k in range(n):
+        out = [t | b << k for t in out for b in (0, 1)]
+    return out
+
+
 def edges(n: int) -> list[tuple[Vertex, Vertex]]:
-    out = []
-    for u in vertices(n):
-        for k in range(n):
-            if u[k] == 1:
-                v = u[:k] + (0,) + u[k + 1:]
-                out.append((u, v))
-    return sorted(out)
+    """Every edge (u, v): u in ``vertices`` order, then the cleared coordinate
+    ascending, which is sorted order."""
+    return [(u, u[:k] + (0,) + u[k + 1:]) for u in vertices(n) for k in range(n) if u[k]]
 
 
 def clear_coordinate(u: Vertex, k: int) -> Vertex:

@@ -9,47 +9,47 @@ which together let composites be reconstructed consistently along any
 maximal chain.
 
 Nothing derived is kept on the data.  Coherence is one pass on element
-positions, ``_coherence_pass``: a vertex is an int bitmask, and an edge
-(mask, k) is read as two int sequences, the source and the target position
-of each element.  The square pass lists each face's composites once, as
-(x, y) element-position pairs (``_face_composites``), checks their fiber
-sizes and takes the face's matching as a position image that must be a
-bijection keeping every element's fiber.  Each matching is oriented once
-into a small int table on step pairs, and the hexagons look their triples
-up in these tables (``_hexagon_commutes``), with no composite ids built or
-split.  A hexagon walks only the triples in (top, bottom) fibers of two or
-more (``_hexagon_walk``): every swap keeps that fiber, so a triple alone in
-its fiber comes back to itself.  Equal work is done once: faces whose
-four side edges are the same objects share their composites, fiber keys
-and fiber-size verdict, and a table per image; a hexagon's walk is listed
-once per first chain, and its verdict found once per (walk, six tables).
-Each is a function of its key, so the sharing is exact; the image is part
-of a table's key, since ladybug images differ between faces with equal
-sides.  Equal edges are one object where they are made: ``_indexed``
-shares one position pair per equal positions, and the Khovanov build one
-per local configuration.  The memos key on object identity and live only
-through one pass.  Only the source of a face's image differs:
-``validate_coherence`` reads a stored matching through its ids, the
-Khovanov build names its forced or ladybug matching, and ``_forced_tables``
-(squares only) takes the forced rule ``_forced_image``.  Builders write
-face matchings only on request: the Δ-complex build writes none, and
-``forced_matchings`` writes each nonempty one as ``compose`` builds it,
-empty ones shared per (top set, bottom set).  ``enumerate_matchings`` searches on
-positions too: a face's candidates are its fiber-keeping position images,
-each tabled once, and ids are written only for the completions.  It and
-``find_natural_isomorphism`` draw their candidates from one lazy enumerator
-of the bijections that keep a key, ``_keyed_bijections``; all three descend
-in one loop on an explicit stack, ``_backtrack``, so no recursion grows.
-Sub and quotient functors and the split of a functor into parts (the
-quantum gradings) are one routine, ``restrict_parts``: one pass over the
-vertices and edges splits each distinct vertex set and edge once, and its
-parts share the pieces and one empty value.  It reads the parts as one
-{label: part} map per vertex, the form ``generator_gradings`` returns.  A
-stored matching sits on ``square(face)``, the composites of its face's own
-edges, and every restriction composes its own faces: a part's matching is
-the stored one on the ids of the part's ``square(face)``.
-``reconstruct_two_morphism`` reads the stored matchings by the same rule
-(``_on_square``).
+positions, ``_coherence_pass``, over lists by int vertex mask: the edge
+from mask t in coordinate k is ``edges[t][k]``, the source and the target
+position of each element, and the pass walks masks and their set bits,
+writing a tuple vertex only into a message.  The square pass lists each
+face's composites as (x, y) element-position pairs (``_face_composites``),
+checks their fiber sizes and takes the face's matching as a position image
+that must be a bijection keeping every element's fiber.  Each matching is
+oriented once into a small int table on step pairs, and the hexagons look
+their triples up in these tables (``_hexagon_commutes``), with no composite
+ids built or split.  A hexagon walks only the triples in (top, bottom)
+fibers of two or more (``_hexagon_walk``): every swap keeps that fiber, so
+a triple alone in its fiber comes back to itself.  Equal work is done once:
+a 2-step path's composite once per pair of edge objects; a square's fiber
+keys, fiber-size verdict and tables once per side key (its four edge
+objects); a hexagon's walk once per first chain, and its verdict once per
+(walk, six tables).  Each is a function of its key, so the sharing is
+exact.  Equal edges are one object where they are made: ``_indexed`` shares
+one position pair per equal positions, and the Khovanov build one per local
+configuration.  The memos key on object identity and live only through one
+pass.  Only the source of a face's image differs: ``validate_coherence``
+reads each face's stored matching through its ids, and the Khovanov build
+and ``_forced_tables`` table a forced square once per side key and ask only
+for the rest: a ladybug matching, which differs between faces with equal
+sides, or a refusal.  Builders write face matchings only on request: the
+Δ-complex build writes none, and ``forced_matchings`` writes each nonempty
+one as ``compose`` builds it, empty ones shared per (top set, bottom set).
+``enumerate_matchings`` searches on positions too: a face's candidates are
+its fiber-keeping position images, each tabled once, and ids are written
+only for the completions.  It and ``find_natural_isomorphism`` draw their
+candidates from one lazy enumerator of the bijections that keep a key,
+``_keyed_bijections``; all three descend in one loop on an explicit stack,
+``_backtrack``, so no recursion grows.  Sub and quotient functors and the
+split of a functor into parts (the quantum gradings) are one routine,
+``restrict_parts``: one pass over the vertices and edges splits each
+distinct vertex set and edge once, and its parts share the pieces and one
+empty value.  It reads the parts as one {label: part} map per vertex, the
+form ``generator_gradings`` returns.  A stored matching sits on
+``square(face)``, the composites of its face's own edges, and every
+restriction composes its own faces: a part's matching is the stored one on
+the ids of the part's ``square(face)``.  ``reconstruct_two_morphism`` reads
+the stored matchings by the same rule (``_on_square``).
 """
 
 from __future__ import annotations
@@ -117,19 +117,19 @@ class CubeFunctorData:
               edge_corrs: Mapping[Edge, Correspondence],
               face_matchings: Mapping[Face2, BijectionOver] | None = None,
               ) -> "CubeFunctorData":
-        vs: dict[Vertex, FiniteSet] = {}
-        for v in cube.vertices(n):
-            vs[v] = vertex_sets.get(v, FiniteSet(()))
+        vs = {v: vertex_sets.get(v, EMPTY_SET) for v in cube.vertices(n)}
         for v in vertex_sets:
             if v not in vs:
                 raise InputError(f"vertex {v} outside the {n}-cube")
         ec: dict[Edge, Correspondence] = {}
         checked: dict[int, Correspondence] = {}  # ids are checked once per edge object
         for (u, v) in cube.edges(n):
+            su, sv = vs[u], vs[v]
             corr = edge_corrs.get((u, v))
             if corr is None:
-                corr = Correspondence(vs[u], vs[v], ())
-            if corr.source_set != vs[u] or corr.target_set != vs[v]:
+                corr = Correspondence(su, sv, ())
+            if ((corr.source_set is not su and corr.source_set != su)
+                    or (corr.target_set is not sv and corr.target_set != sv)):
                 raise InputError(f"edge {u}>{v} endpoint sets do not match")
             if id(corr) not in checked:
                 checked[id(corr)] = corr
@@ -218,12 +218,13 @@ def composite_along_chain(f: CubeFunctorData, chain: cube.Chain) -> Corresponden
 
 # -- the coherence pass -------------------------------------------------------
 #
-# The pass works on positions.  A vertex is an int bitmask, bit k for
-# coordinate k, and an edge is (mask, k), from mask down to mask ^ 1 << k.
-# An edge is read as a pair of int sequences: the position of each
-# element's source in its source vertex's set, and of its target.  String
-# data is indexed into positions once (``_indexed``); the Khovanov build
-# makes positions directly.
+# The pass works on positions.  A vertex is an int bitmask t, bit k for
+# coordinate k, and the edge from t down to t ^ 1 << k is ``edges[t][k]``,
+# a pair of int sequences: the position of each element's source in its
+# source vertex's set, and of its target.  String data is indexed into
+# these lists once (``_indexed``); the Khovanov build makes them directly.
+# The pass walks masks and their set bits; a tuple vertex is made only for
+# a message or a string (``_vertex``, ``_tops``).
 
 _Positions = tuple[Sequence[int], Sequence[int]]
 
@@ -234,49 +235,64 @@ def _mask(v: Vertex) -> int:
     return sum(b << k for k, b in enumerate(v))
 
 
+def _vertex(t: int, n: int) -> Vertex:
+    return tuple(t >> k & 1 for k in range(n))
+
+
 def _indexed(f: CubeFunctorData):
-    """f's edges keyed (mask, k), as correspondences and on positions, and
-    each vertex's elements keyed by mask.  Edges with equal positions share
-    one position pair, so the coherence pass checks their squares and
-    hexagons once.  An edge whose endpoint sets are not its vertices' sets
-    is refused, as ``CubeFunctorData.build`` does."""
+    """f's edges by mask and coordinate, as correspondences (``corrs[t][k]``)
+    and on positions (``edges[t][k]``), and each vertex's elements by mask.
+    Edges with equal positions share one position pair, so the coherence
+    pass checks their squares and hexagons once.  An edge whose endpoint
+    sets are not its vertices' sets is refused, as ``CubeFunctorData.build``
+    does."""
     mask = {v: _mask(v) for v in f.vertex_sets}
-    corrs, edges, interned = {}, {}, {}
+    corrs, edges = ([[None] * f.n for _ in range(1 << f.n)] for _ in range(2))
+    labels, interned = [()] * (1 << f.n), {}
     for (u, v), c in f.edge_corrs.items():
         if c.source_set != f.vertex_sets[u] or c.target_set != f.vertex_sets[v]:
             raise InputError(f"edge {u}>{v} endpoint sets do not match")
-        key = (mask[u], (mask[u] ^ mask[v]).bit_length() - 1)
-        corrs[key] = c
+        t, k = mask[u], (mask[u] ^ mask[v]).bit_length() - 1
         pu, pv = f.vertex_sets[u].positions, f.vertex_sets[v].positions
         pair = (tuple([pu[e.s] for e in c.elements]), tuple([pv[e.t] for e in c.elements]))
-        edges[key] = interned.setdefault(pair, pair)
-    labels = {mask[v]: s.elements for v, s in f.vertex_sets.items()}
+        corrs[t][k], edges[t][k] = c, interned.setdefault(pair, pair)
+    for v, s in f.vertex_sets.items():
+        labels[mask[v]] = s.elements
     return corrs, edges, labels
 
 
 def _tops(n: int, dim: int):
     """(vertex, mask, coordinates) of every face of dimension ``dim``, in
     ``cube.faces2`` / ``cube.faces3`` order."""
-    for v in cube.vertices(n):
-        t = _mask(v)
-        for coords in itertools.combinations([k for k in range(n) if v[k]], dim):
+    for v, t in zip(cube.vertices(n), cube.masks(n)):
+        for coords in itertools.combinations([k for k in range(n) if t >> k & 1], dim):
             yield v, t, coords
 
 
 def _sides(edges, t: int, i: int, j: int):
     """The (first, second) edges of face (t, i, j) through mid_a and mid_b."""
-    return ((edges[t, i], edges[t ^ 1 << i, j]), (edges[t, j], edges[t ^ 1 << j, i]))
+    return ((edges[t][i], edges[t ^ 1 << i][j]), (edges[t][j], edges[t ^ 1 << j][i]))
 
 
 def _face_composites(side_a: tuple[_Positions, _Positions],
-                     side_b: tuple[_Positions, _Positions],
+                     side_b: tuple[_Positions, _Positions], paths: dict | None = None,
                      ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """A face's two composites, one per side (its first and second edge,
     through ``mid_a`` and through ``mid_b``, on positions), as (x, y)
     element-position pairs in ``compose``'s order.  The one place that lists
     them: for the square pass and the candidates of ``enumerate_matchings``."""
-    (xa, ya), (xb, yb) = side_a, side_b
-    return _step_pairs(xa[1], ya[0]), _step_pairs(xb[1], yb[0])
+    return _path(*side_a, paths), _path(*side_b, paths)
+
+
+def _path(first: _Positions, second: _Positions, paths: dict | None = None):
+    """One side of ``_face_composites``; with ``paths``, a memo of one pass
+    keyed on edge identities, once per pair of edge objects."""
+    if paths is None:
+        return _step_pairs(first[1], second[0])
+    key = (id(first), id(second))
+    if key not in paths:
+        paths[key] = _step_pairs(first[1], second[0])
+    return paths[key]
 
 
 # A face's matching, oriented: a step pair (x, y) of one side is coded
@@ -359,17 +375,6 @@ def _written_matching(table: array, sides) -> BijectionOver:
                                        zip(src.elements, table[k:2 * k])})
 
 
-# a swap as applied to a pair of steps: table, start of the table block it
-# reads, block size, and the lengths of the first step's span before and
-# after the swap
-Swap = tuple[array, int, int, int, int]
-
-
-def _swap(table: array, via_mid_a: bool, nx_in: int, nx_out: int) -> Swap:
-    k = len(table) // 4
-    return table, 0 if via_mid_a else 2 * k, k, nx_in, nx_out
-
-
 def _on_square(f: CubeFunctorData, face: Face2) -> BijectionOver:
     """f's stored matching of ``face``, which must sit on the face's own
     composites ``f.square(face)``; ``InputError`` names the face where it
@@ -419,7 +424,8 @@ def reconstruct_two_morphism(f: CubeFunctorData, c1: cube.Chain, c2: cube.Chain,
 
 # -- validation -------------------------------------------------------------
 
-def _square_pass(n: int, edges, labels, image_of=None):
+def _square_pass(n: int, edges, labels, image_of=None, forced: bool = False,
+                 paths: dict | None = None):
     """Every square of an n-cube functor given on positions: its two
     composites must have equal fiber sizes and, given ``image_of``, the
     matching image_of(v, t, i, j, sides, pa, pb, ka, kb) returns (a position
@@ -434,44 +440,52 @@ def _square_pass(n: int, edges, labels, image_of=None):
     Faces whose four side edges are the same objects share their work: the
     composites, fiber keys and fiber-size verdict are listed once per such
     side key, and a table is built once per (side key, image).  Each is a
-    function of its key alone, so sharing it is exact.  ``image_of`` is
-    still called for every face: a ladybug image depends on the face, not
-    only on its sides.  The memos key on the identity of the edge objects,
+    function of its key alone, so sharing it is exact.  With ``forced``, a
+    square whose fibers all have one element takes the forced image, tabled
+    once per side key, and ``image_of`` is asked only on the rest (ladybug
+    faces); without it, on every face, as a stored matching is the face's
+    own.  The memos, ``paths`` too, key on the identity of the edge objects,
     which ``edges`` holds through the pass, and end with it."""
+    paths = {} if paths is None else paths
     c0: list[str] = []
     failures: list[str] = []
     tables: dict[tuple[int, int, int], array] = {}
     squares: dict[tuple[int, int, int, int], tuple] = {}
-    for v, t, (i, j) in _tops(n, 2):
-        sides = _sides(edges, t, i, j)
-        key = (id(sides[0][0]), id(sides[0][1]), id(sides[1][0]), id(sides[1][1]))
-        square = squares.get(key)
-        if square is None:
-            pa, pb = _face_composites(*sides)
-            ka, kb = _fiber_keys(sides[0], pa), _fiber_keys(sides[1], pb)
-            square = squares[key] = (pa, pb, ka, kb, sorted(ka) == sorted(kb), {})
-        pa, pb, ka, kb, equal, made = square
-        if not equal:
-            top, bottom = labels[t], labels[t ^ 1 << i ^ 1 << j]
-            fa, fb = ({(top[x], bottom[z]): c for (x, z), c in collections.Counter(keys).items()}
-                      for keys in (ka, kb))
-            diff = {k: (fa.get(k, 0), fb.get(k, 0))
-                    for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
-            c0.append(f"face {_face_key(Face2.from_top(v, i, j))}: fiber sizes differ {diff}")
-        if c0 or image_of is None:
-            continue
-        image = image_of(v, t, i, j, sides, pa, pb, ka, kb)
-        if isinstance(image, str):
-            table = image
-        else:
-            image = tuple(image)
-            table = made.get(image)
+    for t in cube.masks(n):
+        for i, j in itertools.combinations([k for k in range(n) if t >> k & 1], 2):
+            sides = _sides(edges, t, i, j)
+            key = (id(sides[0][0]), id(sides[0][1]), id(sides[1][0]), id(sides[1][1]))
+            if key not in squares:
+                pa, pb = _face_composites(*sides, paths)
+                ka, kb = _fiber_keys(sides[0], pa), _fiber_keys(sides[1], pb)
+                equal = sorted(ka) == sorted(kb)
+                image = _forced_image(ka, kb) if forced and equal else None
+                squares[key] = (pa, pb, ka, kb, equal,
+                                None if image is None else _table(sides, pa, pb, ka, kb, image), {})
+            pa, pb, ka, kb, equal, table, made = squares[key]
+            if not equal:
+                top, bottom = labels[t], labels[t ^ 1 << i ^ 1 << j]
+                fa, fb = ({(top[x], bottom[z]): c
+                           for (x, z), c in collections.Counter(keys).items()} for keys in (ka, kb))
+                diff = {k: (fa.get(k, 0), fb.get(k, 0))
+                        for k in sorted(set(fa) | set(fb)) if fa.get(k, 0) != fb.get(k, 0)}
+                c0.append(f"face {_face_key(Face2.from_top(_vertex(t, n), i, j))}: "
+                          f"fiber sizes differ {diff}")
+            if c0 or image_of is None:
+                continue
             if table is None:
-                table = made[image] = _table(sides, pa, pb, ka, kb, image)
-        if isinstance(table, str):
-            failures.append(f"face {_face_key(Face2.from_top(v, i, j))}: {table}")
-        else:
-            tables[t, i, j] = table
+                image = image_of(_vertex(t, n), t, i, j, sides, pa, pb, ka, kb)
+                if isinstance(image, str):
+                    table = image
+                else:
+                    image = tuple(image)
+                    table = made.get(image)
+                    if table is None:
+                        table = made[image] = _table(sides, pa, pb, ka, kb, image)
+            if isinstance(table, str):
+                failures.append(f"face {_face_key(Face2.from_top(_vertex(t, n), i, j))}: {table}")
+            else:
+                tables[t, i, j] = table
     return c0, failures, tables
 
 
@@ -490,15 +504,16 @@ def _first_chain(t: int, coords: tuple[int, int, int], edges) -> tuple:
     """The three edges of the 3-face (t, coords)'s first chain, which
     clears its coordinates in increasing order."""
     i, j, k = coords
-    return edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]
+    return edges[t][i], edges[t ^ 1 << i][j], edges[t ^ 1 << i ^ 1 << j][k]
 
 
-def _hexagon_walk(t: int, coords: tuple[int, int, int], edges) -> list[tuple[int, int, int]]:
+def _hexagon_walk(t: int, coords: tuple[int, int, int], edges,
+                  paths: dict | None = None) -> list[tuple[int, int, int]]:
     """The elements of the 3-face (t, coords)'s first chain composite that
     its hexagon must walk, as (a, b, c) step positions in composite order:
     those in a fiber over (top, bottom) of two or more elements.  The
-    composite is listed once, through ``_step_pairs``, and keyed by the
-    positions (x, w) of each element's top and bottom.
+    composite is listed once, its first two steps by ``_path``, and keyed by
+    the positions (x, w) of each element's top and bottom.
 
     This walk is exact.  Each swap replaces two adjacent steps by two with
     the same endpoints, through a table that the square pass checked keeps
@@ -506,7 +521,7 @@ def _hexagon_walk(t: int, coords: tuple[int, int, int], edges) -> list[tuple[int
     compose to a permutation of each fiber, and on a fiber of one element
     that is the identity, whatever the matchings."""
     e0, e1, e2 = _first_chain(t, coords, edges)
-    first = _step_pairs(e0[1], e1[0])
+    first = _path(e0, e1, paths)
     e1t = e1[1]
     steps = _step_pairs([e1t[b] for _, b in first], e2[0])
     xs, ws = e0[0], e2[1]
@@ -517,17 +532,18 @@ def _hexagon_walk(t: int, coords: tuple[int, int, int], edges) -> list[tuple[int
     return [first[n] + (c,) for (n, c), key in zip(steps, keys) if count[key] > 1]
 
 
-def _walks(n: int, edges):
-    """(vertex, top mask, coordinates, hexagon walk) of every 3-face, in
-    ``cube.faces3`` order.  The walk (``_hexagon_walk``) reads only the
-    face's first chain, so it is listed once per first chain (its three
-    edge objects) and shared by every 3-face with that chain."""
+def _walks(n: int, edges, paths: dict | None = None):
+    """(top mask, coordinates, walk) of every 3-face with a nonempty
+    ``_hexagon_walk``, in ``cube.faces3`` order; each walk is listed once
+    per first chain (its three edge objects), the only thing it reads."""
     walks: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for v, t, coords in _tops(n, 3):
-        chain = tuple(map(id, _first_chain(t, coords, edges)))
-        if chain not in walks:
-            walks[chain] = _hexagon_walk(t, coords, edges)
-        yield v, t, coords, walks[chain]
+    for t in cube.masks(n):
+        for coords in itertools.combinations([k for k in range(n) if t >> k & 1], 3):
+            chain = tuple(map(id, _first_chain(t, coords, edges)))
+            if chain not in walks:
+                walks[chain] = _hexagon_walk(t, coords, edges, paths)
+            if walks[chain]:
+                yield t, coords, walks[chain]
 
 
 def _hexagon_tables(t: int, coords: tuple[int, int, int],
@@ -552,7 +568,11 @@ def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
     rounds of two."""
     if not walk:
         return True
-    swaps = [_swap(table, p < q, len(edges[top, p][0]), len(edges[top, q][0]))
+    # a swap as applied to a pair of steps: table, start of the table block
+    # it reads, block size, and the lengths of the first step's span before
+    # and after the swap
+    swaps = [(table, 0 if p < q else len(table) // 2, len(table) // 4,
+              len(edges[top][p][0]), len(edges[top][q][0]))
              for (top, p, q), table in zip(_hexagon_swaps(t, coords),
                                             _hexagon_tables(t, coords, tables))]
     rounds = [swaps[r] + swaps[r + 1] for r in (0, 2, 4)]
@@ -566,7 +586,7 @@ def _hexagon_commutes(t: int, coords: tuple[int, int, int], edges,
     return True
 
 
-def _coherence_pass(n: int, edges, labels, image_of):
+def _coherence_pass(n: int, edges, labels, image_of, forced: bool = False):
     """The square pass (``_square_pass``) and then, if it passed, every
     hexagon, in ``cube.faces3`` order: the fiber-size failures, the
     matching or hexagon failures and the oriented tables.  This is the one
@@ -582,21 +602,20 @@ def _coherence_pass(n: int, edges, labels, image_of):
     only its chain, and a table object is shared only by faces with the
     same side edges (``_square_pass``), so it fixes every edge a swap
     reads.  The memos key on object identity, and the objects live through
-    the pass."""
-    c0, failures, tables = _square_pass(n, edges, labels, image_of)
+    the pass; the walks reuse the squares' 2-step composites (``_path``)."""
+    paths: dict = {}
+    c0, failures, tables = _square_pass(n, edges, labels, image_of, forced, paths)
     if c0 or failures:
         return c0, failures, tables
     verdicts: dict[tuple[int, ...], bool] = {}
-    for v, t, coords, walk in _walks(n, edges):
-        if not walk:
-            continue
+    for t, coords, walk in _walks(n, edges, paths):
         key = (id(walk), *map(id, _hexagon_tables(t, coords, tables)))
         commutes = verdicts.get(key)
         if commutes is None:
             commutes = verdicts[key] = _hexagon_commutes(t, coords, edges, tables, walk)
         if not commutes:
-            failures.append(f"3-face at {cube.bits(v)} coords {tuple(c + 1 for c in coords)}: "
-                            "hexagon does not commute")
+            failures.append(f"3-face at {cube.bits(_vertex(t, n))} coords "
+                            f"{tuple(c + 1 for c in coords)}: hexagon does not commute")
     return c0, failures, tables
 
 
@@ -696,11 +715,9 @@ def enumerate_matchings(f: CubeFunctorData,
     # with an empty walk commutes whatever the candidates, so it is not checked
     face_pos = {key: n for n, key in enumerate(keys)}
     ready_at: dict[int, list[tuple[int, tuple[int, int, int], list]]] = {}
-    for _, t, coords, walk in _walks(f.n, edges):
-        if walk:
-            last = max(face_pos[top, min(p, q), max(p, q)]
-                       for top, p, q in _hexagon_swaps(t, coords))
-            ready_at.setdefault(last, []).append((t, coords, walk))
+    for t, coords, walk in _walks(f.n, edges):
+        last = max(face_pos[top, min(p, q), max(p, q)] for top, p, q in _hexagon_swaps(t, coords))
+        ready_at.setdefault(last, []).append((t, coords, walk))
 
     images: list[list[int]] = [[] for _ in faces]
     chosen: dict[tuple[int, int, int], array] = {}
@@ -807,27 +824,10 @@ def _forced_image(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> list[
     ka and kb (of equal fiber sizes): element p of one goes to the one
     element of its fiber in the other, as a position image; None when some
     fiber has several elements, and [] when the composites are empty.  This
-    is the one forced rule: the square pass of ``_forced_tables`` and of
-    the Khovanov build reads it, through ``_forced_rule``."""
+    is the one forced rule: the square pass reads it with ``forced``, once
+    per side key, for ``_forced_tables`` and the Khovanov build."""
     where = {key: q for q, key in enumerate(kb)}
     return [where[key] for key in ka] if len(where) == len(kb) else None
-
-
-def _forced_rule():
-    """``_forced_image`` for an ``image_of``, found once per pair of fiber
-    key lists and returned as one shared tuple: the square pass hands the
-    same two lists to every face with the same four sides.  Each entry
-    keeps the lists it is keyed on, so no id is reused while the rule
-    lives."""
-    known: dict[int, tuple] = {}
-
-    def forced(ka: list[tuple[int, int]], kb: list[tuple[int, int]]) -> tuple[int, ...] | None:
-        entry = known.get(id(ka))
-        if entry is None or entry[1] is not kb:
-            image = _forced_image(ka, kb)
-            entry = known[id(ka)] = (ka, kb, None if image is None else tuple(image))
-        return entry[2]
-    return forced
 
 
 def _forced_tables(f: CubeFunctorData):
@@ -836,13 +836,8 @@ def _forced_tables(f: CubeFunctorData):
     whose composites differ in a fiber size or, failing that, have a fiber
     of several elements.  Hexagons are not checked."""
     corrs, edges, labels = _indexed(f)
-    forced = _forced_rule()
-
-    def image_of(v, t, i, j, sides, pa, pb, ka, kb):
-        image = forced(ka, kb)
-        return "ambiguous fiber" if image is None else image
-
-    c0, failures, tables = _square_pass(f.n, edges, labels, image_of)
+    c0, failures, tables = _square_pass(f.n, edges, labels,
+                                        lambda *face: "ambiguous fiber", forced=True)
     if c0 or failures:
         raise InputError((c0 or failures)[0])
     return corrs, labels, tables
@@ -1392,20 +1387,20 @@ def is_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData,
     if f.has_matchings != g.has_matchings:
         return False
     if f.has_matchings:
-        return all(_face_commutes(f, g, tau, face) for face in cube.faces2(f.n))
+        return all(_face_commutes(f.matching(face).mapping, g.matching(face).as_dict(), tau, face)
+                   for face in cube.faces2(f.n))
     return True
 
 
-def _face_commutes(f: CubeFunctorData, g: CubeFunctorData,
+def _face_commutes(mf: Iterable[tuple[str, str]], mg: Mapping[str, str],
                    tau: Mapping[Edge, Mapping[str, str]], face: Face2) -> bool:
-    """tau, applied stepwise to composites, carries f's matching on ``face``
-    to g's."""
-    mg = g.matching(face).as_dict()
+    """tau, applied stepwise to composites, carries f's matching on
+    ``face``, its (source, image) pairs ``mf``, to g's, the map ``mg``."""
     ta = tau[(face.top, face.mid_a)]
     tb = tau[(face.mid_a, face.bottom)]
     ta2 = tau[(face.top, face.mid_b)]
     tb2 = tau[(face.mid_b, face.bottom)]
-    for src, dst in f.matching(face).as_dict().items():
+    for src, dst in mf:
         ys, xs = split_composite_id(src)
         yd, xd = split_composite_id(dst)
         if mg[join_composite_id([tb[ys], ta[xs]])] != \
@@ -1456,12 +1451,20 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
                 [(el.s, el.t) for el in g.edge(*e).elements])
 
     edge_pos = {e: i for i, e in enumerate(edges)}
-    face_by_last_edge: dict[Edge, list[Face2]] = {}
-    for face in cube.faces2(n):
+    faces = cube.faces2(n)
+    face_by_last_edge: dict[Edge, list[int]] = {}
+    for p, face in enumerate(faces):
         last = max(((face.top, face.mid_a), (face.mid_a, face.bottom),
                     (face.top, face.mid_b), (face.mid_b, face.bottom)), key=edge_pos.get)
-        face_by_last_edge.setdefault(last, []).append(face)
+        face_by_last_edge.setdefault(last, []).append(p)
     tau: dict[Edge, dict[str, str]] = {}
+    matchings: list[tuple | None] = [None] * len(faces)  # read at a face's first test
+
+    def face_commutes(p: int) -> bool:
+        if matchings[p] is None:
+            matchings[p] = (f.matching(faces[p]).mapping, g.matching(faces[p]).as_dict())
+        return _face_commutes(*matchings[p], tau, faces[p])
+
     # backtracking leaves a deeper vertex's sigma behind, so a vertex tests
     # only its edges to the vertices before it in ``order``
     order = {v: k for k, v in enumerate(verts)}
@@ -1486,8 +1489,7 @@ def find_natural_isomorphism(f: CubeFunctorData, g: CubeFunctorData):
         e = edges[k - len(verts)]
         fids, gids = f.edge(*e).ids(), g.edge(*e).ids()
         tau[e] = dict(zip(fids, (gids[q] for q in image)))
-        return not f.has_matchings or all(_face_commutes(f, g, tau, fc)
-                                          for fc in face_by_last_edge.get(e, []))
+        return not f.has_matchings or all(map(face_commutes, face_by_last_edge.get(e, ())))
 
     for _ in _backtrack(len(verts) + len(edges), options, accept):
         return sigma, tau

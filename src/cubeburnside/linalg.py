@@ -5,7 +5,8 @@ computations downstream are exact.  Each edge element of a cube functor adds
 one ±1 to its totalization, so differentials are as sparse as the functor:
 ``Matrix`` stores only nonzeros, one ``{row: entry}`` map per column, and has
 no second, dense form.  The chain-level checks multiply over nonzeros
-(``sparse_product``).  Nothing in the library needs the unimodular
+(``sparse_product``), and d∘d = 0 is tested one product column at a time
+(``product_columns``).  Nothing in the library needs the unimodular
 transforms of a Smith normal form: quasi-isomorphism is tested as
 acyclicity of the mapping cone.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 _Cols = list[dict[int, int]] | dict[int, dict[int, int]]  # {row: entry} maps by column
 
@@ -95,17 +96,21 @@ def sparse_product(a: Matrix, b: Matrix) -> list[dict[int, int]]:
 
     Two products are equal exactly when these lists are equal, and a
     product is zero exactly when every column is empty."""
+    return list(product_columns(a, b))
+
+
+def product_columns(a: Matrix, b: Matrix) -> Iterator[dict[int, int]]:
+    """The columns of ``sparse_product``, one at a time: d∘d = 0 is tested
+    keeping no column and stopping at the first nonzero one."""
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in product")
     acols = a.columns
-    out = []
     for bcol in b.columns:
         acc: dict[int, int] = {}
         for k, y in bcol.items():
             for i, x in acols[k].items():
                 acc[i] = acc.get(i, 0) + x * y
-        out.append({i: x for i, x in acc.items() if x})
-    return out
+        yield {i: x for i, x in acc.items() if x}
 
 
 def _clear_column(rows: dict[int, dict[int, int]], cols: _Cols, p: int, q: int) -> list[int]:

@@ -15,7 +15,8 @@ from . import cube
 from .cube import FaceInclusion, Vertex
 from .errors import InputError, InternalInvariantError
 from .functor import CubeFunctorData, NaturalTransformation, StableFunctor
-from .linalg import Matrix, _core_factors, cancel_units, invariant_factors, sparse_product
+from .linalg import (Matrix, _core_factors, cancel_units, invariant_factors, product_columns,
+                     sparse_product)
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +33,7 @@ class ChainComplex:
 
     def __post_init__(self):
         for d, m in self.diffs.items():
-            if d - 1 in self.diffs and any(sparse_product(self.diffs[d - 1], m)):
+            if d - 1 in self.diffs and any(product_columns(self.diffs[d - 1], m)):
                 raise InternalInvariantError(
                     f"differential does not square to zero at degree {d}")
 

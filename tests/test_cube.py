@@ -171,3 +171,17 @@ def test_faces_counts():
     assert len(cube.faces2(3)) == 6
     assert len(cube.faces3(3)) == 1
     assert len(cube.faces2(4)) == 24
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_edges_come_sorted_and_masks_in_vertex_order(n):
+    """``edges`` lists u in ``vertices`` order and then the cleared
+    coordinate in increasing order, which is already sorted; ``masks``
+    lists the vertices' bitmasks (bit k for coordinate k) in ``vertices``
+    order."""
+    edges = cube.edges(n)
+    assert edges == sorted(edges)
+    assert edges == [(u, cube.clear_coordinate(u, k)) for u in cube.vertices(n)
+                     for k in range(n) if u[k]]
+    assert len(edges) == n * 2 ** max(n - 1, 0)
+    assert cube.masks(n) == [sum(b << k for k, b in enumerate(v)) for v in cube.vertices(n)]

@@ -243,6 +243,26 @@ def test_iso_search_finds_each_edges_key_classes_once(monkeypatch):
     assert is_natural_isomorphism(f, f, *found)
 
 
+def test_iso_search_reads_each_faces_matchings_once(monkeypatch):
+    """The search reads a face's two matchings when it first tests the
+    face, and keeps them: on T(3,4) (1,792 faces) g's matching becomes a
+    dict once per face and f's is read as its pairs, where each face test
+    used to build both dicts (3,584 calls)."""
+    calls = [0]
+    as_dict = BijectionOver.as_dict
+
+    def counted(self):
+        calls[0] += 1
+        return as_dict(self)
+
+    f = kh.build_khovanov_functor(kh.braid_closure_pd([1, 2] * 4, 3)).functor
+    monkeypatch.setattr(BijectionOver, "as_dict", counted)
+    found = find_natural_isomorphism(f, f)
+    assert calls[0] == len(cube.faces2(f.n)) == 1792
+    monkeypatch.undo()
+    assert is_natural_isomorphism(f, f, *found)
+
+
 def test_enumerate_matchings_keeps_its_completion_order(pd_corpus, monkeypatch):
     """Every face's candidates, and so every completion, come in the order
     of the per-fiber product the search drew them from before the one

@@ -179,6 +179,43 @@ def test_resolve_circles_partition_arcs(pd_corpus):
             assert len(c.passages) == len(c.walk_arcs)
 
 
+def _resolve_reference(pd, v):
+    """The circles of v's resolution traced on (crossing, slot) pairs, as
+    (arcs, passages, walk arcs) with plain-tuple passages, sorted by least
+    arc and then free loop index."""
+    other = {}
+    for p, q in kh._occurrences(pd).values():
+        other[p], other[q] = q, p
+    partner = ({0: 3, 3: 0, 1: 2, 2: 1}, {0: 1, 1: 0, 2: 3, 3: 2})
+    seen, circles = set(), []
+    for start in itertools.product(range(pd.n), range(4)):
+        if start in seen:
+            continue
+        passages, node = [], start
+        while not passages or node != start:
+            c, s_in = node
+            s_out = partner[v[c]][s_in]
+            seen |= {(c, s_in), (c, s_out)}
+            passages.append((c, s_in, s_out))
+            node = other[(c, s_out)]
+        walk = tuple(pd.crossings[c][s_out] for c, _, s_out in passages)
+        circles.append(((0, min(walk)), frozenset(walk), tuple(passages), walk))
+    circles += [((1, k), frozenset(), (), ()) for k in range(pd.free_loops)]
+    return [c[1:] for c in sorted(circles, key=lambda c: c[0])]
+
+
+def test_resolve_traces_as_the_slot_pair_reference(pd_corpus):
+    """Tracing flat slots gives, on every vertex of every bundled diagram,
+    the circles of a trace on (crossing, slot) pairs: the same arcs,
+    passages in the same order and the same walks."""
+    for pd in pd_corpus.values():
+        for v in cube.vertices(pd.n):
+            got = [(c.arcs, tuple((p.crossing, p.slot_in, p.slot_out) for p in c.passages),
+                    c.walk_arcs)
+                   for c in kh.resolve(pd, v).circles]
+            assert got == _resolve_reference(pd, v), (pd, v)
+
+
 # -- edge correspondences and gradings ---------------------------------------------
 
 def test_edge_correspondence_merge_split(pd_corpus):
@@ -228,6 +265,54 @@ def test_quantum_grading_preserved_on_edges(small_corpus):
         for (u, v) in cube.edges(pd.n):
             for e in f.edge(u, v).elements:
                 assert grads[u][e.s] == grads[v][e.t], (name, u, v, e)
+
+
+def _assert_untouched_circles_go_in_order(pd):
+    """On every edge u > v of pd's cube, the map of v's circles away from
+    the changed crossing onto u's by circle key (arcs and loop index,
+    ``circle_match``) is the order-preserving one.  The touched circles are
+    read off the passages here, not from the build's tables."""
+    dc = kh.DiagramCube(pd)
+    for u, v in cube.edges(pd.n):
+        k = cube.edge_coordinate(u, v)
+        rv, ru = dc.resolved(v), dc.resolved(u)
+        rest_v, rest_u = ([i for i, c in enumerate(rd.circles)
+                           if all(p.crossing != k for p in c.passages)] for rd in (rv, ru))
+        keyed = dc.circle_match(rv, ru)
+        assert len(rest_v) == len(rest_u), (pd, u, v)
+        assert {c: keyed.get(c) for c in rest_v} == dict(zip(rest_v, rest_u)), (pd, u, v)
+
+
+def test_untouched_circles_go_in_order_on_the_corpus(pd_corpus):
+    """``_edge_positions`` sends the circles away from the changed crossing
+    in order, with no circle-key map: circles sort by (0, least arc) or (1,
+    loop index) and such a circle keeps its arcs.  On every edge of every
+    bundled diagram the order-preserving map is the circle-key map."""
+    for pd in pd_corpus.values():
+        _assert_untouched_circles_go_in_order(pd)
+
+
+@pytest.mark.parametrize("pd_of", [lambda pds: pds["fig8"],
+                                   lambda pds: kh.braid_closure_pd([1, -2] * 4, 3)],
+                         ids=["fig8", "(s1 s2^-1)^4"])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_kh_table_walks_masks_not_tuple_vertices(pd_corpus, pd_of, reduced, monkeypatch):
+    """The table's build, coherence pass and split read vertices as masks
+    and edges by (mask, coordinate) lists: no tuple vertex is turned into a
+    mask, and no edge's coordinate is found from its tuple ends."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(functor, "_mask", counted("_mask", functor._mask))
+    monkeypatch.setattr(cube, "edge_coordinate", counted("edge_coordinate", cube.edge_coordinate))
+    pd = pd_of(pd_corpus)
+    rows = kh.kh_table(pd, reduced=reduced, basepoint=1 if reduced else None)
+    assert rows and calls == {}
 
 
 # -- ladybug machinery --------------------------------------------------------------
@@ -310,8 +395,7 @@ def test_face_matching_is_two_morphism_corpus(small_corpus):
     # 2-morphism check of the coherence pass
     for name, pd in small_corpus.items():
         dc = kh.DiagramCube(pd)
-        edges = {(functor._mask(u), cube.edge_coordinate(u, v)): dc._edge_positions(u, v)
-                 for (u, v) in cube.edges(pd.n)}
+        edges, _ = dc._indexed()
         for v, t, (i, j) in functor._tops(pd.n, 2):
             sides = functor._sides(edges, t, i, j)
             pa, pb = functor._face_composites(*sides)
@@ -400,7 +484,7 @@ def _walk_reference(edges, t, coords):
     ``chain_steps``, that share their (top, bottom) endpoints with another
     element; and the composite's size."""
     i, j, k = coords
-    chain = [edges[t, i], edges[t ^ 1 << i, j], edges[t ^ 1 << i ^ 1 << j, k]]
+    chain = [edges[t][i], edges[t ^ 1 << i][j], edges[t ^ 1 << i ^ 1 << j][k]]
     steps = ref.chain_steps(chain)
     keys = [(chain[0][0][a], chain[2][1][c]) for a, _, c in steps]
     count = collections.Counter(keys)
@@ -408,9 +492,7 @@ def _walk_reference(edges, t, coords):
 
 
 def _khovanov_edges(pd):
-    dc = kh.DiagramCube(pd)
-    return pd.n, {(functor._mask(u), cube.edge_coordinate(u, v)): dc._edge_positions(u, v)
-                  for (u, v) in cube.edges(pd.n)}
+    return pd.n, kh.DiagramCube(pd)._indexed()[0]
 
 
 def _mixed_edges():
@@ -1146,6 +1228,17 @@ def test_drawn_braids_two_routes_and_euler_characteristic(word_strands):
     rows = kh.kh_table(pd)
     assert rows == kh.kh_table_direct(pd)
     assert _euler_characteristic(rows) == _jones_from_states(pd)
+
+
+@given(braid_words(max_size=7))
+@settings(max_examples=40, deadline=None)
+def test_untouched_circles_go_in_order_on_drawn_braids(word_strands):
+    word, strands = word_strands
+    try:
+        pd = kh.braid_closure_pd(word, strands)
+    except InputError:  # a closure whose orientation the word leaves open
+        assume(False)
+    _assert_untouched_circles_go_in_order(pd)
 
 
 @st.composite

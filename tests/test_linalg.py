@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeburnside import khovanov as kh
-from cubeburnside.linalg import Matrix, invariant_factors, sparse_product
+from cubeburnside.linalg import Matrix, invariant_factors, product_columns, sparse_product
 from cubeburnside.totalization import dualize, tot
 from snf_reference import dense_product, det, per_matrix_invariant_factors, smith_normal_form
 
@@ -105,6 +105,7 @@ def test_sparse_product_matches_dense(data):
     a = data.draw(matrices(SPARSE_ENTRIES, st.just(r), st.just(k)))
     b = data.draw(matrices(SPARSE_ENTRIES, st.just(k), st.just(c)))
     assert sparse_product(a, b) == list(dense_product(a, b).columns)
+    assert list(product_columns(a, b)) == sparse_product(a, b)
 
 
 # -- the two phases of ``invariant_factors`` ----------------------------------

@@ -14,7 +14,7 @@ from cubeburnside.functor import (CubeFunctorData, StableFunctor, coproduct,
                                   empty_functor, identity_transformation,
                                   product, quotient_functor,
                                   sub_inclusion_transformation)
-from cubeburnside.linalg import Matrix
+from cubeburnside.linalg import Matrix, sparse_product
 from cubeburnside.totalization import (ChainComplex, ChainMap, HomologyGroup,
                                        cone, complexes_equal_under, direct_sum,
                                        dualize, face_shift_iso, homology,
@@ -215,6 +215,18 @@ def test_d_squared_nonzero_is_caught():
     # a complex constructed directly is checked too, before homology sees it
     with pytest.raises(InternalInvariantError):
         homology(ChainComplex(basis, diffs))
+
+
+def test_d_squared_nonzero_in_the_last_column_only_is_caught():
+    """d∘d is tested column by column and stops at the first nonzero one;
+    a product whose only nonzero column is the last is still refused."""
+    basis = {0: ("a",), 1: ("b1", "b2", "b3"), 2: ("c1", "c2", "c3")}
+    d1 = Matrix.from_rows([[1, 0, 0]])
+    d2 = Matrix.from_columns(3, 3, [{1: 1}, {2: 1}, {0: 1}])
+    assert [bool(c) for c in sparse_product(d1, d2)] == [False, False, True]
+    with pytest.raises(InternalInvariantError,
+                       match="^differential does not square to zero at degree 2$"):
+        ChainComplex.build(basis, {1: d1, 2: d2})
 
 
 _ENTRIES = st.sampled_from((0, 0, 1, -1, 2, -2, 3, -3))
